@@ -41,11 +41,11 @@ from .mc import (
     summarize,
 )
 from .model import (
+    ConfigError,
     GegenbauerSpec,
     SpectralModel,
+    _field,
     builtin_filter,
-    covariance_eval,
-    density_eval,
     filter_from_json,
     filter_to_json,
     model_from_json,
@@ -59,9 +59,8 @@ from .simulate import (
     path_from_csv,
     path_to_csv,
 )
-from .specfun import QuadratureSpec, gegenbauer_coeffs
+from .specfun import QuadratureSpec
 from .transform import (
-    TransformRequest,
     lattice_window,
     panel_from_path,
     schedule_from_json,
@@ -71,46 +70,9 @@ from .transform import (
 __all__ = ["ConfigError", "build_parser", "main"]
 
 
-class ConfigError(Exception):
-    """A config document violates the schema at a specific location.
-
-    ``pointer`` is the JSON-pointer path of the offending key ("" for
-    problems with the document as a whole).
-    """
-
-    def __init__(self, pointer, message):
-        super().__init__("%s: %s" % (pointer or "config", message))
-        self.pointer = pointer
-        self.message = message
-
-
 # ---------------------------------------------------------------------------
-# Config loading and schema checks
+# Config loading
 # ---------------------------------------------------------------------------
-
-
-_KINDS = {
-    "object": (dict, "an object"),
-    "string": (str, "a string"),
-    "number": ((int, float), "a number"),
-    "integer": (int, "an integer"),
-}
-
-
-def _field(doc, pointer, key, kind, required=True, default=None):
-    """Fetch doc[key], checking its JSON type and reporting by pointer."""
-    here = "%s/%s" % (pointer, key)
-    if key not in doc:
-        if required:
-            raise ConfigError(here, "missing required key")
-        return default
-    value = doc[key]
-    pytype, label = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, pytype):
-        raise ConfigError(
-            here, "expected %s, got %s" % (label, type(value).__name__)
-        )
-    return value
 
 
 def _load_config(path_str):
@@ -128,49 +90,6 @@ def _load_config(path_str):
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be an object")
     return doc
-
-
-def _validated_model(doc, pointer):
-    family = _field(doc, pointer, "family", "string")
-    if family == "indicator":
-        for key in ("s0", "alpha", "M"):
-            _field(doc, pointer, key, "number")
-    elif family == "gegenbauer":
-        for key in ("d", "u"):
-            _field(doc, pointer, key, "number")
-        _field(doc, pointer, "sigma_eps", "number", required=False)
-        _field(doc, pointer, "truncation", "integer", required=False)
-    else:
-        raise ConfigError(
-            pointer + "/family",
-            "unknown model family %r (expected 'indicator' or 'gegenbauer')"
-            % family,
-        )
-    return model_from_json(doc)
-
-
-def _validated_filter(doc, pointer):
-    _field(doc, pointer, "name", "string")
-    _field(doc, pointer, "sigma", "number", required=False)
-    return filter_from_json(doc)
-
-
-def _validated_schedule(doc, pointer):
-    rule = _field(doc, pointer, "rule", "string")
-    if rule == "linear":
-        _field(doc, pointer, "j_max", "integer")
-        _field(doc, pointer, "kappa", "number", required=False)
-    elif rule == "geometric":
-        _field(doc, pointer, "j_max", "integer")
-        for key in ("a0", "rho", "kappa"):
-            _field(doc, pointer, key, "number")
-        _field(doc, pointer, "m_cap", "integer", required=False)
-    else:
-        raise ConfigError(
-            pointer + "/rule",
-            "unknown rule %r (expected 'linear' or 'geometric')" % rule,
-        )
-    return schedule_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -222,26 +141,6 @@ def cmd_constants(args):
 # ---------------------------------------------------------------------------
 
 
-def _transfer_density(spec, lam):
-    """Density of the truncated moving average at the given frequencies."""
-    coeffs = gegenbauer_coeffs(spec.truncation - 1, spec.d, spec.u)
-    phases = np.exp(-1j * np.outer(np.asarray(lam, dtype=float), np.arange(coeffs.size)))
-    transfer = phases @ coeffs
-    return spec.sigma_eps**2 * np.abs(transfer) ** 2 / (2.0 * np.pi)
-
-
-def _ma_covariances(spec, lags):
-    coeffs = gegenbauer_coeffs(spec.truncation - 1, spec.d, spec.u)
-    full = spec.sigma_eps**2 * np.correlate(coeffs, coeffs, "full")
-    center = coeffs.size - 1
-    out = np.zeros(len(lags))
-    for i, h in enumerate(lags):
-        h = abs(int(h))
-        if h <= center:
-            out[i] = full[center + h]
-    return out
-
-
 def _spectrum_model(args):
     """Resolve the model and grid from --config or inline flags."""
     if args.config is not None and args.family is not None:
@@ -249,7 +148,7 @@ def _spectrum_model(args):
     lam_max, n_grid, cov_lags = args.lam_max, args.n_grid, args.cov_lags
     if args.config is not None:
         doc = _load_config(args.config)
-        model = _validated_model(_field(doc, "", "model", "object"), "/model")
+        model = model_from_json(_field(doc, "", "model", "object"), "/model")
         if lam_max is None:
             lam_max = _field(doc, "", "lam_max", "number", required=False)
         if n_grid is None:
@@ -275,17 +174,21 @@ def _spectrum_model(args):
         model = model_from_json(doc)
     else:
         raise ConfigError("", "spectrum needs --config or --family")
-    if lam_max is None:
-        lam_max = 1.5 * model.envelope if isinstance(model, SpectralModel) else math.pi
     if n_grid is None:
         n_grid = 401
     if cov_lags is None:
         cov_lags = 0
-    return model, float(lam_max), int(n_grid), int(cov_lags)
+    return model, lam_max, int(n_grid), int(cov_lags)
 
 
 def cmd_spectrum(args):
     model, lam_max, n_grid, cov_lags = _spectrum_model(args)
+    # Only the closed-form density has a pole on the real line and a band
+    # edge; the moving average's density is smooth and 2*pi-periodic.
+    pole = isinstance(model, SpectralModel)
+    if lam_max is None:
+        lam_max = 1.5 * model.envelope if pole else math.pi
+    lam_max = float(lam_max)
     if not (lam_max > 0.0 and math.isfinite(lam_max)):
         raise ValueError("spectrum: lam-max must be a positive real")
     if n_grid < 2:
@@ -293,29 +196,21 @@ def cmd_spectrum(args):
     if cov_lags < 0:
         raise ValueError("spectrum: cov-lags must be non-negative")
     lam = np.linspace(-lam_max, lam_max, n_grid)
-    if isinstance(model, SpectralModel):
-        if np.any(np.abs(np.abs(lam) - model.s0) == 0.0):
-            warnings.warn(
-                "spectrum: grid hits the singular frequencies at +-%g; "
-                "shifting every point by half a grid step" % model.s0
-            )
-            lam = lam + 0.5 * (lam[1] - lam[0])
-        f = density_eval(model, lam)
-    else:
-        f = _transfer_density(model, lam)
-    spectrum_rows = np.column_stack([lam, f])
+    if pole and np.any(np.abs(np.abs(lam) - model.s0) == 0.0):
+        warnings.warn(
+            "spectrum: grid hits the singular frequencies at +-%g; "
+            "shifting every point by half a grid step" % model.s0
+        )
+        lam = lam + 0.5 * (lam[1] - lam[0])
+    spectrum_rows = np.column_stack([lam, model.density(lam)])
 
     cov_rows = None
     if cov_lags > 0:
         lags = np.arange(cov_lags + 1, dtype=float)
-        if isinstance(model, SpectralModel):
-            # Plot-data tolerance; the default spec can stall in roundoff
-            # at the pole panel long before 1e-8 matters for a table.
-            spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
-            bvals = np.array([covariance_eval(model, r, spec) for r in lags])
-        else:
-            bvals = _ma_covariances(model, lags)
-        cov_rows = np.column_stack([lags, bvals])
+        # Plot-data tolerance; the default spec can stall in roundoff at
+        # the pole panel long before 1e-8 matters for a table.
+        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
+        cov_rows = np.column_stack([lags, model.covariances(lags, spec)])
 
     resolved = {
         "model": model_to_json(model),
@@ -354,7 +249,7 @@ def _require_ma_model(model, command):
 
 def cmd_simulate(args):
     doc = _load_config(args.config)
-    model = _validated_model(_field(doc, "", "model", "object"), "/model")
+    model = model_from_json(_field(doc, "", "model", "object"), "/model")
     n_points = _field(doc, "", "n_points", "integer")
     t0 = float(_field(doc, "", "t0", "number", required=False, default=0.0))
     dt = float(_field(doc, "", "dt", "number", required=False, default=1.0))
@@ -384,10 +279,8 @@ def cmd_simulate(args):
 
 def cmd_transform(args):
     doc = _load_config(args.config)
-    filt = _validated_filter(_field(doc, "", "filter", "object"), "/filter")
-    schedule = _validated_schedule(
-        _field(doc, "", "schedule", "object"), "/schedule"
-    )
+    filt = filter_from_json(_field(doc, "", "filter", "object"), "/filter")
+    schedule = schedule_from_json(_field(doc, "", "schedule", "object"), "/schedule")
     resolved = {
         "filter": filter_to_json(filt),
         "schedule": schedule_to_json(schedule),
@@ -400,7 +293,7 @@ def cmd_transform(args):
         path = path_from_csv(src, seed)
         resolved["path_csv"] = src
     else:
-        model = _validated_model(_field(doc, "", "model", "object"), "/model")
+        model = model_from_json(_field(doc, "", "model", "object"), "/model")
         _require_ma_model(model, "transform")
         seed = _field(doc, "", "seed", "integer")
         if args.seed is not None:
@@ -409,9 +302,7 @@ def cmd_transform(args):
         path = gegenbauer_path(model, t_hi - t_lo + 1, float(t_lo), 1.0, seed)
         resolved["model"] = model_to_json(model)
     resolved["seed"] = seed
-    panel = panel_from_path(
-        TransformRequest(path=path, filter=filt, schedule=schedule)
-    )
+    panel = panel_from_path(path, filt, schedule)
     out_dir = _ensure_out(args.out)
     panel_to_csv(panel, os.path.join(out_dir, "panel.csv"))
     _write_manifest(out_dir, "transform", resolved, seed, ["panel.csv"])
@@ -430,7 +321,7 @@ def cmd_estimate(args):
     if args.config is not None:
         doc = _load_config(args.config)
         panel_csv = _field(doc, "", "panel_csv", "string")
-        filt = _validated_filter(_field(doc, "", "filter", "object"), "/filter")
+        filt = filter_from_json(_field(doc, "", "filter", "object"), "/filter")
         provenance = _field(
             doc, "", "provenance", "string",
             required=False, default="path-transform",
@@ -475,20 +366,7 @@ def cmd_estimate(args):
 
 
 def cmd_montecarlo(args):
-    doc = _load_config(args.config)
-    _validated_model(_field(doc, "", "model", "object"), "/model")
-    _validated_filter(_field(doc, "", "filter", "object"), "/filter")
-    _validated_schedule(_field(doc, "", "schedule", "object"), "/schedule")
-    backend = _field(doc, "", "backend", "string")
-    if backend not in PROVENANCES:
-        raise ConfigError(
-            "/backend", "must be one of %s" % (sorted(PROVENANCES),)
-        )
-    _field(doc, "", "replications", "integer")
-    _field(doc, "", "base_seed", "integer")
-    _field(doc, "", "out_dir", "string", required=False)
-    _field(doc, "", "workers", "integer", required=False)
-    config = experiment_from_json(doc)
+    config = experiment_from_json(_load_config(args.config))
     updates = {}
     if args.seed is not None:
         updates["base_seed"] = args.seed

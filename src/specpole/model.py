@@ -24,13 +24,14 @@ be verified symbolically.
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .specfun import QuadratureSpec, integrate
+from .specfun import QuadratureSpec, gegenbauer_coeffs, integrate
 
 __all__ = [
+    "ConfigError",
     "SpectralModel",
     "FilterSpec",
     "GegenbauerSpec",
@@ -101,6 +102,41 @@ class SpectralModel:
                 "SpectralModel: density is non-finite away from the poles"
             )
 
+    def density(self, lam):
+        """Evaluate the spectral density, rejecting the poles at +-s0."""
+        arr = np.asarray(lam, dtype=float)
+        scalar = arr.ndim == 0
+        arr = np.atleast_1d(arr)
+        if np.any(np.abs(arr) == self.s0):
+            raise ValueError(
+                "density: lambda hits the singularity at +-%r" % self.s0
+            )
+        with np.errstate(all="ignore"):
+            hv = np.asarray(self.h(arr), dtype=float)
+            out = hv / np.abs(arr * arr - self.s0**2) ** (2.0 * self.alpha)
+        return float(out[0]) if scalar else out
+
+    def covariances(self, lags, spec=None):
+        """Covariances B(r) at the given lags, one quadrature per lag."""
+        return np.array([covariance_eval(self, r, spec) for r in lags])
+
+    def zero_limits(self):
+        """(f(0), f''(0)/4), the limits of the two filter statistics.
+
+        With g = |lam^2 - s0^2|^(-2 alpha) these are h(0) g(0) and
+        h(0) g''(0)/4 + h''(0) g(0)/4; h''(0) of the black-box factor is
+        a central second difference, exactly zero for the indicator.
+        """
+        step = 1e-4 * self.s0
+        h0, h_step = np.asarray(self.h(np.array([0.0, step])), dtype=float)
+        base = self.s0 ** (-4.0 * self.alpha)
+        h2 = 2.0 * (h_step - h0) / step**2
+        return (
+            float(h0 * base),
+            float(h0 * self.alpha * self.s0 ** (-4.0 * self.alpha - 2.0)
+                  + 0.25 * h2 * base),
+        )
+
     def cache_key(self):
         """Hashable identity for caching, or None for black-box models."""
         if self.family == "indicator":
@@ -118,18 +154,8 @@ def indicator_model(s0, alpha, M):
 
 
 def density_eval(model, lam):
-    """Evaluate the spectral density, rejecting the poles at +-s0."""
-    arr = np.asarray(lam, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(np.abs(arr) == model.s0):
-        raise ValueError(
-            "density_eval: lambda hits the singularity at +-%r" % model.s0
-        )
-    with np.errstate(all="ignore"):
-        hv = np.asarray(model.h(arr), dtype=float)
-        out = hv / np.abs(arr * arr - model.s0**2) ** (2.0 * model.alpha)
-    return float(out[0]) if scalar else out
+    """Evaluate the spectral density of either model type."""
+    return model.density(lam)
 
 
 def covariance_eval(model, r, spec=None):
@@ -398,10 +424,14 @@ def builtin_filter(name, sigma=1.0):
 class GegenbauerSpec:
     """Parameters of the Gegenbauer process (1 - 2uB + B^2)^d X = eps.
 
-    The implied spectral pole sits at ``arccos(u)`` with long-memory
-    exponent ``d``.  ``sigma_eps = 0`` is allowed and produces the
-    degenerate all-zero path.
+    The implied spectral pole sits at ``s0 = arccos(u)`` with long-memory
+    exponent ``alpha = d``.  ``sigma_eps = 0`` is allowed and produces
+    the degenerate all-zero path.  The density and covariances are those
+    of the truncated moving average X_t = sum_{n < truncation} C_n eps_{t-n}
+    that ``gegenbauer_path`` simulates.
     """
+
+    family = "gegenbauer"
 
     d: float
     u: float
@@ -420,9 +450,43 @@ class GegenbauerSpec:
         object.__setattr__(self, "truncation", int(self.truncation))
 
     @property
-    def singularity(self):
+    def s0(self):
         """Location arccos(u) of the implied spectral pole, in (0, pi)."""
         return math.acos(self.u)
+
+    @property
+    def alpha(self):
+        """Long-memory exponent, equal to d."""
+        return self.d
+
+    def coefficients(self):
+        """Moving-average weights C_0 .. C_{truncation-1}."""
+        return gegenbauer_coeffs(self.truncation - 1, self.d, self.u)
+
+    def density(self, lam):
+        """Density sigma^2 |sum_n C_n exp(-i lam n)|^2 / (2 pi)."""
+        coeffs = self.coefficients()
+        lam = np.asarray(lam, dtype=float)
+        phases = np.exp(-1j * np.multiply.outer(lam, np.arange(coeffs.size)))
+        return self.sigma_eps**2 * np.abs(phases @ coeffs) ** 2 / (2.0 * np.pi)
+
+    def covariances(self, lags, spec=None):
+        """Exact covariances sigma^2 sum_n C_n C_{n+|r|}; ``spec`` is unused."""
+        coeffs = self.coefficients()
+        full = self.sigma_eps**2 * np.correlate(coeffs, coeffs, "full")
+        idx = np.abs(np.asarray(lags).astype(int)) + coeffs.size - 1
+        return np.where(idx < full.size, full[np.minimum(idx, full.size - 1)], 0.0)
+
+    def zero_limits(self):
+        """(f(0), f''(0)/4) from the moments of the weights C_n."""
+        coeffs = self.coefficients()
+        n = np.arange(coeffs.size)
+        m0, m1, m2 = coeffs.sum(), (n * coeffs).sum(), (n * n * coeffs).sum()
+        var = self.sigma_eps**2
+        return (
+            float(var * m0**2 / (2.0 * math.pi)),
+            float(var * (m1**2 - m0 * m2) / (4.0 * math.pi)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -430,56 +494,100 @@ class GegenbauerSpec:
 # ---------------------------------------------------------------------------
 
 
-def model_from_json(doc):
-    """Build a model from a configuration mapping (or JSON text)."""
+class ConfigError(ValueError):
+    """A config document violates the schema at a specific location.
+
+    ``pointer`` is the JSON-pointer path of the offending key ("" for
+    problems with the document as a whole).  The ``*_from_json`` loaders
+    raise it; their ``pointer`` argument is the document's own location
+    inside an enclosing config, such as "/model".
+    """
+
+    def __init__(self, pointer, message):
+        super().__init__("%s: %s" % (pointer or "config", message))
+        self.pointer = pointer
+        self.message = message
+
+
+_KINDS = {
+    "object": (dict, "an object"),
+    "string": (str, "a string"),
+    "number": ((int, float), "a number"),
+    "integer": (int, "an integer"),
+}
+
+
+def _field(doc, pointer, key, kind, required=True, default=None):
+    """Fetch doc[key], checking its JSON type and reporting by pointer."""
+    here = "%s/%s" % (pointer, key)
+    if key not in doc:
+        if required:
+            raise ConfigError(here, "missing required key")
+        return default
+    value = doc[key]
+    pytype, label = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, pytype):
+        raise ConfigError(
+            here, "expected %s, got %s" % (label, type(value).__name__)
+        )
+    return value
+
+
+def _document(doc, pointer):
+    """A config mapping, parsed first when given as JSON text."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    family = doc.get("family")
+    if not isinstance(doc, dict):
+        raise ConfigError(pointer, "expected an object, got %s" % type(doc).__name__)
+    return doc
+
+
+def model_from_json(doc, pointer=""):
+    """Build a model from a configuration mapping (or JSON text)."""
+    doc = _document(doc, pointer)
+    family = _field(doc, pointer, "family", "string")
     if family == "indicator":
-        return indicator_model(doc["s0"], doc["alpha"], doc["M"])
+        s0, alpha, M = (_field(doc, pointer, k, "number") for k in ("s0", "alpha", "M"))
+        return indicator_model(s0, alpha, M)
     if family == "gegenbauer":
-        return GegenbauerSpec(
-            d=float(doc["d"]),
-            u=float(doc["u"]),
-            sigma_eps=float(doc.get("sigma_eps", 1.0)),
-            truncation=int(doc.get("truncation", 40)),
-        )
-    raise ValueError(
-        "model_from_json: unknown family %r (expected 'indicator' or 'gegenbauer')"
-        % family
+        d, u = (_field(doc, pointer, k, "number") for k in ("d", "u"))
+        sigma_eps = _field(doc, pointer, "sigma_eps", "number", required=False, default=1.0)
+        truncation = _field(doc, pointer, "truncation", "integer", required=False, default=40)
+        return GegenbauerSpec(float(d), float(u), float(sigma_eps), truncation)
+    raise ConfigError(
+        pointer + "/family",
+        "unknown model family %r (expected 'indicator' or 'gegenbauer')" % family,
     )
 
 
 def model_to_json(model):
     """Serialize an indicator model or Gegenbauer spec to a plain dict."""
-    if isinstance(model, GegenbauerSpec):
-        return {
-            "family": "gegenbauer",
-            "d": model.d,
-            "u": model.u,
-            "sigma_eps": model.sigma_eps,
-            "truncation": model.truncation,
-        }
-    if isinstance(model, SpectralModel):
-        if model.family != "indicator":
-            raise ValueError(
-                "model_to_json: only indicator models serialize; got %r"
-                % model.family
-            )
-        return {
-            "family": "indicator",
-            "s0": model.s0,
-            "alpha": model.alpha,
-            "M": model.envelope,
-        }
-    raise TypeError("model_to_json: unsupported model type %r" % type(model).__name__)
+    if model.family == "gegenbauer":
+        return {"family": "gegenbauer", **asdict(model)}
+    if model.family != "indicator":
+        raise ValueError(
+            "model_to_json: only indicator models serialize; got %r" % model.family
+        )
+    return {
+        "family": "indicator",
+        "s0": model.s0,
+        "alpha": model.alpha,
+        "M": model.envelope,
+    }
 
 
-def filter_from_json(doc):
+def _filter_args(doc, pointer):
+    """Checked (name, sigma) of a filter document."""
+    doc = _document(doc, pointer)
+    name = _field(doc, pointer, "name", "string")
+    sigma = _field(doc, pointer, "sigma", "number", required=False, default=1.0)
+    return name, float(sigma)
+
+
+def filter_from_json(doc, pointer=""):
     """Build a built-in filter from {'name': ..., 'sigma': ...}."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    return builtin_filter(doc["name"], sigma=float(doc.get("sigma", 1.0)))
+    name, sigma = _filter_args(doc, pointer)
+    return builtin_filter(name, sigma=sigma)
 
 
 def filter_to_json(filt):

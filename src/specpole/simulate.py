@@ -33,7 +33,6 @@ from scipy.special import ndtri
 
 from .model import FilterSpec, SpectralModel
 from .specfun import QuadratureConvergenceError, QuadratureSpec, integrate
-from .specfun import gegenbauer_coeffs
 
 __all__ = [
     "PROVENANCES",
@@ -204,7 +203,7 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
     k_lo = int(math.floor(t[0]))
     k_hi = int(math.ceil(t[-1]))
     n_coeff = spec.truncation
-    coeffs = gegenbauer_coeffs(n_coeff - 1, spec.d, spec.u)
+    coeffs = spec.coefficients()
     eps_idx = np.arange(k_lo - n_coeff + 1, k_hi + 1)
     eps = spec.sigma_eps * gaussian_stream(seed, _INNOVATION_TAG, eps_idx)
     lattice = np.convolve(eps, coeffs, mode="valid")
@@ -538,11 +537,23 @@ def path_to_csv(path_realization, path):
 
 
 def path_from_csv(path, seed):
+    """Read a path written by path_to_csv; the grid t must be uniform."""
     arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if arr.shape[0] < 2:
+        raise ValueError(
+            "path_from_csv: %s holds %d samples; a path needs at least 2"
+            % (path, arr.shape[0])
+        )
     t = arr[:, 0]
+    dt = float(t[1] - t[0])
+    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
+        raise ValueError(
+            "path_from_csv: %s is not on a uniform time grid (steps differ "
+            "from t[1] - t[0] = %g by more than 1e-9 relative)" % (path, dt)
+        )
     return PathRealization(
         t0=float(t[0]),
-        dt=float(t[1] - t[0]),
+        dt=dt,
         values=arr[:, 1].copy(),
         seed=int(seed),
     )

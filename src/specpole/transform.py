@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import ConfigError, _document, _field
 from .simulate import CoefficientPanel, PanelLevel
 
 # Width, in filter time units, of the linear taper that closes the
@@ -36,7 +37,6 @@ _TAPER_WIDTH = 0.5
 __all__ = [
     "ScheduleLevel",
     "ScaleSchedule",
-    "TransformRequest",
     "linear_schedule",
     "geometric_schedule",
     "filter_transform",
@@ -176,40 +176,28 @@ def schedule_to_json(schedule):
     return dict(schedule.rule_doc)
 
 
-def schedule_from_json(doc):
-    if isinstance(doc, str):
-        import json
-
-        doc = json.loads(doc)
-    rule = doc.get("rule")
+def schedule_from_json(doc, pointer=""):
+    """Build a schedule from its constructor document (or JSON text)."""
+    doc = _document(doc, pointer)
+    rule = _field(doc, pointer, "rule", "string")
     if rule == "linear":
-        return linear_schedule(doc["j_max"], kappa=doc.get("kappa", 3.0))
+        j_max = _field(doc, pointer, "j_max", "integer")
+        kappa = _field(doc, pointer, "kappa", "number", required=False, default=3.0)
+        return linear_schedule(j_max, kappa=kappa)
     if rule == "geometric":
-        return geometric_schedule(
-            doc["j_max"],
-            doc["a0"],
-            doc["rho"],
-            doc["kappa"],
-            m_cap=doc.get("m_cap"),
-        )
-    raise ValueError(
-        "schedule_from_json: unknown rule %r (expected 'linear' or 'geometric')"
-        % rule
+        j_max = _field(doc, pointer, "j_max", "integer")
+        a0, rho, kappa = (_field(doc, pointer, k, "number") for k in ("a0", "rho", "kappa"))
+        m_cap = _field(doc, pointer, "m_cap", "integer", required=False)
+        return geometric_schedule(j_max, a0, rho, kappa, m_cap=m_cap)
+    raise ConfigError(
+        pointer + "/rule",
+        "unknown rule %r (expected 'linear' or 'geometric')" % rule,
     )
 
 
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TransformRequest:
-    """A path, a filter and a schedule, validated for coverage."""
-
-    path: object
-    filter: object
-    schedule: ScaleSchedule
 
 
 def required_extent(filt, a, b_lo, b_hi):
@@ -260,13 +248,12 @@ def filter_transform(path, filt, a, b):
     return float(path.dt / math.sqrt(a) * np.dot(weights, path.values[i0 : i1 + 1]))
 
 
-def panel_from_path(request):
+def panel_from_path(path, filt, schedule):
     """Transform a path into a coefficient panel along a schedule.
 
     Coverage is checked for every level before any work happens, so a
     failure names the offending level instead of wasting a partial pass.
     """
-    path, filt, schedule = request.path, request.filter, request.schedule
     for lv in schedule.levels:
         shifts = lv.shifts()
         lo_req, hi_req = required_extent(filt, lv.a_j, shifts[0], shifts[-1])

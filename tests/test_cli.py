@@ -358,9 +358,7 @@ class TestTransform:
         t_lo, t_hi = specpole.lattice_window(filt, schedule)
         model = specpole.model_from_json(GEGEN_MODEL)
         path = specpole.gegenbauer_path(model, t_hi - t_lo + 1, float(t_lo), 1.0, 11)
-        panel = specpole.panel_from_path(
-            specpole.TransformRequest(path=path, filter=filt, schedule=schedule)
-        )
+        panel = specpole.panel_from_path(path, filt, schedule)
         expect = np.concatenate([lv.coeffs for lv in panel.levels])
         np.testing.assert_array_equal(arr[:, 4], expect)
 
@@ -397,9 +395,7 @@ class TestTransform:
 
         model = specpole.model_from_json(GEGEN_MODEL)
         path = specpole.gegenbauer_path(model, t_hi - t_lo + 1, float(t_lo), 1.0, 5)
-        panel = specpole.panel_from_path(
-            specpole.TransformRequest(path=path, filter=filt, schedule=schedule)
-        )
+        panel = specpole.panel_from_path(path, filt, schedule)
         arr = read_csv(os.path.join(out, "panel.csv"))
         expect = np.concatenate([lv.coeffs for lv in panel.levels])
         np.testing.assert_allclose(arr[:, 4], expect, rtol=1e-12)
@@ -415,6 +411,16 @@ class TestTransform:
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "covers" in capsys.readouterr().err
+
+    def test_non_uniform_path_csv_is_domain_error(self, tmp_path, capsys):
+        path_csv = tmp_path / "gappy.csv"
+        path_csv.write_text("t,x\n0,0.1\n1,0.2\n5,0.3\n6,0.4\n")
+        doc = json.load(open(transform_config(tmp_path, path_csv=str(path_csv))))
+        del doc["model"]
+        cfg = write_json(tmp_path / "tra2.json", doc)
+        rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "uniform" in capsys.readouterr().err
 
     def test_frequency_only_filter_is_domain_error(self, tmp_path, capsys):
         cfg = transform_config(tmp_path, filter={"name": "meyer-father"})

@@ -16,7 +16,7 @@ from specpole.mc import (
     summary_json,
 )
 import specpole.mc
-from specpole.model import GegenbauerSpec, indicator_model
+from specpole.model import GegenbauerSpec, builtin_filter, indicator_model
 from specpole.transform import ScaleSchedule, ScheduleLevel, linear_schedule
 
 
@@ -82,11 +82,20 @@ class TestConfig:
         t = path_config().targets()
         np.testing.assert_allclose(t["s0"], math.acos(0.3), rtol=1e-15)
         assert t["alpha"] == 0.1
+        # The path statistics converge to c2 f(0) and c3 f''(0)/4 of the
+        # truncated moving average's own density.
+        hat = builtin_filter("mexican-hat")
+        np.testing.assert_allclose(t["delta_bar"], hat.c2 * 0.148244, rtol=5e-6)
+        np.testing.assert_allclose(t["ddelta"], hat.c3 * 0.203569, rtol=5e-6)
         t = exact_config().targets()
         assert (t["s0"], t["alpha"]) == (1.2661, 0.1)
         filt_c2 = 2.0 * math.pi
         np.testing.assert_allclose(
             t["delta_bar"], filt_c2 * 1.2661 ** (-0.4), rtol=1e-6
+        )
+        shannon = builtin_filter("shannon-father")
+        np.testing.assert_allclose(
+            t["ddelta"], 0.1 * shannon.c3 * 1.2661 ** (-2.4), rtol=1e-12
         )
 
     def test_json_round_trip(self):
@@ -186,6 +195,16 @@ class TestRunExact:
         assert len(table.failures) == 1
         assert table.failures[0][0] == 0
         assert "synthetic failure" in table.failures[0][1]
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_programming_errors_propagate(self, monkeypatch, workers):
+        def broken(config, filt, rep):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(specpole.mc, "_one_replication", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(exact_config(replications=4, workers=workers))
 
 
 class TestRunPath:

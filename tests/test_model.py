@@ -8,6 +8,7 @@ import pytest
 
 from specpole.model import (
     BUILTIN_FILTER_NAMES,
+    ConfigError,
     FilterSpec,
     GegenbauerSpec,
     SpectralModel,
@@ -291,7 +292,8 @@ class TestSpectralModel:
 class TestGegenbauerSpec:
     def test_singularity_location(self):
         spec = GegenbauerSpec(d=0.1, u=0.3)
-        np.testing.assert_allclose(spec.singularity, math.acos(0.3), rtol=1e-15)
+        np.testing.assert_allclose(spec.s0, math.acos(0.3), rtol=1e-15)
+        assert spec.alpha == 0.1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="d must"):
@@ -306,6 +308,43 @@ class TestGegenbauerSpec:
     def test_zero_noise_allowed(self):
         spec = GegenbauerSpec(d=0.1, u=0.3, sigma_eps=0.0)
         assert spec.sigma_eps == 0.0
+
+    def test_zero_limits_match_density_differences(self):
+        spec = GegenbauerSpec(d=0.1, u=0.3, truncation=40)
+        f0, f2 = spec.zero_limits()
+        np.testing.assert_allclose(f0, spec.density(0.0), rtol=1e-12)
+        np.testing.assert_allclose((f0, f2), (0.148244, 0.203569), rtol=5e-6)
+        step = 1e-4
+        second = (spec.density(step) - 2.0 * f0 + spec.density(-step)) / step**2
+        np.testing.assert_allclose(f2, second / 4.0, rtol=2e-4)
+
+    def test_covariances_are_density_integrals(self):
+        spec = GegenbauerSpec(d=0.1, u=0.3, sigma_eps=1.5, truncation=10)
+        lam = np.linspace(-PI, PI, 4097)
+        for r in (0, 3, 9):
+            integral = np.trapezoid(np.cos(r * lam) * spec.density(lam), lam)
+            np.testing.assert_allclose(
+                spec.covariances([r])[0], integral, rtol=1e-10, atol=1e-12
+            )
+        assert spec.covariances([-3])[0] == spec.covariances([3])[0]
+        assert spec.covariances([10, 50]).tolist() == [0.0, 0.0]
+
+
+class TestZeroLimits:
+    def test_indicator_limits_are_the_pole_map(self):
+        model = indicator_model(1.5, 0.2, 3.0)
+        f0, f2 = model.zero_limits()
+        assert f0 == 1.5 ** (-0.8)
+        np.testing.assert_allclose(f2, 0.2 * 1.5 ** (-2.8), rtol=1e-14)
+
+    def test_smooth_envelope_adds_its_curvature(self):
+        # h = exp(-lam^2): h(0) = 1, h''(0) = -2.
+        h = lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2)
+        model = SpectralModel(1.5, 0.2, h)
+        f0, f2 = model.zero_limits()
+        np.testing.assert_allclose(f0, model.density(0.0), rtol=1e-14)
+        expect = 0.2 * 1.5 ** (-2.8) - 0.5 * 1.5 ** (-0.8)
+        np.testing.assert_allclose(f2, expect, rtol=1e-6)
 
 
 class TestJsonConfig:
@@ -329,6 +368,26 @@ class TestJsonConfig:
     def test_defaults_fill_in(self):
         spec = model_from_json({"family": "gegenbauer", "d": 0.2, "u": -0.4})
         assert spec.sigma_eps == 1.0 and spec.truncation == 40
+
+    def test_schema_errors_carry_pointers(self):
+        with pytest.raises(ConfigError) as err:
+            model_from_json({"family": "gegenbauer", "d": "0.1", "u": 0.3})
+        assert isinstance(err.value, ValueError)
+        assert err.value.pointer == "/d"
+        assert "expected a number" in err.value.message
+        with pytest.raises(ConfigError) as err:
+            model_from_json({"family": "indicator", "s0": 1.5}, "/model")
+        assert err.value.pointer == "/model/alpha"
+        with pytest.raises(ConfigError) as err:
+            model_from_json({"family": "gegenbauer", "d": 0.1, "u": 0.3,
+                             "truncation": 4.5})
+        assert err.value.pointer == "/truncation"
+        with pytest.raises(ConfigError) as err:
+            filter_from_json({"name": "mexican-hat", "sigma": True}, "/filter")
+        assert err.value.pointer == "/filter/sigma"
+        with pytest.raises(ConfigError) as err:
+            model_from_json([1, 2])
+        assert err.value.pointer == ""
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):

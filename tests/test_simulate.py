@@ -389,6 +389,20 @@ class TestSerialization:
         assert back.t0 == path.t0 and back.dt == path.dt
         np.testing.assert_array_equal(back.values, path.values)
 
+    def test_path_csv_rejects_non_uniform_grid(self, tmp_path):
+        target = tmp_path / "gappy.csv"
+        target.write_text("t,x\n0,0.1\n1,0.2\n5,0.3\n6,0.4\n")
+        with pytest.raises(ValueError, match="uniform") as err:
+            path_from_csv(target, seed=0)
+        assert "gappy.csv" in str(err.value)
+
+    def test_path_csv_rejects_single_row(self, tmp_path):
+        target = tmp_path / "short.csv"
+        target.write_text("t,x\n0,0.1\n")
+        with pytest.raises(ValueError, match="at least 2") as err:
+            path_from_csv(target, seed=0)
+        assert "short.csv" in str(err.value)
+
     def test_manifests(self):
         spec = GegenbauerSpec(d=0.1, u=0.3)
         path = gegenbauer_path(spec, 50, 0.0, 1.0, seed=9)

@@ -13,7 +13,6 @@ from specpole.specfun import QuadratureSpec, gegenbauer_coeffs, integrate
 from specpole.transform import (
     ScaleSchedule,
     ScheduleLevel,
-    TransformRequest,
     filter_transform,
     geometric_schedule,
     linear_schedule,
@@ -206,7 +205,7 @@ class TestPanelFromPath:
         sched = ScaleSchedule(
             levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=10.0, m_j=1, r_j=0.1),)
         )
-        panel = panel_from_path(TransformRequest(path=path, filter=filt, schedule=sched))
+        panel = panel_from_path(path, filt, sched)
         assert panel.provenance == "path-transform"
         assert panel.seed == 21
         np.testing.assert_array_equal(panel.levels[0].shifts, [10.0])
@@ -222,9 +221,8 @@ class TestPanelFromPath:
                 ScheduleLevel(j=2, a_j=4.0, gamma_j=4.0, m_j=4, r_j=4.0**-2.5),
             )
         )
-        request = TransformRequest(path=path, filter=filt, schedule=sched)
-        one = panel_from_path(request)
-        two = panel_from_path(request)
+        one = panel_from_path(path, filt, sched)
+        two = panel_from_path(path, filt, sched)
         for lv1, lv2 in zip(one.levels, two.levels):
             np.testing.assert_array_equal(lv1.coeffs, lv2.coeffs)
 
@@ -238,7 +236,7 @@ class TestPanelFromPath:
             )
         )
         with pytest.raises(ValueError, match="level 2"):
-            panel_from_path(TransformRequest(path=path, filter=filt, schedule=sched))
+            panel_from_path(path, filt, sched)
 
     def test_second_moment_approaches_quadrature(self):
         # Sample second moment of a dense panel against the quadrature
@@ -255,7 +253,7 @@ class TestPanelFromPath:
         sched = ScaleSchedule(
             levels=(ScheduleLevel(j=1, a_j=a, gamma_j=gamma, m_j=m, r_j=a**-2.5),)
         )
-        panel = panel_from_path(TransformRequest(path=path, filter=filt, schedule=sched))
+        panel = panel_from_path(path, filt, sched)
         empirical = float(np.mean(panel.levels[0].coeffs ** 2))
 
         coeffs = gegenbauer_coeffs(spec.truncation - 1, spec.d, spec.u)
