@@ -104,17 +104,20 @@ class SpectralModel:
 
     def density(self, lam):
         """Evaluate the spectral density, rejecting the poles at +-s0."""
-        arr = np.asarray(lam, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr = np.atleast_1d(np.asarray(lam, dtype=float))
         if np.any(np.abs(arr) == self.s0):
             raise ValueError(
                 "density: lambda hits the singularity at +-%r" % self.s0
             )
         with np.errstate(all="ignore"):
-            hv = np.asarray(self.h(arr), dtype=float)
-            out = hv / np.abs(arr * arr - self.s0**2) ** (2.0 * self.alpha)
-        return float(out[0]) if scalar else out
+            out = self.pole_density(arr)
+        return float(out[0]) if np.ndim(lam) == 0 else out
+
+    def pole_density(self, lam):
+        """h(lam) / |lam^2 - s0^2|^(2 alpha) unchecked, for integrators
+        whose nodes can round onto s0 (they absorb the value there)."""
+        hv = np.asarray(self.h(lam), dtype=float)
+        return hv / np.abs(lam * lam - self.s0**2) ** (2.0 * self.alpha)
 
     def covariances(self, lags, spec=None):
         """Covariances B(r) at the given lags, one quadrature per lag."""
@@ -183,12 +186,7 @@ def covariance_eval(model, r, spec=None):
     )
 
     def integrand(lam):
-        hv = np.asarray(model.h(lam), dtype=float)
-        return (
-            np.cos(r * lam)
-            * hv
-            / np.abs(lam * lam - model.s0**2) ** (2.0 * model.alpha)
-        )
+        return np.cos(r * lam) * model.pole_density(lam)
 
     return 2.0 * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
 

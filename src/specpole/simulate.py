@@ -233,16 +233,8 @@ def _entry_oscillatory(model, filt, a, delta_b, upper, sing, breaks, spec):
     band are excised with a narrow collar whose (positive) mass is
     added to the error bound rather than the estimate.
     """
-    s0sq = model.s0**2
-    two_alpha = 2.0 * model.alpha
-
     def g(lam):
-        hv = float(model.h(lam))
-        return (
-            abs(filt.psi_hat(a * lam)) ** 2
-            * hv
-            / abs(lam * lam - s0sq) ** two_alpha
-        )
+        return np.abs(filt.psi_hat(a * lam)) ** 2 * model.pole_density(lam)
 
     knots = [0.0, upper]
     knots.extend(b for b in breaks if 0.0 < b < upper)
@@ -251,9 +243,7 @@ def _entry_oscillatory(model, filt, a, delta_b, upper, sing, breaks, spec):
     for s in interior:
         collar = max(1e-9, 1e-12 * s)
         mass = integrate(
-            lambda lam: np.asarray(model.h(lam), dtype=float)
-            * np.abs(np.asarray(filt.psi_hat(a * lam))) ** 2
-            / np.abs(np.asarray(lam) ** 2 - s0sq) ** two_alpha,
+            g,
             s - collar,
             s + collar,
             QuadratureSpec(
@@ -266,16 +256,12 @@ def _entry_oscillatory(model, filt, a, delta_b, upper, sing, breaks, spec):
         error += abs(mass)
         knots.extend((s - collar, s + collar))
     knots = sorted(set(knots))
-    if interior:
-        # drop the sliver between collar edges around each singularity
-        keep = []
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            mid = 0.5 * (lo + hi)
-            if any(abs(mid - s) < max(1e-9, 1e-12 * s) for s in interior):
-                continue
-            keep.append((lo, hi))
-    else:
-        keep = list(zip(knots[:-1], knots[1:]))
+    # drop the sliver between collar edges around each singularity
+    keep = [
+        (lo, hi)
+        for lo, hi in zip(knots[:-1], knots[1:])
+        if not any(abs(0.5 * (lo + hi) - s) < max(1e-9, 1e-12 * s) for s in interior)
+    ]
     total = 0.0
     for lo, hi in keep:
         piece, piece_err = scipy_quad(
@@ -327,16 +313,9 @@ def _entry_integral(model, filt, a, delta_b, spec):
         max_subdivisions=spec.max_subdivisions,
         singularities=sing,
     )
-    s0sq = model.s0**2
-    two_alpha = 2.0 * model.alpha
-
     def integrand(lam):
-        hv = np.asarray(model.h(lam), dtype=float)
-        density = hv / np.abs(lam * lam - s0sq) ** two_alpha
         win = np.abs(np.asarray(filt.psi_hat(a * lam))) ** 2
-        if delta_b == 0.0:
-            return win * density
-        return np.cos(delta_b * lam) * win * density
+        return np.cos(delta_b * lam) * win * model.pole_density(lam)
 
     return 2.0 * a * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
 
@@ -471,18 +450,18 @@ def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
     """
     if spec is None:
         spec = QuadratureSpec()
-    levels = []
     for lv in schedule.levels:
         if lv.m_j > 8192:
             raise ValueError(
                 "exact_coefficient_sample: m_j = %d at level %d exceeds the "
                 "factorization guard of 8192" % (lv.m_j, lv.j)
             )
+    z = gaussian_stream(seed, _PANEL_TAG, np.arange(max(lv.m_j for lv in schedule.levels)))
+    levels = []
+    for lv in schedule.levels:
         factor = _level_factor(model, filt, lv.a_j, lv.gamma_j, lv.m_j, spec)
-        z = gaussian_stream(seed, _PANEL_TAG, np.arange(lv.m_j))
-        coeffs = factor @ z
-        shifts = lv.gamma_j * np.arange(1, lv.m_j + 1)
-        levels.append(PanelLevel(j=lv.j, a_j=lv.a_j, shifts=shifts, coeffs=coeffs))
+        levels.append(PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(),
+                                 coeffs=factor @ z[: lv.m_j]))
     return CoefficientPanel(levels=tuple(levels), provenance="exact-gaussian",
                             seed=int(seed))
 
@@ -494,11 +473,9 @@ def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
 
 def panel_to_csv(panel, path):
     """Write a panel as CSV with columns j, k, a_j, b_jk, delta_jk."""
-    rows = []
-    for lv in panel.levels:
-        for k in range(lv.shifts.size):
-            rows.append((lv.j, k + 1, lv.a_j, lv.shifts[k], lv.coeffs[k]))
-    arr = np.array(rows, dtype=float)
+    arr = np.vstack([np.column_stack(np.broadcast_arrays(
+        lv.j, np.arange(1, lv.shifts.size + 1), lv.a_j, lv.shifts, lv.coeffs))
+        for lv in panel.levels])
     np.savetxt(
         path,
         arr,
@@ -539,10 +516,10 @@ def path_to_csv(path_realization, path):
 def path_from_csv(path, seed):
     """Read a path written by path_to_csv; the grid t must be uniform."""
     arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if arr.shape[0] < 2:
+    if arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValueError(
-            "path_from_csv: %s holds %d samples; a path needs at least 2"
-            % (path, arr.shape[0])
+            "path_from_csv: %s holds %d samples in %d column(s); a path needs "
+            "columns t and x and at least 2 samples" % ((path,) + arr.shape)
         )
     t = arr[:, 0]
     dt = float(t[1] - t[0])

@@ -34,6 +34,10 @@ from .simulate import CoefficientPanel, PanelLevel
 # decaying filters have their sign changes.
 _TAPER_WIDTH = 0.5
 
+# Samples per block of the transform kernel (rows x window columns), so
+# that memory stays bounded for long panels and for single wide windows.
+_CHUNK = 1 << 16
+
 __all__ = [
     "ScheduleLevel",
     "ScaleSchedule",
@@ -213,39 +217,66 @@ def required_extent(filt, a, b_lo, b_hi):
 
 def lattice_window(filt, schedule):
     """Integer path bounds covering every level of a schedule."""
-    lo = math.inf
-    hi = -math.inf
-    for lv in schedule.levels:
-        shifts = lv.shifts()
-        lo_j, hi_j = required_extent(filt, lv.a_j, shifts[0], shifts[-1])
-        lo = min(lo, lo_j)
-        hi = max(hi, hi_j)
-    return math.floor(lo) - 1, math.ceil(hi) + 1
+    ends = [required_extent(filt, lv.a_j, lv.gamma_j, lv.gamma_j * lv.m_j)
+            for lv in schedule.levels]
+    return math.floor(min(e[0] for e in ends)) - 1, math.ceil(max(e[1] for e in ends)) + 1
+
+
+def _uncovered(path, filt, a, b_lo, b_hi):
+    """Extent that shifts b_lo..b_hi need at scale a, or None if covered."""
+    lo, hi = required_extent(filt, a, b_lo, b_hi)
+    slack = 1e-9 * path.dt
+    return (lo, hi) if path.t0 > lo + slack or path.t_end < hi - slack else None
+
+
+def _transform_level(path, filt, a, shifts):
+    """Riemann sums at every shift of one scale, in bounded blocks.
+
+    Each cell sums over its own window of samples.  Cells whose windows
+    have the same length and grid offset share one evaluation of the
+    taper and psi, and each block holds about _CHUNK samples at most.
+    """
+    radius = a * (filt.time_support + _TAPER_WIDTH)
+    lo = np.ceil((shifts - radius - path.t0) / path.dt - 1e-12).astype(np.int64)
+    hi = np.floor((shifts + radius - path.t0) / path.dt + 1e-12).astype(np.int64)
+    i0, i1 = np.maximum(lo, 0), np.minimum(hi, path.values.size - 1)
+    keys = np.column_stack([path.t0 + path.dt * i0 - shifts, i1 - i0])
+    _, first, group, counts = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(counts)[:-1])
+    out = np.zeros(shifts.size)
+    for k, cells in zip(first, members):
+        width = i1[k] - i0[k] + 1
+        windows = np.lib.stride_tricks.sliding_window_view(path.values, width)
+        for c0 in range(0, width, _CHUNK):
+            i = np.arange(i0[k] + c0, min(i1[k] + 1, i0[k] + c0 + _CHUNK))
+            u = (path.t0 + path.dt * i - shifts[k]) / a
+            taper = np.clip(filt.time_support + _TAPER_WIDTH - np.abs(u), 0.0, _TAPER_WIDTH)
+            weights = filt.psi(u) * (taper / _TAPER_WIDTH)
+            for rows in np.array_split(cells, math.ceil(cells.size * u.size / _CHUNK)):
+                out[rows] += windows[i0[rows], c0 : c0 + u.size] @ weights
+    return path.dt / math.sqrt(a) * out
 
 
 def filter_transform(path, filt, a, b):
     """Riemann approximation of the transform at one (scale, shift).
 
     The sum runs over samples where the scaled filter is above its
-    effective-support threshold; the path must cover that window.
+    effective-support threshold; the path must cover that window.  This
+    is the single-shift case of the kernel behind panel_from_path.
     """
     a = float(a)
     b = float(b)
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("filter_transform: scale must be a positive real")
-    lo_req, hi_req = required_extent(filt, a, b, b)
-    slack = 1e-9 * path.dt
-    if path.t0 > lo_req + slack or path.t_end < hi_req - slack:
+    need = _uncovered(path, filt, a, b, b)
+    if need is not None:
         raise ValueError(
             "filter_transform: path covers [%g, %g] but (a=%g, b=%g) "
-            "requires [%g, %g]" % (path.t0, path.t_end, a, b, lo_req, hi_req)
+            "requires [%g, %g]" % ((path.t0, path.t_end, a, b) + need)
         )
-    i0 = max(0, int(math.ceil((lo_req - path.t0) / path.dt - 1e-12)))
-    i1 = min(path.values.size - 1, int(math.floor((hi_req - path.t0) / path.dt + 1e-12)))
-    u = (path.t0 + path.dt * np.arange(i0, i1 + 1) - b) / a
-    taper = np.clip(filt.time_support + _TAPER_WIDTH - np.abs(u), 0.0, _TAPER_WIDTH)
-    weights = filt.psi(u) * (taper / _TAPER_WIDTH)
-    return float(path.dt / math.sqrt(a) * np.dot(weights, path.values[i0 : i1 + 1]))
+    return float(_transform_level(path, filt, a, np.array([b]))[0])
 
 
 def panel_from_path(path, filt, schedule):
@@ -255,24 +286,15 @@ def panel_from_path(path, filt, schedule):
     failure names the offending level instead of wasting a partial pass.
     """
     for lv in schedule.levels:
-        shifts = lv.shifts()
-        lo_req, hi_req = required_extent(filt, lv.a_j, shifts[0], shifts[-1])
-        slack = 1e-9 * path.dt
-        if path.t0 > lo_req + slack or path.t_end < hi_req - slack:
+        need = _uncovered(path, filt, lv.a_j, lv.gamma_j, lv.gamma_j * lv.m_j)
+        if need is not None:
             raise ValueError(
                 "panel_from_path: level %d needs path extent [%g, %g] but "
-                "the path covers [%g, %g]"
-                % (lv.j, lo_req, hi_req, path.t0, path.t_end)
+                "the path covers [%g, %g]" % ((lv.j,) + need + (path.t0, path.t_end))
             )
-    levels = []
-    for lv in schedule.levels:
-        shifts = lv.shifts()
-        coeffs = np.array(
-            [filter_transform(path, filt, lv.a_j, b) for b in shifts]
-        )
-        levels.append(
-            PanelLevel(j=lv.j, a_j=lv.a_j, shifts=shifts, coeffs=coeffs)
-        )
-    return CoefficientPanel(
-        levels=tuple(levels), provenance="path-transform", seed=path.seed
+    levels = tuple(
+        PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(),
+                   coeffs=_transform_level(path, filt, lv.a_j, lv.shifts()))
+        for lv in schedule.levels
     )
+    return CoefficientPanel(levels=levels, provenance="path-transform", seed=path.seed)

@@ -422,6 +422,16 @@ class TestTransform:
         assert rc == 1
         assert "uniform" in capsys.readouterr().err
 
+    def test_single_column_path_csv_is_domain_error(self, tmp_path, capsys):
+        path_csv = tmp_path / "times.csv"
+        path_csv.write_text("t\n0\n1\n2\n")
+        doc = json.load(open(transform_config(tmp_path, path_csv=str(path_csv))))
+        del doc["model"]
+        cfg = write_json(tmp_path / "tra2.json", doc)
+        rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "times.csv" in capsys.readouterr().err
+
     def test_frequency_only_filter_is_domain_error(self, tmp_path, capsys):
         cfg = transform_config(tmp_path, filter={"name": "meyer-father"})
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -228,6 +228,17 @@ class TestSpectralModel:
         with pytest.raises(ValueError, match="singularity"):
             density_eval(model, np.array([0.3, -1.5]))
 
+    def test_pole_density_leaves_the_pole_to_the_caller(self):
+        # Integrators evaluate the formula directly: a node that rounds
+        # onto s0 gives an infinite value there instead of an error.
+        model = indicator_model(1.5, 0.2, 3.0)
+        lam = np.array([0.3, 0.9, 1.5, 2.4, 3.5])
+        with np.errstate(divide="ignore"):
+            raw = model.pole_density(lam)
+        assert np.isinf(raw[2])
+        keep = [0, 1, 3, 4]
+        np.testing.assert_array_equal(raw[keep], model.density(lam[keep]))
+
     def test_parameter_validation(self):
         h = lambda lam: np.ones_like(np.asarray(lam, dtype=float))
         with pytest.raises(ValueError, match="s0"):

@@ -403,6 +403,31 @@ class TestSerialization:
             path_from_csv(target, seed=0)
         assert "short.csv" in str(err.value)
 
+    def test_path_csv_rejects_single_column(self, tmp_path):
+        target = tmp_path / "times.csv"
+        target.write_text("t\n0\n1\n2\n")
+        with pytest.raises(ValueError, match="columns t and x") as err:
+            path_from_csv(target, seed=0)
+        assert "times.csv" in str(err.value)
+
+    def test_panel_csv_bytes(self, tmp_path):
+        panel = CoefficientPanel(
+            levels=(
+                PanelLevel(j=1, a_j=2.0, shifts=[1.0, 2.0], coeffs=[0.5, -0.25]),
+                PanelLevel(j=3, a_j=4.5, shifts=[4.5], coeffs=[0.1]),
+            ),
+            provenance="path-transform",
+            seed=0,
+        )
+        target = tmp_path / "panel.csv"
+        panel_to_csv(panel, target)
+        assert target.read_text() == (
+            "j,k,a_j,b_jk,delta_jk\n"
+            "1,1,2,1,0.5\n"
+            "1,2,2,2,-0.25\n"
+            "3,1,4.5,4.5,0.10000000000000001\n"
+        )
+
     def test_manifests(self):
         spec = GegenbauerSpec(d=0.1, u=0.3)
         path = gegenbauer_path(spec, 50, 0.0, 1.0, seed=9)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,23 @@ from specpole.transform import (
 def constant_path(value, lo, hi, dt, seed=0):
     n = int(round((hi - lo) / dt)) + 1
     return PathRealization(t0=lo, dt=dt, values=np.full(n, float(value)), seed=seed)
+
+
+def noise_path(lo, hi, dt, seed=0):
+    n = int(round((hi - lo) / dt)) + 1
+    values = np.random.default_rng(seed).standard_normal(n)
+    return PathRealization(t0=lo, dt=dt, values=values, seed=seed)
+
+
+def riemann_cell(path, filt, a, b):
+    """One coefficient as a plain loop over every sample of the path."""
+    edge = filt.time_support + 0.5
+    total = 0.0
+    for i, x in enumerate(path.values):
+        u = (path.t0 + i * path.dt - b) / a
+        if abs(u) < edge:
+            total += float(filt.psi(u)) * min(edge - abs(u), 0.5) / 0.5 * x
+    return path.dt / math.sqrt(a) * total
 
 
 def cosine_path(freq, lo, hi, dt, seed=0):
@@ -197,6 +215,24 @@ class TestFilterTransform:
         with pytest.raises(ValueError, match="no time-domain form"):
             filter_transform(path, filt, 2.0, 0.0)
 
+    def test_wide_window_memory_is_bounded(self):
+        # Criterion 8's finest cell sums about 5.1 million samples; the
+        # kernel works through them in blocks, so its transient memory
+        # stays far below one window-sized array (41 MB).
+        filt = builtin_filter("shannon-father")
+        a, b, dt = 4.0, 3.0, 0.005
+        half = a * (filt.time_support + 0.5) + abs(b)
+        path = constant_path(1.0, -half, half, dt)
+        assert path.values.size > 5_000_000
+        tracemalloc.start()
+        try:
+            out = filter_transform(path, filt, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(out - 2.0) <= 1e-2
+        assert peak <= 8e6
+
 
 class TestPanelFromPath:
     def test_single_cell_matches_filter_transform(self):
@@ -225,6 +261,49 @@ class TestPanelFromPath:
         two = panel_from_path(path, filt, sched)
         for lv1, lv2 in zip(one.levels, two.levels):
             np.testing.assert_array_equal(lv1.coeffs, lv2.coeffs)
+
+    @pytest.mark.parametrize(
+        "dt, levels",
+        [
+            # lattice: shifts on grid points, one grid offset per level
+            (1.0, ((2.0, 1.0, 30), (4.0, 3.0, 8))),
+            # non-integer stride: shifts fall between grid points
+            (0.05, ((1.5, 0.37, 25), (3.0, 1.13, 9))),
+        ],
+    )
+    def test_levels_match_scalar_riemann_sum(self, dt, levels):
+        filt = builtin_filter("mexican-hat")
+        sched = ScaleSchedule(
+            levels=tuple(
+                ScheduleLevel(j=j, a_j=a, gamma_j=g, m_j=m, r_j=a**-2.5)
+                for j, (a, g, m) in enumerate(levels, start=1)
+            )
+        )
+        path = noise_path(-40.0, 60.0, dt, seed=3)
+        panel = panel_from_path(path, filt, sched)
+        for lv in panel.levels:
+            oracle = np.array([riemann_cell(path, filt, lv.a_j, b) for b in lv.shifts])
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(lv.coeffs - oracle)) <= 1e-13 * scale
+
+    def test_samples_outside_a_window_never_enter_it(self):
+        filt = builtin_filter("mexican-hat")
+        a, gamma, m = 2.0, 1.0, 40
+        radius = a * (filt.time_support + 0.5)
+        sched = ScaleSchedule(
+            levels=(ScheduleLevel(j=1, a_j=a, gamma_j=gamma, m_j=m, r_j=0.5),)
+        )
+        clean = noise_path(-20.0, 62.0, 1.0, seed=4)
+        t_bad = 30.0
+        values = clean.values.copy()
+        values[int(round(t_bad - clean.t0))] = np.nan
+        dirty = PathRealization(t0=clean.t0, dt=clean.dt, values=values, seed=4)
+        want = panel_from_path(clean, filt, sched).levels[0]
+        got = panel_from_path(dirty, filt, sched).levels[0]
+        inside = np.abs(got.shifts - t_bad) <= radius
+        assert inside.any() and not inside.all()
+        assert np.all(np.isnan(got.coeffs[inside]))
+        np.testing.assert_array_equal(got.coeffs[~inside], want.coeffs[~inside])
 
     def test_coverage_prevalidation_names_level(self):
         filt = builtin_filter("mexican-hat")
