@@ -27,6 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 from scipy.integrate import quad as scipy_quad
 from scipy.linalg import toeplitz
 from scipy.special import ndtri
@@ -287,8 +288,9 @@ def _entry_oscillatory(model, filt, a, delta_b, upper, sing, breaks, spec):
     return 2.0 * a * total
 
 
-def _entry_integral(model, filt, a, delta_b, spec):
-    """One covariance entry a * int cos(delta_b lam)|psi_hat(a lam)|^2 f."""
+def _band(model, filt, a, spec):
+    """Top of the frequency band at scale a, with the singularities in
+    (0, upper] and the filter breakpoints in (0, upper)."""
     upper = filt.band_limit_A / a
     if model.envelope is not None:
         upper = min(upper, model.envelope)
@@ -298,6 +300,12 @@ def _entry_integral(model, filt, a, delta_b, spec):
         if 0.0 < s <= upper
     )
     breaks = [x / a for x in filt.breakpoints if 0.0 < x / a < upper]
+    return upper, sing, breaks
+
+
+def _entry_integral(model, filt, a, delta_b, spec):
+    """One covariance entry a * int cos(delta_b lam)|psi_hat(a lam)|^2 f."""
+    upper, sing, breaks = _band(model, filt, a, spec)
     if delta_b != 0.0:
         half_period = math.pi / abs(delta_b)
         n_osc = int(upper / half_period)
@@ -320,11 +328,55 @@ def _entry_integral(model, filt, a, delta_b, spec):
     return 2.0 * a * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
 
 
+# Trapezoid nodes of the DCT-I column: N is the smallest power of two at
+# or above both _DCT_MIN_NODES and _DCT_NODES_PER_LAG * P * m, and the
+# column is built this way only while N stays within _DCT_MAX_NODES.
+_DCT_NODES_PER_LAG = 16
+_DCT_MIN_NODES = 1 << 12
+_DCT_MAX_NODES = 1 << 18
+
+
+def _dct_column(model, filt, a, gamma, m, spec):
+    """Entries at lags k * gamma, k < m, from one DCT-I, or None.
+
+    With upper the top of the band and P = gamma * upper / pi an
+    integer, cos(k gamma lam) at the N + 1 uniform nodes of [0, upper]
+    is cos(pi k P n / N), so the trapezoid sums of all lags are entries
+    k P of one DCT-I of the integrand.  Sums on N and 2N intervals are
+    combined by Richardson extrapolation, and |T_2N - T_N| / 3 must meet
+    the tolerance at every lag.  None (use the per-lag quadrature) when
+    P is not an integer, a pole, singularity or filter breakpoint lies
+    in the band, N would exceed _DCT_MAX_NODES, or a lag misses.
+    """
+    upper, sing, breaks = _band(model, filt, a, spec)
+    p = gamma * upper / math.pi
+    steps = round(p)
+    if sing or breaks or steps < 1 or abs(p - steps) > 1e-12 * p:
+        return None
+    n = 1 << (max(_DCT_MIN_NODES, _DCT_NODES_PER_LAG * steps * m) - 1).bit_length()
+    if n > _DCT_MAX_NODES:
+        return None
+    lam = np.linspace(0.0, upper, 2 * n + 1)
+    # a * upper may round past the band edge A; keep the edge node inside
+    win = np.abs(filt.psi_hat(np.minimum(a * lam, filt.band_limit_A))) ** 2
+    g = win * model.pole_density(lam)
+    lags = steps * np.arange(m)
+    fine = 0.25 * upper / n * dct(g, type=1)[lags]
+    coarse = 0.5 * upper / n * dct(g[::2], type=1)[lags]
+    col = (4.0 * fine - coarse) / 3.0
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(col))
+    if np.any(np.abs(fine - coarse) / 3.0 > tol):
+        return None
+    return 2.0 * a * col
+
+
 def coefficient_covariance(model, filt, a_j, shifts, spec=None):
     """Exact covariance matrix of the coefficients at one scale.
 
     Arithmetic shift grids produce a Toeplitz matrix, detected here so
-    only first-row entries are integrated.  The recommended regime is
+    only the first column is computed: by one DCT-I where the integrand
+    is smooth on the band (see _dct_column), otherwise by one adaptive
+    quadrature per lag.  The recommended regime is
     a_j >= 2 * band limit; below that the across-scale decorrelation
     bounds stop applying and a warning is emitted.
     """
@@ -365,7 +417,9 @@ def coefficient_covariance(model, filt, a_j, shifts, spec=None):
         return np.array([[entry(0.0)]])
     if np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0):
         gamma = float(diffs[0])
-        col = np.array([entry(k * gamma) for k in range(m)])
+        col = _dct_column(model, filt, a_j, gamma, m, spec)
+        if col is None:
+            col = np.array([entry(k * gamma) for k in range(m)])
         return toeplitz(col)
     out = np.empty((m, m))
     cache = {}
@@ -395,14 +449,14 @@ def _cholesky_with_jitter(cov):
 
     Quadrature noise can push tiny eigenvalues a hair negative; jitter
     starts at 1e-12 * trace/m and escalates tenfold up to 1e-6 * trace/m
-    before giving up.
+    before giving up.  Any jitter applied is reported as a UserWarning.
     """
     m = cov.shape[0]
     base = np.trace(cov) / m
     jitter = 0.0
     while True:
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(m))
+            factor = np.linalg.cholesky(cov + jitter * np.eye(m))
         except np.linalg.LinAlgError:
             if jitter == 0.0:
                 jitter = 1e-12 * base
@@ -413,6 +467,14 @@ def _cholesky_with_jitter(cov):
                     "coefficient covariance is not positive semi-definite "
                     "even with diagonal jitter up to 1e-6 * trace/m"
                 )
+            continue
+        if jitter:
+            warnings.warn(
+                "coefficient covariance (m = %d) is not positive definite; "
+                "added diagonal jitter %.3g = %.0e * trace/m"
+                % (m, jitter, jitter / base)
+            )
+        return factor
 
 
 def _level_factor(model, filt, a_j, gamma_j, m_j, spec):
@@ -420,8 +482,7 @@ def _level_factor(model, filt, a_j, gamma_j, m_j, spec):
     if model_key is None:
         key = None
     else:
-        key = (model_key, filt.cache_key(), a_j, gamma_j, m_j,
-               spec.abs_tol, spec.rel_tol)
+        key = (model_key, filt.cache_key(), a_j, gamma_j, m_j, spec)
     if key is not None:
         with _FACTOR_LOCK:
             if key in _FACTOR_CACHE:

@@ -38,6 +38,12 @@ _TAPER_WIDTH = 0.5
 # that memory stays bounded for long panels and for single wide windows.
 _CHUNK = 1 << 16
 
+# Resolution, as a fraction of dt, at which two cells' window offsets
+# count as equal.  It sits above the rounding noise of the offsets for
+# shifts and path origins within about 1e6 grid steps of zero, and far
+# below the spacing of distinct offsets on any practical grid.
+_OFFSET_QUANTUM = 2.0**-30
+
 __all__ = [
     "ScheduleLevel",
     "ScaleSchedule",
@@ -235,12 +241,15 @@ def _transform_level(path, filt, a, shifts):
     Each cell sums over its own window of samples.  Cells whose windows
     have the same length and grid offset share one evaluation of the
     taper and psi, and each block holds about _CHUNK samples at most.
+    Offsets are compared in units of _OFFSET_QUANTUM * dt, so that float
+    rounding of t0 + dt * i0 - b does not split one offset into many.
     """
     radius = a * (filt.time_support + _TAPER_WIDTH)
     lo = np.ceil((shifts - radius - path.t0) / path.dt - 1e-12).astype(np.int64)
     hi = np.floor((shifts + radius - path.t0) / path.dt + 1e-12).astype(np.int64)
     i0, i1 = np.maximum(lo, 0), np.minimum(hi, path.values.size - 1)
-    keys = np.column_stack([path.t0 + path.dt * i0 - shifts, i1 - i0])
+    offsets = np.rint((path.t0 + path.dt * i0 - shifts) / (_OFFSET_QUANTUM * path.dt))
+    keys = np.column_stack([offsets, i1 - i0])
     _, first, group, counts = np.unique(
         keys, axis=0, return_index=True, return_inverse=True, return_counts=True
     )

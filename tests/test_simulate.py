@@ -1,10 +1,14 @@
 """Tests for path simulation and exact coefficient sampling."""
 
 import math
+import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
+from specpole import simulate
 from specpole.model import GegenbauerSpec, builtin_filter, indicator_model
 from specpole.simulate import (
     CoefficientPanel,
@@ -326,6 +330,123 @@ class TestExactSample:
         sched = single_level_schedule(8.0, 8193)
         with pytest.raises(ValueError, match="8192"):
             exact_coefficient_sample(self.model, self.filt, sched, 0)
+
+
+class TestDctColumn:
+    """The Toeplitz column from one DCT-I against per-lag quadrature."""
+
+    model = indicator_model(1.2661036727794992, 0.1, 3.0)
+    filt = builtin_filter("shannon-father")
+    spec = QuadratureSpec()
+
+    def per_lag(self, a, lags):
+        return np.array([
+            simulate._entry_integral(self.model, self.filt, a, k * a, self.spec)
+            for k in lags
+        ])
+
+    def test_matches_quadrature_on_exact_c6_levels(self):
+        # The benchmark's exact-c6 ladder: a = 8..64 with m capped at 768.
+        for a, m in ((8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768)):
+            col = simulate._dct_column(self.model, self.filt, a, a, m, self.spec)
+            assert col is not None and col.shape == (m,)
+            oracle = self.per_lag(a, range(m))
+            assert np.max(np.abs(col - oracle)) <= 1e-12 * oracle[0], a
+
+    def test_matches_quadrature_at_criterion_6_size(self):
+        # Criterion 6 runs a = 16..64 at m = 4096; check sampled lags,
+        # the largest included.
+        m = 4096
+        lags = np.unique(np.concatenate([
+            [0, 1, 2, m - 1],
+            np.random.default_rng(6).choice(m, 56, replace=False),
+        ]))
+        for a in (16.0, 64.0):
+            col = simulate._dct_column(self.model, self.filt, a, a, m, self.spec)
+            assert col is not None
+            oracle = self.per_lag(a, lags)
+            assert np.max(np.abs(col[lags] - oracle)) <= 1e-12 * oracle[0], a
+
+    @pytest.mark.parametrize(
+        "case", ["pole in band", "non-integer P", "tolerance missed", "non-arithmetic"]
+    )
+    def test_per_lag_fallback_is_bit_identical(self, case, monkeypatch):
+        a, filt, spec = 8.0, self.filt, self.spec
+        shifts = a * np.arange(1, 7)
+        if case == "pole in band":
+            a = 2.0  # upper = pi/2 > s0
+            shifts = a * np.arange(1, 7)
+        elif case == "non-integer P":
+            filt = builtin_filter("meyer-father")  # P = 4/3
+        elif case == "tolerance missed":
+            spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+        else:
+            shifts = np.array([8.0, 24.0, 56.0, 64.0])
+        results = []
+        real = simulate._dct_column
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(simulate, "_dct_column", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a = 2 is below 2A
+            cov = coefficient_covariance(self.model, filt, a, shifts, spec)
+            seps = np.abs(shifts[:, None] - shifts[None, :])
+            oracle = np.vectorize(
+                lambda d: simulate._entry_integral(self.model, filt, a, d, spec)
+            )(seps)
+        # a non-arithmetic grid never asks for a Toeplitz column
+        assert results == ([] if case == "non-arithmetic" else [None])
+        np.testing.assert_array_equal(cov, oracle)
+
+    def test_far_shifts_stay_per_lag(self):
+        # gamma = 1e6 a gives P = 1e6: the DCT would need 2^25 nodes.
+        a = 8.0
+        assert simulate._dct_column(
+            self.model, self.filt, a, 1e6 * a, 2, self.spec
+        ) is None
+
+
+class TestLevelFactor:
+    model = indicator_model(1.2661036727794992, 0.1, 3.0)
+    filt = builtin_filter("shannon-father")
+
+    def test_cache_key_holds_the_whole_spec(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_FACTOR_CACHE", OrderedDict())
+        plain = QuadratureSpec()
+        # same tolerances, different budget and singularity list
+        variants = (
+            QuadratureSpec(max_subdivisions=500),
+            QuadratureSpec(singularities=(0.2,)),
+        )
+        base = simulate._level_factor(self.model, self.filt, 8.0, 8.0, 6, plain)
+        assert simulate._level_factor(self.model, self.filt, 8.0, 8.0, 6, plain) is base
+        for spec in variants:
+            assert simulate._level_factor(
+                self.model, self.filt, 8.0, 8.0, 6, spec
+            ) is not base
+        assert len(simulate._FACTOR_CACHE) == 3
+        # a singularity in the band forces the per-lag column
+        moved = simulate._FACTOR_CACHE[next(reversed(simulate._FACTOR_CACHE))]
+        np.testing.assert_allclose(moved, base, rtol=1e-12)
+
+    def test_jitter_is_reported(self):
+        cov = np.ones((4, 4))  # rank one: no Cholesky factor without jitter
+        expected = r"not positive definite; added diagonal jitter 1e-12 = 1e-12 \* trace/m"
+        with pytest.warns(UserWarning, match=expected):
+            factor = simulate._cholesky_with_jitter(cov)
+        np.testing.assert_allclose(factor @ factor.T, cov + 1e-12 * np.eye(4),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_exact_c6_levels_need_no_jitter(self):
+        for a, m in ((8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768)):
+            cov = coefficient_covariance(self.model, self.filt, a, a * np.arange(1, m + 1))
+            assert np.linalg.eigvalsh(cov).min() > 5.0, a
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                simulate._cholesky_with_jitter(cov)
 
 
 class TestPanelTypes:

@@ -1,5 +1,6 @@
 """Tests for scale schedules and the path-to-coefficient transform."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -285,6 +286,27 @@ class TestPanelFromPath:
             oracle = np.array([riemann_cell(path, filt, lv.a_j, b) for b in lv.shifts])
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(lv.coeffs - oracle)) <= 1e-13 * scale
+
+    def test_one_psi_evaluation_per_grid_offset(self):
+        # Shifts 0.37 k on a grid of step 0.05 fall at 5 distinct offsets
+        # from the grid; float rounding of t0 + dt * i - b must not split
+        # them further.
+        filt = builtin_filter("mexican-hat")
+        calls = []
+
+        def psi(u):
+            calls.append(np.size(u))
+            return filt.psi(u)
+
+        counting = dataclasses.replace(filt, psi=psi)
+        sched = ScaleSchedule(
+            levels=(ScheduleLevel(j=1, a_j=1.5, gamma_j=0.37, m_j=25, r_j=0.5),)
+        )
+        path = noise_path(-40.0, 60.0, 0.05, seed=3)
+        panel = panel_from_path(path, counting, sched)
+        assert len(calls) <= 5
+        oracle = np.array([riemann_cell(path, filt, 1.5, b) for b in panel.levels[0].shifts])
+        assert np.max(np.abs(panel.levels[0].coeffs - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_samples_outside_a_window_never_enter_it(self):
         filt = builtin_filter("mexican-hat")
