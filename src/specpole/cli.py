@@ -377,7 +377,8 @@ def cmd_montecarlo(args):
         raise ConfigError(
             "", "an output directory is required (set out_dir or pass --out)"
         )
-    updates["out_dir"] = _ensure_out(out_dir)
+    # run_experiment creates the directory once the config has passed
+    updates["out_dir"] = out_dir
     config = dataclasses.replace(config, **updates)
     table = run_experiment(config)
     _write_manifest(

@@ -79,6 +79,8 @@ class ExperimentConfig:
             )
         if not (isinstance(self.replications, int) and self.replications >= 1):
             raise ValueError("ExperimentConfig: replications must be >= 1")
+        if self.workers is not None and not self.workers >= 1:
+            raise ValueError("ExperimentConfig: workers must be >= 1 (or unset)")
         filt = builtin_filter(self.filter_name, sigma=self.sigma)
         if self.backend == "exact-gaussian":
             if not isinstance(self.model, SpectralModel):

@@ -141,10 +141,10 @@ class SpectralModel:
         )
 
     def cache_key(self):
-        """Hashable identity for caching, or None for black-box models."""
+        """Hashable identity for caching; a black-box h is keyed by the model."""
         if self.family == "indicator":
             return ("indicator", self.s0, self.alpha, self.envelope)
-        return None
+        return self
 
 
 def indicator_model(s0, alpha, M):

@@ -23,7 +23,6 @@ same way it would along one long realization.
 import math
 import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,11 +438,6 @@ def scale_second_moment(model, filt, a, spec=None):
     return _entry_integral(model, filt, float(a), 0.0, spec)
 
 
-_FACTOR_CACHE = OrderedDict()
-_FACTOR_CACHE_MAX = 8
-_FACTOR_LOCK = threading.Lock()
-
-
 def _cholesky_with_jitter(cov):
     """Lower Cholesky factor, escalating a diagonal jitter on failure.
 
@@ -477,28 +471,26 @@ def _cholesky_with_jitter(cov):
         return factor
 
 
-def _level_factor(model, filt, a_j, gamma_j, m_j, spec):
-    model_key = model.cache_key()
-    if model_key is None:
-        key = None
-    else:
-        key = (model_key, filt.cache_key(), a_j, gamma_j, m_j, spec)
-    if key is not None:
-        with _FACTOR_LOCK:
-            if key in _FACTOR_CACHE:
-                _FACTOR_CACHE.move_to_end(key)
-                return _FACTOR_CACHE[key]
-    # computed outside the lock; a racing thread may redo the work but
-    # both arrive at the same factor
-    shifts = gamma_j * np.arange(1, m_j + 1)
-    cov = coefficient_covariance(model, filt, a_j, shifts, spec)
-    factor = _cholesky_with_jitter(cov)
-    if key is not None:
-        with _FACTOR_LOCK:
-            _FACTOR_CACHE[key] = factor
-            while len(_FACTOR_CACHE) > _FACTOR_CACHE_MAX:
-                _FACTOR_CACHE.popitem(last=False)
-    return factor
+# The factors of the last panel shape sampled, as (key, factors).  A new
+# shape drops the old factors before its build, so at most one panel's
+# factors are alive; the build holds the lock, so concurrent
+# replications wait for it instead of each making their own.
+_FACTORS = (None, None)
+_FACTOR_LOCK = threading.Lock()
+
+
+def _panel_factors(model, filt, schedule, spec):
+    """Cholesky factor of every level's covariance, cached per panel shape."""
+    global _FACTORS
+    key = (model.cache_key(), filt.cache_key(), spec,
+           tuple((lv.a_j, lv.gamma_j, lv.m_j) for lv in schedule.levels))
+    with _FACTOR_LOCK:
+        if _FACTORS[0] != key:
+            _FACTORS = (None, None)
+            covs = (coefficient_covariance(model, filt, lv.a_j, lv.shifts(), spec)
+                    for lv in schedule.levels)
+            _FACTORS = (key, tuple(map(_cholesky_with_jitter, covs)))
+        return _FACTORS[1]
 
 
 def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
@@ -517,14 +509,13 @@ def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
                 "exact_coefficient_sample: m_j = %d at level %d exceeds the "
                 "factorization guard of 8192" % (lv.m_j, lv.j)
             )
+    factors = _panel_factors(model, filt, schedule, spec)
     z = gaussian_stream(seed, _PANEL_TAG, np.arange(max(lv.m_j for lv in schedule.levels)))
-    levels = []
-    for lv in schedule.levels:
-        factor = _level_factor(model, filt, lv.a_j, lv.gamma_j, lv.m_j, spec)
-        levels.append(PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(),
-                                 coeffs=factor @ z[: lv.m_j]))
-    return CoefficientPanel(levels=tuple(levels), provenance="exact-gaussian",
-                            seed=int(seed))
+    levels = tuple(
+        PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(), coeffs=factor @ z[: lv.m_j])
+        for lv, factor in zip(schedule.levels, factors)
+    )
+    return CoefficientPanel(levels=levels, provenance="exact-gaussian", seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +541,11 @@ def panel_to_csv(panel, path):
 def panel_from_csv(path, provenance, seed):
     """Rebuild a panel from CSV plus the manifest-held provenance/seed."""
     arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if arr.shape[0] < 1 or arr.shape[1] < 5 or not np.isfinite(arr[:, :5]).all():
+        raise ValueError(
+            "panel_from_csv: %s holds %d rows in %d column(s); a panel needs columns j, k, "
+            "a_j, b_jk and delta_jk, at least 1 row and finite values" % ((path,) + arr.shape)
+        )
     levels = []
     for j in np.unique(arr[:, 0]):
         block = arr[arr[:, 0] == j]
@@ -577,10 +573,10 @@ def path_to_csv(path_realization, path):
 def path_from_csv(path, seed):
     """Read a path written by path_to_csv; the grid t must be uniform."""
     arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if arr.shape[0] < 2 or arr.shape[1] < 2:
+    if arr.shape[0] < 2 or arr.shape[1] < 2 or not np.isfinite(arr[:, :2]).all():
         raise ValueError(
-            "path_from_csv: %s holds %d samples in %d column(s); a path needs "
-            "columns t and x and at least 2 samples" % ((path,) + arr.shape)
+            "path_from_csv: %s holds %d samples in %d column(s); a path needs columns "
+            "t and x, at least 2 samples and finite values" % ((path,) + arr.shape)
         )
     t = arr[:, 0]
     dt = float(t[1] - t[0])

@@ -432,6 +432,18 @@ class TestTransform:
         assert rc == 1
         assert "times.csv" in capsys.readouterr().err
 
+    def test_non_finite_path_csv_is_domain_error(self, tmp_path, capsys):
+        path_csv = tmp_path / "holey.csv"
+        path_csv.write_text("t,x\n0,0.1\n1,nan\n2,0.3\n")
+        doc = json.load(open(transform_config(tmp_path, path_csv=str(path_csv))))
+        del doc["model"]
+        cfg = write_json(tmp_path / "tra2.json", doc)
+        out = tmp_path / "o"
+        rc = main(["transform", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert "holey.csv" in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
+
     def test_frequency_only_filter_is_domain_error(self, tmp_path, capsys):
         cfg = transform_config(tmp_path, filter={"name": "meyer-father"})
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -494,6 +506,16 @@ class TestEstimate:
         rc = main(["estimate", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "estimate needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["1,1,2\n", "1,1,2,2,inf\n"],
+                             ids=["3 columns", "non-finite"])
+    def test_malformed_panel_csv_is_domain_error(self, tmp_path, capsys, body):
+        panel_csv = tmp_path / "bad_panel.csv"
+        panel_csv.write_text("j,k,a_j,b_jk,delta_jk\n" + body)
+        rc = main(["estimate", "--panel", str(panel_csv), "--filter",
+                   "mexican-hat", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "bad_panel.csv" in capsys.readouterr().err
 
     def test_bad_provenance_reports_pointer(self, panel_dir, tmp_path, capsys):
         cfg = write_json(tmp_path / "est.json", {
@@ -566,6 +588,14 @@ class TestMontecarlo:
         assert read_bytes(os.path.join(out_a, "replications.csv")) == read_bytes(
             os.path.join(out_b, "replications.csv")
         )
+
+    def test_zero_workers_is_domain_error(self, tmp_path, capsys):
+        cfg = montecarlo_config(tmp_path)
+        rc = main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--workers", "0"])
+        assert rc == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_flag_overrides_base_seed(self, tmp_path):
         cfg = montecarlo_config(tmp_path)

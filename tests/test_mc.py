@@ -70,6 +70,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="replications"):
             exact_config(replications=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_positive(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            exact_config(workers=workers)
+
     def test_path_backend_needs_time_domain_filter(self):
         with pytest.raises(ValueError, match="time-domain"):
             path_config(filter_name="meyer-father")

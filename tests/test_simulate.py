@@ -1,15 +1,16 @@
 """Tests for path simulation and exact coefficient sampling."""
 
 import math
+import time
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
 from specpole import simulate
-from specpole.model import GegenbauerSpec, builtin_filter, indicator_model
+from specpole.mc import ExperimentConfig, run_experiment
+from specpole.model import GegenbauerSpec, SpectralModel, builtin_filter, indicator_model
 from specpole.simulate import (
     CoefficientPanel,
     PanelLevel,
@@ -414,23 +415,21 @@ class TestLevelFactor:
     filt = builtin_filter("shannon-father")
 
     def test_cache_key_holds_the_whole_spec(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_FACTOR_CACHE", OrderedDict())
+        monkeypatch.setattr(simulate, "_FACTORS", (None, None))
+        sched = single_level_schedule(8.0, 6)
         plain = QuadratureSpec()
+        base = simulate._panel_factors(self.model, self.filt, sched, plain)
+        assert simulate._panel_factors(self.model, self.filt, sched, plain) is base
         # same tolerances, different budget and singularity list
-        variants = (
+        for spec in (
             QuadratureSpec(max_subdivisions=500),
             QuadratureSpec(singularities=(0.2,)),
-        )
-        base = simulate._level_factor(self.model, self.filt, 8.0, 8.0, 6, plain)
-        assert simulate._level_factor(self.model, self.filt, 8.0, 8.0, 6, plain) is base
-        for spec in variants:
-            assert simulate._level_factor(
-                self.model, self.filt, 8.0, 8.0, 6, spec
-            ) is not base
-        assert len(simulate._FACTOR_CACHE) == 3
+        ):
+            moved = simulate._panel_factors(self.model, self.filt, sched, spec)
+            assert moved is not base
+            assert simulate._FACTORS[1] is moved  # one entry, the last shape
         # a singularity in the band forces the per-lag column
-        moved = simulate._FACTOR_CACHE[next(reversed(simulate._FACTOR_CACHE))]
-        np.testing.assert_allclose(moved, base, rtol=1e-12)
+        np.testing.assert_allclose(moved[0], base[0], rtol=1e-12)
 
     def test_jitter_is_reported(self):
         cov = np.ones((4, 4))  # rank one: no Cholesky factor without jitter
@@ -447,6 +446,64 @@ class TestLevelFactor:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 simulate._cholesky_with_jitter(cov)
+
+
+def ladder(scales, m=8):
+    return ScaleSchedule(levels=tuple(
+        ScheduleLevel(j=i + 1, a_j=a, gamma_j=a, m_j=m, r_j=a**-2.5)
+        for i, a in enumerate(scales)
+    ))
+
+
+class TestPanelFactors:
+    """Factor builds, counted as calls of coefficient_covariance."""
+
+    model = indicator_model(1.2661036727794992, 0.1, 3.0)
+    filt = builtin_filter("shannon-father")
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_FACTORS", (None, None))
+        calls = []
+        real = simulate.coefficient_covariance
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            # hold the build open so concurrent replications overlap it
+            time.sleep(0.02)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "coefficient_covariance", counted)
+        return calls
+
+    def test_workers_share_one_build_per_level(self, builds):
+        config = ExperimentConfig(
+            model=self.model, filter_name="shannon-father",
+            schedule=ladder((8.0, 16.0, 32.0, 64.0), m=16),
+            backend="exact-gaussian", replications=8, base_seed=900, workers=4,
+        )
+        table = run_experiment(config)
+        assert not table.failures
+        assert sorted(builds) == [8.0, 16.0, 32.0, 64.0]
+
+    def test_nine_level_ladder_builds_each_level_once(self, builds):
+        sched = ladder(8.0 + np.arange(9))
+        for seed in range(3):
+            exact_coefficient_sample(self.model, self.filt, sched, seed)
+        assert builds == list(8.0 + np.arange(9))
+
+    def test_black_box_model_is_cached(self, builds):
+        model = SpectralModel(1.2661036727794992, 0.1,
+                              lambda lam: np.where(np.abs(lam) <= 3.0, 1.0, 0.0),
+                              envelope=3.0)
+        sched = ladder((8.0, 16.0))
+        panels = [exact_coefficient_sample(model, self.filt, sched, seed)
+                  for seed in range(3)]
+        assert builds == [8.0, 16.0]
+        # the same h as the indicator model gives the same draws
+        same = exact_coefficient_sample(self.model, self.filt, sched, 2)
+        for lv, ref in zip(panels[-1].levels, same.levels):
+            np.testing.assert_array_equal(lv.coeffs, ref.coeffs)
 
 
 class TestPanelTypes:
@@ -548,6 +605,32 @@ class TestSerialization:
             "1,2,2,2,-0.25\n"
             "3,1,4.5,4.5,0.10000000000000001\n"
         )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_path_csv_rejects_non_finite_values(self, tmp_path, bad):
+        for row in ("0,0.1\n1,%s\n2,0.3\n" % bad, "0,0.1\n%s,0.2\n2,0.3\n" % bad):
+            target = tmp_path / "holey.csv"
+            target.write_text("t,x\n" + row)
+            with pytest.raises(ValueError, match="finite values") as err:
+                path_from_csv(target, seed=0)
+            assert "holey.csv" in str(err.value)
+
+    @pytest.mark.parametrize("body", ["", "1,1,2\n"], ids=["no rows", "3 columns"])
+    def test_panel_csv_rejects_short_files(self, tmp_path, body):
+        target = tmp_path / "short.csv"
+        target.write_text("j,k,a_j,b_jk,delta_jk\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy notes an empty file
+            with pytest.raises(ValueError, match="a_j, b_jk and delta_jk") as err:
+                panel_from_csv(target, "path-transform", 0)
+        assert "short.csv" in str(err.value)
+
+    def test_panel_csv_rejects_non_finite_coefficients(self, tmp_path):
+        target = tmp_path / "holey.csv"
+        target.write_text("j,k,a_j,b_jk,delta_jk\n1,1,2,1,0.5\n1,2,2,2,nan\n")
+        with pytest.raises(ValueError, match="finite values") as err:
+            panel_from_csv(target, "path-transform", 0)
+        assert "holey.csv" in str(err.value)
 
     def test_manifests(self):
         spec = GegenbauerSpec(d=0.1, u=0.3)
