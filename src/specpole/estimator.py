@@ -216,7 +216,9 @@ def solve(point):
     The composite parameter q = y2/y1 and the identity
     w exp(w) = (y1/y2) log(y1^{-1/2}) pin the pole squared at exp(w);
     the argument is positive everywhere on R_y, so the principal branch
-    applies throughout and the solution is unique.
+    applies throughout and the solution is unique.  ``lambert_w0`` is
+    accurate over the whole float range, so a tiny y2 (an argument near
+    1e199 for y2 = 1e-200) still inverts.
     """
     if not in_feasible_region(point.y1, point.y2):
         raise ValueError("solve: point must lie strictly inside R_y")

@@ -27,6 +27,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.special import lambertw
 
 from .specfun import QuadratureSpec, gegenbauer_coeffs, integrate
 
@@ -36,7 +37,6 @@ __all__ = [
     "FilterSpec",
     "GegenbauerSpec",
     "indicator_model",
-    "density_eval",
     "covariance_eval",
     "builtin_filter",
     "BUILTIN_FILTER_NAMES",
@@ -154,11 +154,6 @@ def indicator_model(s0, alpha, M):
         raise ValueError("indicator_model: M must be a positive real")
     h = lambda lam: np.where(np.abs(lam) <= M, 1.0, 0.0)
     return SpectralModel(float(s0), float(alpha), h, envelope=M, family="indicator")
-
-
-def density_eval(model, lam):
-    """Evaluate the spectral density of either model type."""
-    return model.density(lam)
 
 
 def covariance_eval(model, r, spec=None):
@@ -343,32 +338,13 @@ def _mexican_hat(sigma):
         lam = np.asarray(lam, dtype=float)
         return amp_hat * lam * lam * np.exp(-0.5 * (sigma * lam) ** 2) + 0.0j
 
-    # Smallest A with |psi_hat|^2 / peak < 1e-12 beyond it, by bisection
-    # on the normalized tail (peak at lam = sqrt(2)/sigma).
-    def tail(lam):
-        x = sigma * lam
-        return (x * x / 2.0) ** 2 * math.exp(2.0 - x * x) - 1e-12
-
-    lo, hi = math.sqrt(2.0) / sigma, 20.0 / sigma
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    A_eff = hi
-
-    def time_tail(x):
-        return (x * x - 1.0) * math.exp(-0.5 * x * x) - _MEXICAN_TIME_THRESHOLD
-
-    lo, hi = 2.0, 15.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if time_tail(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    T = float(math.ceil(hi * sigma))
+    # Beyond the peak at x = sigma lam = sqrt(2), |psi_hat|^2 / peak =
+    # (x^2/2)^2 exp(2 - x^2) falls to 1e-12 at x^2 = -2 W_-1(-1e-6/e), and
+    # |psi(t)| / |psi(0)| = (x^2 - 1) exp(-x^2/2) with x = t/sigma falls
+    # to the time threshold tau at x^2 = 1 - 2 W_-1(-tau sqrt(e)/2).
+    A_eff = math.sqrt(-2.0 * lambertw(-1e-6 / math.e, -1).real) / sigma
+    w_t = lambertw(-0.5 * math.sqrt(math.e) * _MEXICAN_TIME_THRESHOLD, -1).real
+    T = float(math.ceil(sigma * math.sqrt(1.0 - 2.0 * w_t)))
     return psi, psi_hat, A_eff, True, T, ()
 
 

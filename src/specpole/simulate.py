@@ -48,8 +48,6 @@ __all__ = [
     "panel_from_csv",
     "path_to_csv",
     "path_from_csv",
-    "panel_manifest",
-    "path_manifest",
 ]
 
 PROVENANCES = ("path-transform", "exact-gaussian")
@@ -538,9 +536,16 @@ def panel_to_csv(panel, path):
     )
 
 
+def _csv_rows(path):
+    """Rows below the header; the callers report an empty file themselves."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def panel_from_csv(path, provenance, seed):
     """Rebuild a panel from CSV plus the manifest-held provenance/seed."""
-    arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    arr = _csv_rows(path)
     if arr.shape[0] < 1 or arr.shape[1] < 5 or not np.isfinite(arr[:, :5]).all():
         raise ValueError(
             "panel_from_csv: %s holds %d rows in %d column(s); a panel needs columns j, k, "
@@ -572,7 +577,7 @@ def path_to_csv(path_realization, path):
 
 def path_from_csv(path, seed):
     """Read a path written by path_to_csv; the grid t must be uniform."""
-    arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    arr = _csv_rows(path)
     if arr.shape[0] < 2 or arr.shape[1] < 2 or not np.isfinite(arr[:, :2]).all():
         raise ValueError(
             "path_from_csv: %s holds %d samples in %d column(s); a path needs columns "
@@ -591,30 +596,3 @@ def path_from_csv(path, seed):
         values=arr[:, 1].copy(),
         seed=int(seed),
     )
-
-
-def panel_manifest(panel, params=None):
-    """JSON-ready manifest describing a panel for reproducibility."""
-    doc = {
-        "provenance": panel.provenance,
-        "seed": panel.seed,
-        "levels": [
-            {"j": lv.j, "a_j": lv.a_j, "m_j": int(lv.shifts.size)}
-            for lv in panel.levels
-        ],
-    }
-    if params:
-        doc["params"] = dict(params)
-    return doc
-
-
-def path_manifest(path_realization, params=None):
-    doc = {
-        "t0": path_realization.t0,
-        "dt": path_realization.dt,
-        "n_points": int(path_realization.values.size),
-        "seed": path_realization.seed,
-    }
-    if params:
-        doc["params"] = dict(params)
-    return doc

@@ -4,7 +4,9 @@ Three small tools live here because every other module needs at least one
 of them:
 
 * ``lambert_w0``: principal branch of the Lambert W function, the
-  workhorse of the closed-form singularity solver.
+  workhorse of the closed-form singularity solver.  It is
+  ``scipy.special.lambertw`` with the package's domain checks: NaN and
+  arguments below ``-1/e`` raise, the branch point gives ``-1``.
 * ``gegenbauer_coeff`` / ``gegenbauer_coeffs``: Gegenbauer polynomial
   values evaluated through the stable three-term recurrence.  The
   textbook ratio-of-gamma sum overflows for moderate orders, so it is
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 __all__ = [
     "QuadratureSpec",
@@ -44,64 +47,28 @@ _BRANCH_POINT = -math.exp(-1.0)
 def lambert_w0(x):
     """Principal branch W0 of the Lambert W function.
 
-    Solves ``w * exp(w) = x`` for the branch with ``w >= -1``.  The
-    argument may be a scalar or an array; the function is vectorized.
-
-    The initial guess uses a branch-point series near ``-1/e``, a
-    log-minus-log-log asymptote for large arguments and ``log1p``
-    elsewhere, after which Halley iteration polishes the root until the
-    defect ``|w * exp(w) - x|`` drops below ``1e-14 * max(1, |x|)``.
+    Solves ``w * exp(w) = x`` for the branch with ``w >= -1``, through
+    ``scipy.special.lambertw`` (Corless et al. 1996).  The argument may
+    be a scalar, which gives a float, or an array.  Arguments at or
+    below the float nearest ``-1/e``, within a roundoff allowance of
+    ``1e-12``, are taken as the branch point and give ``-1``.
 
     Raises
     ------
     ValueError
-        If any element lies below ``-1/e`` (beyond a small roundoff
-        allowance, which is clamped to the branch point).
-    ArithmeticError
-        If Halley iteration fails to converge within 50 steps.
+        If any element is NaN or lies below ``-1/e`` by more than the
+        roundoff allowance.
     """
     z = np.asarray(x, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z).astype(float, copy=True)
-    if np.any(np.isnan(z)):
-        raise ValueError("lambert_w0: NaN argument")
-    if np.any(z < _BRANCH_POINT - 1e-12):
+    if not np.all(z >= _BRANCH_POINT - 1e-12):
+        if np.any(np.isnan(z)):
+            raise ValueError("lambert_w0: NaN argument")
         raise ValueError(
             "lambert_w0: argument %r lies below the branch point -1/e"
             % float(np.min(z))
         )
-    np.clip(z, _BRANCH_POINT, None, out=z)
-
-    w = np.empty_like(z)
-    near = z < -0.25
-    large = z > 3.0
-    mid = ~(near | large)
-    if near.any():
-        p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
-        w[near] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    if large.any():
-        l1 = np.log(z[large])
-        l2 = np.log(l1)
-        w[large] = l1 - l2 + l2 / l1
-    if mid.any():
-        w[mid] = np.log1p(z[mid])
-
-    tol = 1e-14 * np.maximum(1.0, np.abs(z))
-    for _ in range(50):
-        ew = np.exp(w)
-        f = w * ew - z
-        done = np.abs(f) <= tol
-        if done.all():
-            break
-        wp1 = w + 1.0
-        denom = ew * wp1 - 0.5 * (w + 2.0) * f / wp1
-        safe = done | (denom == 0.0) | ~np.isfinite(denom)
-        step = np.where(safe, 0.0, f / np.where(safe, 1.0, denom))
-        w -= step
-    else:
-        raise ArithmeticError("lambert_w0: Halley iteration did not converge")
-    np.maximum(w, -1.0, out=w)
-    return float(w[0]) if scalar else w
+    w = np.where(z > _BRANCH_POINT, lambertw(z).real, -1.0)
+    return float(w) if w.ndim == 0 else w
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +38,23 @@ def read_table(path):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def run_cli(*args):
+    """Run the tool in a fresh interpreter, so stderr holds what a user
+    sees, warnings included."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(specpole.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "specpole.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def assert_one_error_line(result, name):
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert name in lines[0]
 
 
 GEGEN_MODEL = {"family": "gegenbauer", "d": 0.1, "u": 0.3, "truncation": 40}
@@ -444,6 +463,15 @@ class TestTransform:
         assert "holey.csv" in capsys.readouterr().err
         assert not (out / "panel.csv").exists()
 
+    def test_header_only_path_csv_prints_one_error_line(self, tmp_path):
+        path_csv = tmp_path / "empty_path.csv"
+        path_csv.write_text("t,x\n")
+        doc = json.load(open(transform_config(tmp_path, path_csv=str(path_csv))))
+        del doc["model"]
+        cfg = write_json(tmp_path / "tra2.json", doc)
+        result = run_cli("transform", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert_one_error_line(result, "empty_path.csv")
+
     def test_frequency_only_filter_is_domain_error(self, tmp_path, capsys):
         cfg = transform_config(tmp_path, filter={"name": "meyer-father"})
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -516,6 +544,13 @@ class TestEstimate:
                    "mexican-hat", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "bad_panel.csv" in capsys.readouterr().err
+
+    def test_header_only_panel_csv_prints_one_error_line(self, tmp_path):
+        panel_csv = tmp_path / "empty_panel.csv"
+        panel_csv.write_text("j,k,a_j,b_jk,delta_jk\n")
+        result = run_cli("estimate", "--panel", str(panel_csv), "--filter",
+                         "shannon-father", "--out", str(tmp_path / "o"))
+        assert_one_error_line(result, "empty_panel.csv")
 
     def test_bad_provenance_reports_pointer(self, panel_dir, tmp_path, capsys):
         cfg = write_json(tmp_path / "est.json", {

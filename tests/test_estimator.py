@@ -236,6 +236,11 @@ class TestSolve:
             back = forward_map(s0, alpha)
             np.testing.assert_allclose(back, (y1, y2), rtol=1e-9)
 
+    def test_huge_lambert_argument_round_trips(self):
+        # y2 = 1e-200 puts the Lambert W argument near 1.7e199
+        s0, alpha = solve(adjust(0.5, -1e-200))
+        np.testing.assert_allclose(forward_map(s0, alpha), (0.5, 1e-200), rtol=1e-10)
+
     def test_lambert_argument_positive_on_region(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

@@ -16,8 +16,15 @@ from specpole.mc import (
     summary_json,
 )
 import specpole.mc
+from specpole import simulate
 from specpole.model import GegenbauerSpec, builtin_filter, indicator_model
-from specpole.transform import ScaleSchedule, ScheduleLevel, linear_schedule
+from specpole.specfun import QuadratureSpec
+from specpole.transform import (
+    ScaleSchedule,
+    ScheduleLevel,
+    geometric_schedule,
+    linear_schedule,
+)
 
 
 def small_schedule(sizes=((8.0, 32), (16.0, 64))):
@@ -234,6 +241,33 @@ class TestRunPath:
         mse = table.mse_delta_bar
         inversions = sum(mse[i + 1] > mse[i] for i in range(len(mse) - 1))
         assert inversions <= 1
+
+
+class TestExactMse:
+    def test_criterion_6_ladder_decreases_strictly(self):
+        # Exact MSE of delta_bar against c2 f(0) on criterion 6's ladder:
+        # squared bias of the variance c_0 plus 2 ||Sigma||_F^2 / m^2, with
+        # ||Sigma||_F^2 = m c_0^2 + 2 sum_k (m - k) c_k^2 from the Toeplitz
+        # column.  Successive levels 2-4 differ by only 0.7 % and 0.1 %.
+        model = indicator_model(1.2661036727794992, 0.1, 3.0)
+        filt = builtin_filter("shannon-father")
+        with pytest.warns(UserWarning, match="divergent"):
+            schedule = geometric_schedule(4, 4.0, 2.0, 3.0, m_cap=4096)
+        target = filt.c2 * model.zero_limits()[0]
+        mse = []
+        for lv in schedule.levels:
+            col = simulate._dct_column(
+                model, filt, lv.a_j, lv.gamma_j, lv.m_j, QuadratureSpec()
+            )
+            m = lv.m_j
+            frobenius_sq = m * col[0] ** 2 + 2.0 * np.sum(
+                (m - np.arange(1, m)) * col[1:] ** 2
+            )
+            mse.append((col[0] - target) ** 2 + 2.0 * frobenius_sq / m**2)
+        np.testing.assert_allclose(
+            mse, [0.130839, 0.016098, 0.015979, 0.015964], rtol=0.0, atol=1e-6
+        )
+        assert all(lo > hi for lo, hi in zip(mse, mse[1:]))
 
 
 class TestReports:

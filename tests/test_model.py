@@ -14,7 +14,6 @@ from specpole.model import (
     SpectralModel,
     builtin_filter,
     covariance_eval,
-    density_eval,
     filter_from_json,
     filter_to_json,
     indicator_model,
@@ -114,6 +113,18 @@ class TestFilterShapes:
         just_inside = abs(filt.psi_hat(np.array([0.99 * filt.band_limit_A]))[0]) ** 2
         assert just_inside / peak > 1e-12
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 7.0])
+    def test_mexican_limits_solve_their_equations(self, sigma):
+        filt = builtin_filter("mexican-hat", sigma=sigma)
+        power = lambda lam: abs(filt.psi_hat(np.array([lam]))[0]) ** 2
+        np.testing.assert_allclose(
+            power(filt.band_limit_A) / power(math.sqrt(2.0) / sigma), 1e-12, rtol=1e-10
+        )
+        T = filt.time_support
+        assert T == math.ceil(T)
+        ratio = lambda t: abs(filt.psi(t)) / abs(filt.psi(0.0))
+        assert ratio(T) <= 1e-10 < ratio(T - 1.0)
+
     def test_meyer_partition_identity(self):
         father = builtin_filter("meyer-father")
         mother = builtin_filter("meyer-mother")
@@ -208,25 +219,25 @@ class TestFilterShapes:
 class TestSpectralModel:
     def test_density_example_values(self):
         model = indicator_model(2.0, 0.25, 3.0)
-        np.testing.assert_allclose(density_eval(model, 0.0), 0.5, rtol=1e-14)
+        np.testing.assert_allclose(model.density(0.0), 0.5, rtol=1e-14)
         np.testing.assert_allclose(
-            density_eval(model, 1.0), 1.0 / math.sqrt(3.0), rtol=1e-14
+            model.density(1.0), 1.0 / math.sqrt(3.0), rtol=1e-14
         )
 
     def test_density_even_and_enveloped(self):
         model = indicator_model(1.5, 0.2, 3.0)
         lam = np.array([0.3, 0.9, 1.2, 2.4, 2.9])
         np.testing.assert_allclose(
-            density_eval(model, lam), density_eval(model, -lam), rtol=1e-14
+            model.density(lam), model.density(-lam), rtol=1e-14
         )
-        assert density_eval(model, 3.5) == 0.0
+        assert model.density(3.5) == 0.0
 
     def test_density_rejects_pole(self):
         model = indicator_model(1.5, 0.2, 3.0)
         with pytest.raises(ValueError, match="singularity"):
-            density_eval(model, 1.5)
+            model.density(1.5)
         with pytest.raises(ValueError, match="singularity"):
-            density_eval(model, np.array([0.3, -1.5]))
+            model.density(np.array([0.3, -1.5]))
 
     def test_pole_density_leaves_the_pole_to_the_caller(self):
         # Integrators evaluate the formula directly: a node that rounds

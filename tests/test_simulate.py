@@ -4,6 +4,7 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -20,10 +21,8 @@ from specpole.simulate import (
     gaussian_stream,
     gegenbauer_path,
     panel_from_csv,
-    panel_manifest,
     panel_to_csv,
     path_from_csv,
-    path_manifest,
     path_to_csv,
     scale_second_moment,
 )
@@ -190,14 +189,27 @@ class TestCoefficientCovariance:
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-10 * np.trace(cov)
 
+    def entry_oracle(self, a, delta):
+        """2a int_0^U cos(delta lam) f(lam) dlam to 30 digits, U the band
+        edge pi/a as the float the package integrates to."""
+        with mpmath.workdps(30):
+            s0_sq = mpmath.mpf(self.model.s0) ** 2
+            power = -2 * mpmath.mpf(self.model.alpha)
+            f = lambda lam: mpmath.cos(delta * lam) * abs(lam * lam - s0_sq) ** power
+            edges = mpmath.linspace(0, mpmath.mpf(self.filt.band_limit_A / a), 13)
+            return float(2 * a * mpmath.quad(f, edges))
+
     def test_non_arithmetic_shifts_consistent(self):
+        # The per-lag entries of the non-arithmetic grid and the DCT
+        # columns of the two-shift grids, each against a 30-digit oracle.
         shifts = np.array([8.0, 24.0, 56.0])
         cov = coefficient_covariance(self.model, self.filt, 8.0, shifts)
         np.testing.assert_array_equal(cov, cov.T)
-        pair = coefficient_covariance(self.model, self.filt, 8.0, [0.0, 16.0])
-        np.testing.assert_allclose(cov[0, 1], pair[0, 1], rtol=1e-12)
-        pair = coefficient_covariance(self.model, self.filt, 8.0, [0.0, 48.0])
-        np.testing.assert_allclose(cov[0, 2], pair[0, 1], rtol=1e-12)
+        for col, delta in ((1, 16.0), (2, 48.0)):
+            pair = coefficient_covariance(self.model, self.filt, 8.0, [0.0, delta])
+            oracle = self.entry_oracle(8.0, delta)
+            np.testing.assert_allclose(cov[0, col], oracle, rtol=1e-12)
+            np.testing.assert_allclose(pair[0, 1], oracle, rtol=1e-12)
 
     def test_second_moment_approaches_limit_quadratically(self):
         limit = self.filt.c2 * self.model.s0 ** (-4 * self.model.alpha)
@@ -631,19 +643,3 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite values") as err:
             panel_from_csv(target, "path-transform", 0)
         assert "holey.csv" in str(err.value)
-
-    def test_manifests(self):
-        spec = GegenbauerSpec(d=0.1, u=0.3)
-        path = gegenbauer_path(spec, 50, 0.0, 1.0, seed=9)
-        doc = path_manifest(path, params={"family": "gegenbauer"})
-        assert doc["seed"] == 9 and doc["n_points"] == 50
-        assert doc["params"]["family"] == "gegenbauer"
-
-        lv = PanelLevel(j=1, a_j=2.0, shifts=[1.0, 2.0], coeffs=[0.1, 0.2])
-        panel = CoefficientPanel(levels=(lv,), provenance="path-transform", seed=4)
-        doc = panel_manifest(panel)
-        assert doc == {
-            "provenance": "path-transform",
-            "seed": 4,
-            "levels": [{"j": 1, "a_j": 2.0, "m_j": 2}],
-        }

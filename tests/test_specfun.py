@@ -1,13 +1,13 @@
 """Tests for special functions and the adaptive integrator.
 
-The derived expectations are checked against independent oracles built
-inside this file: a bisection solver for Lambert W, the log-gamma direct
-sum for Gegenbauer polynomials and brute-force midpoint rules for the
-integrals.
+The derived expectations are checked against independent oracles: a
+bisection solver and mpmath for Lambert W, the log-gamma direct sum for
+Gegenbauer polynomials and brute-force midpoint rules for the integrals.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, gammaln, gammasgn
@@ -127,6 +127,11 @@ class TestLambertW:
         assert isinstance(out, np.ndarray)
         assert isinstance(lambert_w0(1.0), float)
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-14)
+
+    def test_matches_mpmath_over_the_float_range(self):
+        grid = np.geomspace(1e-300, 1e308, 2000)
+        oracle = np.array([float(mpmath.lambertw(mpmath.mpf(x))) for x in grid])
+        np.testing.assert_allclose(lambert_w0(grid), oracle, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
