@@ -370,8 +370,6 @@ def cmd_montecarlo(args):
     updates = {}
     if args.seed is not None:
         updates["base_seed"] = args.seed
-    if args.workers is not None:
-        updates["workers"] = args.workers
     out_dir = args.out if args.out is not None else config.out_dir
     if out_dir is None:
         raise ConfigError(
@@ -489,8 +487,6 @@ def build_parser():
                         "backend, replications, base_seed)")
     p.add_argument("--out", help="output directory (overrides config out_dir)")
     p.add_argument("--seed", type=int, help="override the config base_seed")
-    p.add_argument("--workers", type=int,
-                   help="worker threads (default: available parallelism)")
     p.set_defaults(func=cmd_montecarlo)
 
     return parser

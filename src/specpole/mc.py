@@ -6,16 +6,15 @@ limits.  Both generation back-ends plug in here: the exact Gaussian
 sampler (needs a closed spectral density) and the simulated-path route
 (needs a moving-average recipe pushed through the time-domain filter).
 
-Replications fan out over a thread pool with seeds base_seed + index,
-and results are collected positionally, so worker count and completion
-order never change the output bytes.
+Replications run one after another in the calling thread, with seeds
+base_seed + index: every heavy step is BLAS or numpy, which already
+uses the cores.
 """
 
 import json
+import numbers
 import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,17 +69,19 @@ class ExperimentConfig:
     base_seed: int
     sigma: float = 1.0
     out_dir: str = None
-    workers: int = None
 
     def __post_init__(self):
         if self.backend not in PROVENANCES:
             raise ValueError(
                 "ExperimentConfig: backend must be one of %r" % (PROVENANCES,)
             )
-        if not (isinstance(self.replications, int) and self.replications >= 1):
+        for name in ("replications", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("ExperimentConfig: %s must be an integer" % name)
+            object.__setattr__(self, name, int(value))
+        if self.replications < 1:
             raise ValueError("ExperimentConfig: replications must be >= 1")
-        if self.workers is not None and not self.workers >= 1:
-            raise ValueError("ExperimentConfig: workers must be >= 1 (or unset)")
         filt = builtin_filter(self.filter_name, sigma=self.sigma)
         if self.backend == "exact-gaussian":
             if not isinstance(self.model, SpectralModel):
@@ -144,7 +145,6 @@ def experiment_from_json(doc, pointer=""):
         replications=_field(doc, pointer, "replications", "integer"),
         base_seed=_field(doc, pointer, "base_seed", "integer"),
         out_dir=_field(doc, pointer, "out_dir", "string", required=False),
-        workers=_field(doc, pointer, "workers", "integer", required=False),
     )
 
 
@@ -162,8 +162,6 @@ def experiment_to_json(config):
     }
     if config.out_dir is not None:
         doc["out_dir"] = str(config.out_dir)
-    if config.workers is not None:
-        doc["workers"] = config.workers
     return doc
 
 
@@ -239,13 +237,8 @@ def _aggregate(config, all_rows, failures):
     js = tuple(lv.j for lv in config.schedule.levels)
     a_js = tuple(lv.a_j for lv in config.schedule.levels)
     per_j = {j: [] for j in js}
-    flat = []
-    for rep_rows in all_rows:
-        if rep_rows is None:
-            continue
-        for row in rep_rows:
-            per_j[row["j"]].append(row)
-            flat.append(row)
+    for row in all_rows:
+        per_j[row["j"]].append(row)
     counts, mse_db, mse_dd, mse_s0, mse_al = [], [], [], [], []
     for j in js:
         rows = per_j[j]
@@ -265,7 +258,7 @@ def _aggregate(config, all_rows, failures):
         targets=targets,
         replications=config.replications,
         failures=tuple(failures),
-        rows=tuple(flat),
+        rows=tuple(all_rows),
     )
 
 
@@ -278,26 +271,12 @@ def run_experiment(config):
     """
     filt = builtin_filter(config.filter_name, sigma=config.sigma)
     n_rep = config.replications
-    all_rows = [None] * n_rep
-    failures = []
-    failure_lock = threading.Lock()
-
-    def work(rep):
+    all_rows, failures = [], []
+    for rep in range(n_rep):
         try:
-            all_rows[rep] = _one_replication(config, filt, rep)
+            all_rows.extend(_one_replication(config, filt, rep))
         except (ArithmeticError, ValueError) as exc:
-            with failure_lock:
-                failures.append((rep, "%s: %s" % (type(exc).__name__, exc)))
-
-    workers = config.workers or min(n_rep, os.cpu_count() or 1)
-    if workers <= 1 or n_rep == 1:
-        for rep in range(n_rep):
-            work(rep)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(n_rep)))
-
-    failures.sort()
+            failures.append((rep, "%s: %s" % (type(exc).__name__, exc)))
     if len(failures) > 0.2 * n_rep:
         raise RuntimeError(
             "run_experiment: %d of %d replications failed (over 20%%); "

@@ -471,8 +471,8 @@ def _cholesky_with_jitter(cov):
 
 # The factors of the last panel shape sampled, as (key, factors).  A new
 # shape drops the old factors before its build, so at most one panel's
-# factors are alive; the build holds the lock, so concurrent
-# replications wait for it instead of each making their own.
+# factors are alive; the build holds the lock, so callers sampling from
+# their own threads wait for it instead of each making their own.
 _FACTORS = (None, None)
 _FACTOR_LOCK = threading.Lock()
 
@@ -551,9 +551,15 @@ def panel_from_csv(path, provenance, seed):
             "panel_from_csv: %s holds %d rows in %d column(s); a panel needs columns j, k, "
             "a_j, b_jk and delta_jk, at least 1 row and finite values" % ((path,) + arr.shape)
         )
+    if not (arr[:, :2] == np.round(arr[:, :2])).all():
+        raise ValueError("panel_from_csv: %s holds a non-integer j or k" % path)
     levels = []
     for j in np.unique(arr[:, 0]):
         block = arr[arr[:, 0] == j]
+        if not (block[:, 2] == block[0, 2]).all():
+            raise ValueError(
+                "panel_from_csv: %s gives level %d more than one a_j" % (path, j)
+            )
         order = np.argsort(block[:, 1])
         block = block[order]
         levels.append(

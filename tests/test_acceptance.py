@@ -237,7 +237,6 @@ def test_criterion_6_end_to_end_estimation():
         backend="exact-gaussian",
         replications=20,
         base_seed=27026,
-        workers=4,
     )
     table = run = specpole.run_experiment(config)
     assert run.failures == ()

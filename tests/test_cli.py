@@ -535,8 +535,12 @@ class TestEstimate:
         assert rc == 2
         assert "estimate needs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body", ["1,1,2\n", "1,1,2,2,inf\n"],
-                             ids=["3 columns", "non-finite"])
+    @pytest.mark.parametrize("body", [
+        "1,1,2\n",
+        "1,1,2,2,inf\n",
+        "1,1,8,1,0.5\n1,2,8,2,0.4\n1.5,1,16,1,0.3\n1.5,2,16,2,0.2\n",
+        "1,1,8,1,0.5\n1,2,9,2,0.4\n2,1,16,1,0.3\n2,2,16,2,0.2\n",
+    ], ids=["3 columns", "non-finite", "fractional j", "two a_j"])
     def test_malformed_panel_csv_is_domain_error(self, tmp_path, capsys, body):
         panel_csv = tmp_path / "bad_panel.csv"
         panel_csv.write_text("j,k,a_j,b_jk,delta_jk\n" + body)
@@ -613,23 +617,12 @@ class TestMontecarlo:
         for name in MC_OUTPUTS:
             assert read_bytes(os.path.join(out, name)) == first[name], name
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
+    def test_workers_flag_is_gone(self, tmp_path):
         cfg = montecarlo_config(tmp_path)
-        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["montecarlo", "--config", cfg, "--out", out_a,
-                     "--workers", "1"]) == 0
-        assert main(["montecarlo", "--config", cfg, "--out", out_b,
-                     "--workers", "3"]) == 0
-        assert read_bytes(os.path.join(out_a, "replications.csv")) == read_bytes(
-            os.path.join(out_b, "replications.csv")
-        )
-
-    def test_zero_workers_is_domain_error(self, tmp_path, capsys):
-        cfg = montecarlo_config(tmp_path)
-        rc = main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--workers", "0"])
-        assert rc == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--workers", "2"])
+        assert err.value.code == 2
         assert not (tmp_path / "o").exists()
 
     def test_seed_flag_overrides_base_seed(self, tmp_path):

@@ -77,10 +77,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="replications"):
             exact_config(replications=0)
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_positive(self, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            exact_config(workers=workers)
+    @pytest.mark.parametrize("field, value", [
+        ("replications", True),
+        ("replications", 2.0),
+        ("base_seed", True),
+        ("base_seed", 1.5),
+        ("base_seed", "7"),
+    ])
+    def test_counts_and_seeds_are_integers(self, field, value):
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            exact_config(**{field: value})
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = path_config(replications=np.int64(2), base_seed=np.uint32(7))
+        assert type(cfg.replications) is int and type(cfg.base_seed) is int
+        assert json.loads(json.dumps(experiment_to_json(cfg)))["base_seed"] == 7
 
     def test_path_backend_needs_time_domain_filter(self):
         with pytest.raises(ValueError, match="time-domain"):
@@ -111,7 +122,7 @@ class TestConfig:
         )
 
     def test_json_round_trip(self):
-        cfg = path_config(workers=2)
+        cfg = path_config()
         doc = json.loads(json.dumps(experiment_to_json(cfg)))
         back = experiment_from_json(doc)
         assert back.model == cfg.model
@@ -119,7 +130,16 @@ class TestConfig:
         assert back.backend == cfg.backend
         assert back.replications == cfg.replications
         assert back.base_seed == cfg.base_seed
-        assert back.workers == 2
+
+    def test_leftover_workers_key_is_ignored(self, tmp_path):
+        doc = experiment_to_json(path_config())
+        outputs = ("replications.csv", "mse_table.csv", "summary.json")
+        runs = []
+        for name, extra in (("plain", {}), ("workers", {"workers": 2})):
+            out = tmp_path / name
+            run_experiment(experiment_from_json(dict(doc, out_dir=str(out), **extra)))
+            runs.append([(out / f).read_bytes() for f in outputs])
+        assert runs[0] == runs[1]
 
 
 class TestRunExact:
@@ -148,8 +168,8 @@ class TestRunExact:
     def test_determinism_of_output_files(self, tmp_path):
         one = tmp_path / "one"
         two = tmp_path / "two"
-        run_experiment(exact_config(out_dir=str(one), workers=3))
-        run_experiment(exact_config(out_dir=str(two), workers=1))
+        run_experiment(exact_config(out_dir=str(one)))
+        run_experiment(exact_config(out_dir=str(two)))
         for name in ("replications.csv", "mse_table.csv", "summary.json"):
             assert (one / name).read_bytes() == (two / name).read_bytes()
 
@@ -202,21 +222,20 @@ class TestRunExact:
 
         monkeypatch.setattr(specpole.mc, "_one_replication", flaky)
         with pytest.warns(UserWarning, match="skipped"):
-            table = run_experiment(exact_config(replications=10, workers=1))
+            table = run_experiment(exact_config(replications=10))
         assert table.counts == (9, 9)
         assert len(table.failures) == 1
         assert table.failures[0][0] == 0
         assert "synthetic failure" in table.failures[0][1]
 
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_programming_errors_propagate(self, monkeypatch, workers):
+    def test_programming_errors_propagate(self, monkeypatch):
         def broken(config, filt, rep):
             raise TypeError("synthetic bug")
 
         monkeypatch.setattr(specpole.mc, "_one_replication", broken)
         with pytest.raises(TypeError, match="synthetic bug"):
-            run_experiment(exact_config(replications=4, workers=workers))
+            run_experiment(exact_config(replications=4))
 
 
 class TestRunPath:

@@ -3,6 +3,7 @@
 import math
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from scipy.linalg import toeplitz
 
 from specpole import simulate
-from specpole.mc import ExperimentConfig, run_experiment
 from specpole.model import GegenbauerSpec, SpectralModel, builtin_filter, indicator_model
 from specpole.simulate import (
     CoefficientPanel,
@@ -481,7 +481,7 @@ class TestPanelFactors:
 
         def counted(*args, **kwargs):
             calls.append(args[2])
-            # hold the build open so concurrent replications overlap it
+            # hold the build open so concurrent callers overlap it
             time.sleep(0.02)
             return real(*args, **kwargs)
 
@@ -489,13 +489,13 @@ class TestPanelFactors:
         return calls
 
     def test_workers_share_one_build_per_level(self, builds):
-        config = ExperimentConfig(
-            model=self.model, filter_name="shannon-father",
-            schedule=ladder((8.0, 16.0, 32.0, 64.0), m=16),
-            backend="exact-gaussian", replications=8, base_seed=900, workers=4,
-        )
-        table = run_experiment(config)
-        assert not table.failures
+        sched = ladder((8.0, 16.0, 32.0, 64.0), m=16)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            panels = list(pool.map(
+                lambda seed: exact_coefficient_sample(self.model, self.filt, sched, seed),
+                range(900, 904),
+            ))
+        assert [p.seed for p in panels] == [900, 901, 902, 903]
         assert sorted(builds) == [8.0, 16.0, 32.0, 64.0]
 
     def test_nine_level_ladder_builds_each_level_once(self, builds):
@@ -636,6 +636,18 @@ class TestSerialization:
             with pytest.raises(ValueError, match="a_j, b_jk and delta_jk") as err:
                 panel_from_csv(target, "path-transform", 0)
         assert "short.csv" in str(err.value)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,1,8,1,0.5\n1,2,8,2,0.4\n1.5,1,16,1,0.3\n1.5,2,16,2,0.2\n", "non-integer j or k"),
+        ("1,1,8,1,0.5\n1,2.5,8,2,0.4\n2,1,16,1,0.3\n2,2,16,2,0.2\n", "non-integer j or k"),
+        ("1,1,8,1,0.5\n1,2,9,2,0.4\n2,1,16,1,0.3\n2,2,16,2,0.2\n", "level 1 more than one a_j"),
+    ], ids=["fractional j", "fractional k", "two a_j"])
+    def test_panel_csv_rejects_inconsistent_indices(self, tmp_path, body, message):
+        target = tmp_path / "odd.csv"
+        target.write_text("j,k,a_j,b_jk,delta_jk\n" + body)
+        with pytest.raises(ValueError, match=message) as err:
+            panel_from_csv(target, "path-transform", 0)
+        assert "odd.csv" in str(err.value)
 
     def test_panel_csv_rejects_non_finite_coefficients(self, tmp_path):
         target = tmp_path / "holey.csv"
