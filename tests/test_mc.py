@@ -229,9 +229,16 @@ class TestRunExact:
         assert "synthetic failure" in table.failures[0][1]
 
 
-    def test_programming_errors_propagate(self, monkeypatch):
+    @pytest.mark.parametrize("bad_rep", [1, 2])
+    def test_programming_errors_propagate(self, monkeypatch, bad_rep):
+        # A programming error aborts the run even after earlier
+        # replications succeeded; it is never recorded as a skip.
+        real = specpole.mc._one_replication
+
         def broken(config, filt, rep):
-            raise TypeError("synthetic bug")
+            if rep == bad_rep:
+                raise TypeError("synthetic bug")
+            return real(config, filt, rep)
 
         monkeypatch.setattr(specpole.mc, "_one_replication", broken)
         with pytest.raises(TypeError, match="synthetic bug"):
