@@ -14,6 +14,10 @@ The reflection rules keep feasible inputs untouched, are idempotent,
 and are total: any real pair comes out strictly inside the region, with
 exact-boundary hits nudged inward by a relative 1e-9 (absolute floor
 1e-12).  All operations are pure functions.
+
+Every step works on arrays as well as on scalars: a panel of R
+replications gives each statistic and estimate as an array over them,
+and a scalar is the one-element case of the same code.
 """
 
 import csv
@@ -42,6 +46,10 @@ __all__ = [
 ]
 
 ADJUSTMENT_CASES = ("none", "case1", "case2", "case3", "case4", "case5")
+_CASE_NAMES = np.array(ADJUSTMENT_CASES)
+# Index into ADJUSTMENT_CASES by 4 (y1 < 1) + 2 (y2 at or above its
+# upper bound) + (y2 <= 0, and not above it).
+_CASE_OF = np.array([3, 5, 4, 0, 0, 2, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +70,13 @@ class StatisticsRow:
     y2_raw: float
 
     def __post_init__(self):
-        if self.delta_bar < 0.0:
+        if np.any(np.asarray(self.delta_bar) < 0.0):
             raise ValueError("StatisticsRow: delta_bar is a mean of squares")
 
 
 @dataclass(frozen=True)
 class FeasiblePoint:
-    """A pair strictly inside the feasible region R_y."""
+    """A pair strictly inside the feasible region R_y (or arrays of them)."""
 
     y1: float
     y2: float
@@ -76,12 +84,15 @@ class FeasiblePoint:
     case_applied: str = "none"
 
     def __post_init__(self):
-        if not in_feasible_region(self.y1, self.y2):
+        outside = ~np.asarray(in_feasible_region(self.y1, self.y2))
+        if outside.any():
+            y1, y2 = np.broadcast_arrays(self.y1, self.y2)
+            k = np.flatnonzero(outside)[0]
             raise ValueError(
                 "FeasiblePoint: (%r, %r) is not strictly inside "
-                "0 < y1 < 1, 0 < y2 < y1^2/2" % (self.y1, self.y2)
+                "0 < y1 < 1, 0 < y2 < y1^2/2" % (y1.flat[k].item(), y2.flat[k].item())
             )
-        if self.case_applied not in ADJUSTMENT_CASES:
+        if not set(np.ravel(self.case_applied).tolist()) <= set(ADJUSTMENT_CASES):
             raise ValueError(
                 "FeasiblePoint: unknown case %r" % (self.case_applied,)
             )
@@ -104,14 +115,23 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 
 
+def _value(x):
+    """A Python scalar for a 0-d result, the array itself otherwise."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
 def first_statistic(panel, j):
-    """Mean of squared coefficients at level j."""
+    """Mean of squared coefficients at level j (per replication row)."""
     level = panel.level_for(j)
-    return float(np.mean(level.coeffs**2))
+    return _value(np.mean(level.coeffs**2, axis=-1))
 
 
 def second_statistic(delta_j, delta_j1, a_j, a_j1):
-    """Difference of mean squares, normalized by inverse-square scales."""
+    """Difference of mean squares, normalized by inverse-square scales.
+
+    The mean squares may be arrays; the scales are two numbers.
+    """
     a_j = float(a_j)
     a_j1 = float(a_j1)
     if not (0.0 < a_j < a_j1):
@@ -119,7 +139,7 @@ def second_statistic(delta_j, delta_j1, a_j, a_j1):
             "second_statistic: need increasing scales, got %r then %r"
             % (a_j, a_j1)
         )
-    return (float(delta_j) - float(delta_j1)) / (a_j**-2.0 - a_j1**-2.0)
+    return _value(np.subtract(delta_j, delta_j1) / (a_j**-2.0 - a_j1**-2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +148,9 @@ def second_statistic(delta_j, delta_j1, a_j, a_j1):
 
 
 def in_feasible_region(y1, y2):
-    """Strict membership test for R_y."""
-    return 0.0 < y1 < 1.0 and 0.0 < y2 < 0.5 * y1 * y1
+    """Strict membership test for R_y, element by element on arrays."""
+    with np.errstate(over="ignore"):
+        return (0.0 < y1) & (y1 < 1.0) & (0.0 < y2) & (y2 < 0.5 * y1 * y1)
 
 
 def forward_map(s0, alpha):
@@ -146,20 +167,16 @@ def forward_map(s0, alpha):
 
 
 def _nudge(value):
-    return max(1e-12, 1e-9 * abs(value))
+    return np.maximum(1e-12, 1e-9 * np.abs(value))
 
 
 def _into_interior(y1, y2):
     """Move exact-boundary hits strictly inside, toward (y1, y1^2/4)."""
-    if y1 >= 1.0:
-        y1 = 1.0 - _nudge(1.0)
-    if y1 <= 0.0:
-        y1 = _nudge(y1)
+    y1 = np.where(y1 >= 1.0, 1.0 - _nudge(1.0), y1)
+    y1 = np.where(y1 <= 0.0, _nudge(y1), y1)
     cap = 0.5 * y1 * y1
-    if y2 >= cap:
-        y2 = cap - min(_nudge(cap), 0.5 * cap)
-    elif y2 <= 0.0:
-        y2 = min(_nudge(y2), 0.5 * cap)
+    y2 = np.where(y2 >= cap, cap - np.minimum(_nudge(cap), 0.5 * cap),
+                  np.where(y2 <= 0.0, np.minimum(_nudge(y2), 0.5 * cap), y2))
     return y1, y2
 
 
@@ -171,43 +188,35 @@ def adjust(y1_raw, y2_raw):
     rules reflect across the violated boundary without crossing the
     opposite one.  When the first coordinate is zero or negative (which
     no reflection rule covers), it is folded to its absolute value, or
-    to 1/2 for an exact zero, before dispatch.
+    to 1/2 for an exact zero, before dispatch.  Arrays are adjusted
+    element by element into a point of arrays.
     """
-    y1 = float(y1_raw)
-    y2 = float(y2_raw)
-    folded = False
-    if y1 <= 0.0:
-        y1 = 0.5 if y1 == 0.0 else -y1
-        folded = True
-    if not folded and in_feasible_region(y1, y2):
-        return FeasiblePoint(y1=y1, y2=y2, adjusted=False, case_applied="none")
-
-    case = "none"
-    if y1 < 1.0:
-        if y2 >= 0.5 * y1 * y1:
-            case = "case1"
-            y2 = max(y1 * y1 - y2, 0.25 * y1 * y1)
-        elif y2 <= 0.0:
-            case = "case2"
-            y2 = min(-y2, 0.25 * y1 * y1)
-    else:
-        if y2 <= 0.0:
-            case = "case5"
-            y2 = min(-y2, 0.25)
-            y1 = max(2.0 - y1, 0.5 * (1.0 + math.sqrt(2.0 * y2)))
-        elif y2 >= 0.5:
-            case = "case4"
-            y2 = max(1.0 - y2, 0.25)
-            y1 = max(2.0 - y1, 0.5 * (1.0 + math.sqrt(2.0 * y2)))
-        else:
-            case = "case3"
-            y1 = max(2.0 - y1, 0.5 * (1.0 + math.sqrt(2.0 * y2)))
-
-    moved = case != "none" or folded
-    if not in_feasible_region(y1, y2):
-        y1, y2 = _into_interior(y1, y2)
-        moved = True
-    return FeasiblePoint(y1=y1, y2=y2, adjusted=moved, case_applied=case)
+    y1 = np.asarray(y1_raw, dtype=float)
+    y2 = np.asarray(y2_raw, dtype=float)
+    folded = y1 <= 0.0
+    y1 = np.where(y1 == 0.0, 0.5, np.abs(y1))
+    # every branch is evaluated on every element; the ones not taken
+    # may overflow or take square roots of negatives
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the upper bound on y2 is r/2: y1^2/2 below y1 = 1, 1/2 above
+        below = y1 < 1.0
+        r = np.fmin(y1 * y1, 1.0)
+        high = y2 >= 0.5 * r
+        low = (y2 <= 0.0) & ~high
+        case = _CASE_OF[4 * below + 2 * high + low]
+        # reflect across the violated bound, no further than r/4
+        y2 = np.where(high, np.maximum(r - y2, 0.25 * r),
+                      np.where(low, np.minimum(-y2, 0.25 * r), y2))
+        y1 = np.where(below, y1, np.maximum(2.0 - y1, 0.5 * (1.0 + np.sqrt(2.0 * y2))))
+    outside = ~in_feasible_region(y1, y2)
+    if outside.any():
+        y1, y2 = _into_interior(y1, y2)  # a no-op on the points inside
+    return FeasiblePoint(
+        y1=_value(y1),
+        y2=_value(y2),
+        adjusted=_value((case != 0) | folded | outside),
+        case_applied=_value(_CASE_NAMES[case]),
+    )
 
 
 def solve(point):
@@ -218,15 +227,15 @@ def solve(point):
     the argument is positive everywhere on R_y, so the principal branch
     applies throughout and the solution is unique.  ``lambert_w0`` is
     accurate over the whole float range, so a tiny y2 (an argument near
-    1e199 for y2 = 1e-200) still inverts.
+    1e199 for y2 = 1e-200) still inverts.  A point of arrays gives
+    arrays.
     """
-    if not in_feasible_region(point.y1, point.y2):
+    y1 = np.asarray(point.y1, dtype=float)
+    y2 = np.asarray(point.y2, dtype=float)
+    if not np.all(in_feasible_region(y1, y2)):
         raise ValueError("solve: point must lie strictly inside R_y")
-    arg = -0.5 * (point.y1 / point.y2) * math.log(point.y1)
-    w = float(lambert_w0(arg))
-    s0 = math.exp(0.5 * w)
-    alpha = (point.y2 / point.y1) * math.exp(w)
-    return s0, alpha
+    w = lambert_w0(-0.5 * (y1 / y2) * np.log(y1))
+    return _value(np.exp(0.5 * w)), _value((y2 / y1) * np.exp(w))
 
 
 # ---------------------------------------------------------------------------
@@ -241,42 +250,55 @@ def estimate(panel, filt):
     trajectory over j is informative in itself; the final estimate is
     conventionally the largest-j row.  Levels whose mean square is
     exactly zero cannot be normalized and are skipped with a warning.
+    On a panel of R replications every field but j is an array over
+    them, and a zero mean square raises ValueError instead, since a
+    level cannot be skipped for some rows only.
     """
-    if len(panel.levels) < 2:
+    levels = panel.levels
+    if len(levels) < 2:
         raise ValueError("estimate: panel needs at least two levels")
-    c2 = filt.c2
-    c3 = filt.c3
-    results = []
-    for level, nxt in zip(panel.levels[:-1], panel.levels[1:]):
-        delta_bar = float(np.mean(level.coeffs**2))
-        delta_next = float(np.mean(nxt.coeffs**2))
-        if delta_bar == 0.0:
+    delta = [np.mean(lv.coeffs**2, axis=-1) for lv in levels]
+    pairs = []
+    for i, level in enumerate(levels[:-1]):
+        if not np.any(delta[i] == 0.0):
+            pairs.append(i)
+        elif isinstance(panel.seed, tuple):
+            raise ValueError(
+                "estimate: level %d has zero mean square in some replication"
+                % level.j
+            )
+        else:
             warnings.warn(
                 "estimate: level %d has zero mean square; skipped" % level.j
             )
-            continue
-        ddelta = second_statistic(delta_bar, delta_next, level.a_j, nxt.a_j)
-        y1_raw = delta_bar / c2
-        y2_raw = ddelta / c3
-        row = StatisticsRow(
-            j=level.j,
-            a_j=level.a_j,
-            delta_bar=delta_bar,
-            delta_bar_next=delta_next,
-            ddelta=ddelta,
-            y1_raw=y1_raw,
-            y2_raw=y2_raw,
-        )
-        point = adjust(y1_raw, y2_raw)
-        s0_hat, alpha_hat = solve(point)
+    if not pairs:
+        return []
+    delta_bar = np.array([delta[i] for i in pairs])
+    delta_next = np.array([delta[i + 1] for i in pairs])
+    ddelta = np.array([
+        second_statistic(delta[i], delta[i + 1], levels[i].a_j, levels[i + 1].a_j)
+        for i in pairs
+    ])
+    y1_raw = delta_bar / filt.c2
+    y2_raw = ddelta / filt.c3
+    point = adjust(y1_raw, y2_raw)
+    s0_hat, alpha_hat = solve(point)
+    q_j = point.y2 / point.y1
+    results = []
+    for k, i in enumerate(pairs):
+        def at(values):
+            return _value(values[k])
+
         results.append(
             EstimateResult(
-                j=level.j,
-                s0_hat=s0_hat,
-                alpha_hat=alpha_hat,
-                q_j=point.y2 / point.y1,
-                point=point,
-                row=row,
+                j=levels[i].j,
+                s0_hat=at(s0_hat),
+                alpha_hat=at(alpha_hat),
+                q_j=at(q_j),
+                point=FeasiblePoint(at(point.y1), at(point.y2), at(point.adjusted),
+                                    at(point.case_applied)),
+                row=StatisticsRow(levels[i].j, levels[i].a_j, at(delta_bar),
+                                  at(delta_next), at(ddelta), at(y1_raw), at(y2_raw)),
             )
         )
     return results

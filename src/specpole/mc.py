@@ -1,14 +1,18 @@
 """Replication harness for the estimation experiment.
 
 Runs many independent realizations of a configured pipeline, estimates
-per replication, and aggregates mean squared errors against the known
-limits.  Both generation back-ends plug in here: the exact Gaussian
-sampler (needs a closed spectral density) and the simulated-path route
-(needs a moving-average recipe pushed through the time-domain filter).
+each, and aggregates mean squared errors against the known limits.
+Both generation back-ends plug in here: the exact Gaussian sampler
+(needs a closed spectral density) and the simulated-path route (needs a
+moving-average recipe pushed through the time-domain filter).
 
-Replications run one after another in the calling thread, with seeds
-base_seed + index: every heavy step is BLAS or numpy, which already
-uses the cores.
+Replication i has seed base_seed + i.  Replications run in batches of
+up to _BATCH stacked coefficients, in the calling thread: a batch is one
+panel of (R, m_j) blocks, sampled with one matrix product per level on
+the exact backend (or stacked from per-seed path panels), and estimated
+as arrays.  A batch that fails numerically is rerun one replication at
+a time, so failures are still recorded per replication.  Every heavy
+step is BLAS or numpy, which already uses the cores.
 """
 
 import json
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import estimate, first_statistic
+from .estimator import estimate
 from .model import (
     ConfigError,
     GegenbauerSpec,
@@ -32,7 +36,13 @@ from .model import (
     model_from_json,
     model_to_json,
 )
-from .simulate import PROVENANCES, exact_coefficient_sample, gegenbauer_path
+from .simulate import (
+    PROVENANCES,
+    CoefficientPanel,
+    PanelLevel,
+    exact_coefficient_sample,
+    gegenbauer_path,
+)
 from .transform import (
     lattice_window,
     panel_from_path,
@@ -170,37 +180,51 @@ def experiment_to_json(config):
 # ---------------------------------------------------------------------------
 
 
-def _one_replication(config, filt, rep):
-    seed = config.base_seed + rep
+# Most coefficients one batch of replications holds (8 MB of float64):
+# a batch takes as many replications as fit, and at least one.
+_BATCH = 1 << 20
+
+
+def _batched_panel(config, filt, seeds):
+    """One panel of the replications drawn from ``seeds``, a tuple."""
     if config.backend == "exact-gaussian":
-        panel = exact_coefficient_sample(
-            config.model, filt, config.schedule, seed
+        return exact_coefficient_sample(config.model, filt, config.schedule, seeds)
+    t_lo, t_hi = lattice_window(filt, config.schedule)
+    panels = [
+        panel_from_path(
+            gegenbauer_path(config.model, t_hi - t_lo + 1, float(t_lo), 1.0, seed),
+            filt,
+            config.schedule,
         )
-    else:
-        t_lo, t_hi = lattice_window(filt, config.schedule)
-        path = gegenbauer_path(
-            config.model, t_hi - t_lo + 1, float(t_lo), 1.0, seed
-        )
-        panel = panel_from_path(path, filt, config.schedule)
+        for seed in seeds
+    ]
+    levels = tuple(
+        PanelLevel(j=lvs[0].j, a_j=lvs[0].a_j, shifts=lvs[0].shifts,
+                   coeffs=np.stack([lv.coeffs for lv in lvs]))
+        for lvs in zip(*(p.levels for p in panels))
+    )
+    return CoefficientPanel(levels=levels, provenance=config.backend, seed=seeds)
+
+
+def _replicate(config, filt, reps):
+    """Sample and estimate the replications ``reps`` as one batch.
+
+    Returns their indices and (levels, R) arrays of the statistics, the
+    estimates and the adjustment cases; the last level has no successor,
+    so it has only its mean square.
+    """
+    reps = list(reps)
+    panel = _batched_panel(config, filt, tuple(config.base_seed + r for r in reps))
     results = estimate(panel, filt)
-    by_j = {res.j: res for res in results}
-    rows = []
-    for lv in panel.levels:
-        res = by_j.get(lv.j)
-        rows.append(
-            {
-                "rep": rep,
-                "seed": seed,
-                "j": lv.j,
-                "a_j": lv.a_j,
-                "delta_bar": first_statistic(panel, lv.j),
-                "ddelta": res.row.ddelta if res else None,
-                "s0_hat": res.s0_hat if res else None,
-                "alpha_hat": res.alpha_hat if res else None,
-                "case": res.point.case_applied if res else "",
-            }
-        )
-    return rows
+    return {
+        "rep": np.array(reps),
+        "delta_bar": np.array([r.row.delta_bar for r in results]
+                              + [results[-1].row.delta_bar_next]),
+        "ddelta": np.array([r.row.ddelta for r in results]),
+        "s0_hat": np.array([r.s0_hat for r in results]),
+        "alpha_hat": np.array([r.alpha_hat for r in results]),
+        "case": np.array([r.point.case_applied for r in results]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -225,58 +249,76 @@ class MseTable:
     rows: tuple = field(repr=False)
 
 
-def _mse(values, target):
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return None
-    return float(np.mean((np.asarray(vals, dtype=float) - target) ** 2))
-
-
-def _aggregate(config, all_rows, failures):
+def _aggregate(config, batches, failures):
     targets = config.targets()
     js = tuple(lv.j for lv in config.schedule.levels)
     a_js = tuple(lv.a_j for lv in config.schedule.levels)
-    per_j = {j: [] for j in js}
-    for row in all_rows:
-        per_j[row["j"]].append(row)
-    counts, mse_db, mse_dd, mse_s0, mse_al = [], [], [], [], []
-    for j in js:
-        rows = per_j[j]
-        counts.append(len(rows))
-        mse_db.append(_mse([r["delta_bar"] for r in rows], targets["delta_bar"]))
-        mse_dd.append(_mse([r["ddelta"] for r in rows], targets["ddelta"]))
-        mse_s0.append(_mse([r["s0_hat"] for r in rows], targets["s0"]))
-        mse_al.append(_mse([r["alpha_hat"] for r in rows], targets["alpha"]))
+    cols = {key: np.concatenate([b[key] for b in batches], axis=-1)
+            for key in batches[0]}
+    mse = {
+        key: tuple(np.mean((cols[key] - targets[target]) ** 2, axis=1).tolist())
+        for key, target in (("delta_bar", "delta_bar"), ("ddelta", "ddelta"),
+                            ("s0_hat", "s0"), ("alpha_hat", "alpha"))
+    }
+    cols = {key: col.tolist() for key, col in cols.items()}
+    rows = []
+    for k, rep in enumerate(cols["rep"]):
+        for i, j in enumerate(js):
+            last = i == len(js) - 1
+            rows.append(
+                {
+                    "rep": rep,
+                    "seed": config.base_seed + rep,
+                    "j": j,
+                    "a_j": a_js[i],
+                    "delta_bar": cols["delta_bar"][i][k],
+                    "ddelta": None if last else cols["ddelta"][i][k],
+                    "s0_hat": None if last else cols["s0_hat"][i][k],
+                    "alpha_hat": None if last else cols["alpha_hat"][i][k],
+                    "case": "" if last else cols["case"][i][k],
+                }
+            )
     return MseTable(
         js=js,
         a_js=a_js,
-        counts=tuple(counts),
-        mse_delta_bar=tuple(mse_db),
-        mse_ddelta=tuple(mse_dd),
-        mse_s0_hat=tuple(mse_s0),
-        mse_alpha_hat=tuple(mse_al),
+        counts=(len(cols["rep"]),) * len(js),
+        mse_delta_bar=mse["delta_bar"],
+        mse_ddelta=mse["ddelta"] + (None,),
+        mse_s0_hat=mse["s0_hat"] + (None,),
+        mse_alpha_hat=mse["alpha_hat"] + (None,),
         targets=targets,
         replications=config.replications,
         failures=tuple(failures),
-        rows=tuple(all_rows),
+        rows=tuple(rows),
     )
 
 
 def run_experiment(config):
     """Run all replications, aggregate, and write outputs if configured.
 
-    Per-replication failures are recorded and skipped; more than 20%
-    of them aborts the experiment.  With out_dir set, writes
-    replications.csv, mse_table.csv and summary.json.
+    Replications run in batches of as many as hold about _BATCH
+    coefficients, each sampled and estimated as arrays.  A batch that
+    fails numerically is rerun one replication at a time, so each
+    failure is recorded and skipped on its own; more than 20% of them
+    aborts the experiment.  With out_dir set, writes replications.csv,
+    mse_table.csv and summary.json.
     """
     filt = builtin_filter(config.filter_name, sigma=config.sigma)
     n_rep = config.replications
-    all_rows, failures = [], []
-    for rep in range(n_rep):
+    size = max(1, _BATCH // sum(lv.m_j for lv in config.schedule.levels))
+    batches, failures = [], []
+    for first in range(0, n_rep, size):
+        reps = range(first, min(first + size, n_rep))
         try:
-            all_rows.extend(_one_replication(config, filt, rep))
-        except (ArithmeticError, ValueError) as exc:
-            failures.append((rep, "%s: %s" % (type(exc).__name__, exc)))
+            batches.append(_replicate(config, filt, reps))
+            continue
+        except (ArithmeticError, ValueError):
+            pass
+        for rep in reps:
+            try:
+                batches.append(_replicate(config, filt, [rep]))
+            except (ArithmeticError, ValueError) as exc:
+                failures.append((rep, "%s: %s" % (type(exc).__name__, exc)))
     if len(failures) > 0.2 * n_rep:
         raise RuntimeError(
             "run_experiment: %d of %d replications failed (over 20%%); "
@@ -287,7 +329,7 @@ def run_experiment(config):
             "run_experiment: %d of %d replications failed and were skipped"
             % (len(failures), n_rep)
         )
-    table = _aggregate(config, all_rows, failures)
+    table = _aggregate(config, batches, failures)
     if config.out_dir is not None:
         write_outputs(table, config.out_dir)
     return table

@@ -53,6 +53,7 @@ __all__ = [
 PROVENANCES = ("path-transform", "exact-gaussian")
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 _INNOVATION_TAG = 1
 _PANEL_TAG = 2
 
@@ -78,15 +79,21 @@ def _mix64(z):
 def gaussian_stream(seed, tag, indices):
     """Standard normals at the given indices of stream (seed, tag).
 
-    Each output is a pure function of its index, so overlapping index
-    windows agree bit-exactly and negative indices are valid (they wrap
-    through two's complement into distinct counters).
+    Each output is a pure function of its seed, tag and index, so
+    overlapping index windows agree bit-exactly and negative indices are
+    valid (they wrap through two's complement into distinct counters).
+    ``seed`` may be an integer or an array of them, broadcast against
+    ``indices``: seeds of shape (R,) with indices of shape (M, 1) give an
+    (M, R) block whose column r is the stream of seed r.  Every seed is
+    reduced modulo 2^64 as a Python int, so a batch draws exactly what
+    the seeds draw one by one.
     """
+    seeds = np.asarray(seed, dtype=object)
+    seeds = np.array([int(s) & _MASK64 for s in seeds.flat],
+                     dtype=np.uint64).reshape(seeds.shape)
     idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
     with np.errstate(over="ignore"):
-        base = _mix64(
-            np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) ^ _mix64(np.uint64(tag) + _GOLDEN)
-        )
+        base = _mix64(seeds ^ _mix64(np.uint64(tag) + _GOLDEN))
         bits = _mix64(base + (idx + np.uint64(1)) * _GOLDEN)
     u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
     return ndtri(u)
@@ -123,7 +130,11 @@ class PathRealization:
 
 @dataclass(frozen=True, eq=False)
 class PanelLevel:
-    """Coefficients delta_jk and their shifts at one scale."""
+    """Coefficients delta_jk and their shifts at one scale.
+
+    ``coeffs`` is a vector over the shifts, or an (R, m) block holding R
+    replications in its rows.
+    """
 
     j: int
     a_j: float
@@ -133,8 +144,12 @@ class PanelLevel:
     def __post_init__(self):
         object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=float))
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.shifts.shape != self.coeffs.shape or self.shifts.ndim != 1:
-            raise ValueError("PanelLevel: shifts and coeffs must be equal-length vectors")
+        if (self.shifts.ndim != 1 or self.coeffs.ndim not in (1, 2)
+                or self.coeffs.shape[-1] != self.shifts.size):
+            raise ValueError(
+                "PanelLevel: shifts and coeffs must be equal-length vectors, "
+                "or coeffs a block of rows of that length"
+            )
         if self.shifts.size < 1:
             raise ValueError("PanelLevel: need at least one shift")
         if self.shifts.size > 1 and not np.all(np.diff(self.shifts) > 0):
@@ -145,11 +160,15 @@ class PanelLevel:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientPanel:
-    """Per-scale coefficient vectors with their provenance and seed."""
+    """Per-scale coefficient vectors with their provenance and seed.
+
+    A panel of R replications has a tuple of R seeds and (R, m_j)
+    coefficient blocks whose row r was drawn from seed r.
+    """
 
     levels: tuple
     provenance: str
-    seed: int
+    seed: object
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -162,6 +181,12 @@ class CoefficientPanel:
         scales = [lv.a_j for lv in self.levels]
         if not np.all(np.diff(scales) > 0):
             raise ValueError("CoefficientPanel: scales must be strictly increasing")
+        rows = (len(self.seed),) if isinstance(self.seed, tuple) else ()
+        if rows == (0,) or any(lv.coeffs.shape[:-1] != rows for lv in self.levels):
+            raise ValueError(
+                "CoefficientPanel: an int seed needs coefficient vectors, and "
+                "a tuple of R >= 1 seeds (R, m_j) blocks at every level"
+            )
 
     def level_for(self, j):
         for lv in self.levels:
@@ -492,12 +517,15 @@ def _panel_factors(model, filt, schedule, spec):
 
 
 def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
-    """Draw one panel of coefficients from their exact Gaussian law.
+    """Draw a panel of coefficients from their exact Gaussian law.
 
     Every level draws its normals from the low indices of one shared
     pool keyed by (seed, panel tag), so levels with nested sizes are
     positively coupled across scales; see the module docstring for why.
-    Deterministic in the seed.
+    Deterministic in the seed.  ``seed`` may also be a tuple of R ints:
+    each level is then one product of its factor with the (m_j, R)
+    normals of all seeds, an (R, m_j) block whose row r matches the
+    panel of seed r to rounding.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -508,12 +536,18 @@ def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
                 "factorization guard of 8192" % (lv.m_j, lv.j)
             )
     factors = _panel_factors(model, filt, schedule, spec)
-    z = gaussian_stream(seed, _PANEL_TAG, np.arange(max(lv.m_j for lv in schedule.levels)))
+    idx = np.arange(max(lv.m_j for lv in schedule.levels))
+    if isinstance(seed, tuple):
+        seed = tuple(int(s) for s in seed)
+        idx = idx[:, None]
+    else:
+        seed = int(seed)
+    z = gaussian_stream(seed, _PANEL_TAG, idx)
     levels = tuple(
-        PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(), coeffs=factor @ z[: lv.m_j])
+        PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(), coeffs=(factor @ z[: lv.m_j]).T)
         for lv, factor in zip(schedule.levels, factors)
     )
-    return CoefficientPanel(levels=levels, provenance="exact-gaussian", seed=int(seed))
+    return CoefficientPanel(levels=levels, provenance="exact-gaussian", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +557,8 @@ def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
 
 def panel_to_csv(panel, path):
     """Write a panel as CSV with columns j, k, a_j, b_jk, delta_jk."""
+    if isinstance(panel.seed, tuple):
+        raise ValueError("panel_to_csv: a panel of several replications has no CSV form")
     arr = np.vstack([np.column_stack(np.broadcast_arrays(
         lv.j, np.arange(1, lv.shifts.size + 1), lv.a_j, lv.shifts, lv.coeffs))
         for lv in panel.levels])

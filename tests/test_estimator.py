@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from specpole.estimator import (
+    ADJUSTMENT_CASES,
     EstimateResult,
     FeasiblePoint,
     StatisticsRow,
@@ -21,6 +23,7 @@ from specpole.estimator import (
     solve,
 )
 from specpole.model import builtin_filter, indicator_model
+from specpole.specfun import lambert_w0
 from specpole.simulate import (
     CoefficientPanel,
     PanelLevel,
@@ -207,6 +210,111 @@ class TestAdjust:
             FeasiblePoint(y1=0.5, y2=0.05, case_applied="case9")
 
 
+def reference_adjust(y1, y2):
+    """The five reflection rules one pair at a time, in plain floats."""
+    def feasible(y1, y2):
+        return 0.0 < y1 < 1.0 and 0.0 < y2 < 0.5 * y1 * y1
+
+    def nudge(value):
+        return max(1e-12, 1e-9 * abs(value))
+
+    folded = y1 <= 0.0
+    if folded:
+        y1 = 0.5 if y1 == 0.0 else -y1
+    if not folded and feasible(y1, y2):
+        return y1, y2, False, "none", False
+    case = "none"
+    if y1 < 1.0:
+        if y2 >= 0.5 * y1 * y1:
+            case, y2 = "case1", max(y1 * y1 - y2, 0.25 * y1 * y1)
+        elif y2 <= 0.0:
+            case, y2 = "case2", min(-y2, 0.25 * y1 * y1)
+    else:
+        if y2 <= 0.0:
+            case, y2 = "case5", min(-y2, 0.25)
+        elif y2 >= 0.5:
+            case, y2 = "case4", max(1.0 - y2, 0.25)
+        else:
+            case = "case3"
+        y1 = max(2.0 - y1, 0.5 * (1.0 + math.sqrt(2.0 * y2)))
+    moved = case != "none" or folded
+    nudged = not feasible(y1, y2)
+    if nudged:
+        if y1 >= 1.0:
+            y1 = 1.0 - nudge(1.0)
+        if y1 <= 0.0:
+            y1 = nudge(y1)
+        cap = 0.5 * y1 * y1
+        if y2 >= cap:
+            y2 = cap - min(nudge(cap), 0.5 * cap)
+        elif y2 <= 0.0:
+            y2 = min(nudge(y2), 0.5 * cap)
+        moved = True
+    return y1, y2, moved, case, nudged
+
+
+class TestArrayForm:
+    """adjust and solve on arrays agree with one pair at a time."""
+
+    @staticmethod
+    def grid():
+        inf = math.inf
+        firsts = [-inf, -3.0, -1.2, -0.5, -0.0, 0.0, 1e-150, 0.3, 0.5, 0.8,
+                  1.0 - 1e-17, 1.0, 1.2, 1.5, 2.0, 1e200, inf]
+        pairs = []
+        for y1 in firsts:
+            seconds = [-inf, -2.0, -0.1, -1e-200, 0.0, 1e-200, 0.02, 0.05, 0.3,
+                       0.5, 0.7, 1.0, 2.0, 1e300, inf]
+            y = abs(y1) if y1 else 0.5
+            if math.isfinite(y):
+                seconds += [0.5 * y * y, 0.25 * y * y, 0.5 * y * y * (1.0 + 1e-16)]
+            pairs += [(y1, y2) for y2 in seconds]
+        return np.array(pairs).T
+
+    def test_grid_covers_every_case_fold_and_nudge(self):
+        refs = [reference_adjust(a, b) for a, b in zip(*self.grid())]
+        assert {r[3] for r in refs} == set(ADJUSTMENT_CASES)
+        assert any(r[2] and r[3] == "none" for r in refs)  # folded only
+        assert {r[3] for r in refs if r[4]} >= {"case1", "case2", "case3", "case4"}
+
+    def test_adjust_matches_reference_and_scalar_calls(self):
+        y1, y2 = self.grid()
+        point = adjust(y1.reshape(-1, 3), y2.reshape(-1, 3))
+        assert point.y1.shape == (y1.size // 3, 3)
+        flat = [np.ravel(v) for v in (point.y1, point.y2, point.adjusted, point.case_applied)]
+        for k, (a, b) in enumerate(zip(y1, y2)):
+            scalar = adjust(a, b)
+            assert type(scalar.y1) is float and type(scalar.adjusted) is bool
+            assert type(scalar.case_applied) is str
+            want = reference_adjust(float(a), float(b))[:4]
+            got = tuple(v[k] for v in flat)
+            assert got == want == (scalar.y1, scalar.y2, scalar.adjusted,
+                                   scalar.case_applied), (a, b)
+
+    def test_solve_matches_scalar_calls(self):
+        point = adjust(*self.grid())
+        s0, alpha = solve(point)
+        assert s0.shape == alpha.shape == point.y1.shape
+        for k in range(s0.size):
+            one = FeasiblePoint(y1=float(point.y1[k]), y2=float(point.y2[k]))
+            s, al = solve(one)
+            assert type(s) is float and type(al) is float
+            # exp and log may take another vector path at another size
+            np.testing.assert_allclose((s0[k], alpha[k]), (s, al), rtol=1e-15)
+            # the closed form in plain floats
+            w = lambert_w0(-0.5 * (one.y1 / one.y2) * math.log(one.y1))
+            np.testing.assert_allclose((s, al), (math.exp(0.5 * w), one.y2 / one.y1 * math.exp(w)),
+                                       rtol=1e-15)
+
+    def test_infeasible_array_points_are_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0\.8, 0\.4\) is not strictly inside"):
+            FeasiblePoint(y1=np.array([0.5, 0.8]), y2=np.array([0.05, 0.4]))
+        with pytest.raises(ValueError, match="strictly inside"):
+            adjust(np.array([0.5, math.nan]), np.array([0.05, 0.1]))
+        with pytest.raises(ValueError, match="strictly inside"):
+            solve(SimpleNamespace(y1=np.array([0.5, 1.0]), y2=np.array([0.05, 0.1])))
+
+
 class TestSolve:
     def test_closed_form_example(self):
         y1, y2 = forward_map(math.sqrt(math.e), 0.25)
@@ -306,6 +414,43 @@ class TestEstimate:
         with pytest.warns(UserWarning, match="zero mean square"):
             res = estimate(panel, self.filt)
         assert [r.j for r in res] == [2]
+
+    def test_batched_panel_matches_its_rows(self):
+        seeds = (31, 32, 33, 34)
+        rows = [self.exact_panel(s, sizes=((8.0, 64), (16.0, 64), (32.0, 64)))
+                for s in seeds]
+        batch = CoefficientPanel(
+            levels=tuple(
+                PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts,
+                           coeffs=np.stack([p.levels[i].coeffs for p in rows]))
+                for i, lv in enumerate(rows[0].levels)
+            ),
+            provenance="exact-gaussian",
+            seed=seeds,
+        )
+        batched = estimate(batch, self.filt)
+        assert [res.j for res in batched] == [1, 2]
+        for r, panel in enumerate(rows):
+            for res, one in zip(batched, estimate(panel, self.filt)):
+                assert res.point.case_applied[r] == one.point.case_applied
+                assert res.point.adjusted[r] == one.point.adjusted
+                assert res.row.delta_bar[r] == one.row.delta_bar
+                np.testing.assert_allclose(
+                    [res.s0_hat[r], res.alpha_hat[r], res.q_j[r], res.row.ddelta[r],
+                     res.point.y1[r], res.point.y2[r]],
+                    [one.s0_hat, one.alpha_hat, one.q_j, one.row.ddelta,
+                     one.point.y1, one.point.y2],
+                    rtol=1e-15,
+                )
+
+    def test_zero_level_in_a_batch_raises(self):
+        level = PanelLevel(j=1, a_j=1.0, shifts=[1.0, 2.0],
+                           coeffs=[[1.0, 2.0], [0.0, 0.0]])
+        nxt = PanelLevel(j=2, a_j=2.0, shifts=[2.0], coeffs=[[1.0], [1.5]])
+        panel = CoefficientPanel(levels=(level, nxt), provenance="exact-gaussian",
+                                 seed=(1, 2))
+        with pytest.raises(ValueError, match="level 1 has zero mean square"):
+            estimate(panel, self.filt)
 
     def test_needs_two_levels(self):
         panel = panel_of([(1.0, [1.0])])

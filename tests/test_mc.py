@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,14 +214,14 @@ class TestRunExact:
             run_experiment(cfg)
 
     def test_sparse_failures_recorded_and_skipped(self, monkeypatch):
-        real = specpole.mc._one_replication
+        real = specpole.mc._replicate
 
-        def flaky(config, filt, rep):
-            if rep == 0:
+        def flaky(config, filt, reps):
+            if 0 in reps:
                 raise ValueError("synthetic failure")
-            return real(config, filt, rep)
+            return real(config, filt, reps)
 
-        monkeypatch.setattr(specpole.mc, "_one_replication", flaky)
+        monkeypatch.setattr(specpole.mc, "_replicate", flaky)
         with pytest.warns(UserWarning, match="skipped"):
             table = run_experiment(exact_config(replications=10))
         assert table.counts == (9, 9)
@@ -228,21 +229,115 @@ class TestRunExact:
         assert table.failures[0][0] == 0
         assert "synthetic failure" in table.failures[0][1]
 
+    def test_failure_inside_a_batch_keeps_the_other_rows_in_order(self, monkeypatch):
+        full = run_experiment(exact_config(replications=10))
+        real = specpole.mc._replicate
+        calls = []
+
+        def flaky(config, filt, reps):
+            calls.append(list(reps))
+            if 5 in reps:
+                raise ArithmeticError("synthetic failure")
+            return real(config, filt, reps)
+
+        monkeypatch.setattr(specpole.mc, "_replicate", flaky)
+        with pytest.warns(UserWarning, match="1 of 10 replications failed"):
+            table = run_experiment(exact_config(replications=10))
+        # one batch, then each replication of it on its own
+        assert calls == [list(range(10))] + [[rep] for rep in range(10)]
+        assert table.failures == ((5, "ArithmeticError: synthetic failure"),)
+        kept = [0, 1, 2, 3, 4, 6, 7, 8, 9]
+        assert [r["rep"] for r in table.rows] == [rep for rep in kept for _ in range(2)]
+        assert [r["seed"] for r in table.rows[::2]] == [900 + rep for rep in kept]
+        expected = [r for r in full.rows if r["rep"] != 5]
+        for got, want in zip(table.rows, expected):
+            assert got["case"] == want["case"]
+            for key in ("delta_bar", "ddelta", "s0_hat", "alpha_hat"):
+                if want[key] is None:
+                    assert got[key] is None
+                else:
+                    np.testing.assert_allclose(got[key], want[key], rtol=1e-12)
 
     @pytest.mark.parametrize("bad_rep", [1, 2])
     def test_programming_errors_propagate(self, monkeypatch, bad_rep):
         # A programming error aborts the run even after earlier
         # replications succeeded; it is never recorded as a skip.
-        real = specpole.mc._one_replication
+        real = specpole.mc._replicate
 
-        def broken(config, filt, rep):
-            if rep == bad_rep:
+        def broken(config, filt, reps):
+            if bad_rep in reps:
                 raise TypeError("synthetic bug")
-            return real(config, filt, rep)
+            return real(config, filt, reps)
 
-        monkeypatch.setattr(specpole.mc, "_one_replication", broken)
+        monkeypatch.setattr(specpole.mc, "_replicate", broken)
         with pytest.raises(TypeError, match="synthetic bug"):
             run_experiment(exact_config(replications=4))
+
+    @pytest.mark.parametrize("bad_rep", [1, 2])
+    def test_programming_errors_in_a_rerun_propagate(self, monkeypatch, bad_rep):
+        # The batch fails numerically, and the rerun of one replication
+        # then hits a programming error: it still aborts the run.
+        real = specpole.mc._replicate
+
+        def broken(config, filt, reps):
+            if bad_rep in reps:
+                if len(reps) == 1:
+                    raise TypeError("synthetic bug")
+                raise ValueError("synthetic failure")
+            return real(config, filt, reps)
+
+        monkeypatch.setattr(specpole.mc, "_replicate", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(exact_config(replications=4))
+
+
+class TestBatches:
+    def test_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
+        big = run_experiment(exact_config(replications=10))
+        # 96 coefficients per replication: batches of 3, 3, 3 and 1
+        monkeypatch.setattr(specpole.mc, "_BATCH", 3 * 96 + 50)
+        small = run_experiment(exact_config(replications=10))
+        assert len(small.rows) == len(big.rows)
+        for got, want in zip(small.rows, big.rows):
+            assert (got["rep"], got["seed"], got["j"], got["case"]) == (
+                want["rep"], want["seed"], want["j"], want["case"])
+            for key in ("delta_bar", "ddelta", "s0_hat", "alpha_hat"):
+                if want[key] is None:
+                    assert got[key] is None
+                else:
+                    np.testing.assert_allclose(got[key], want[key], rtol=1e-12)
+        np.testing.assert_allclose(small.mse_delta_bar, big.mse_delta_bar, rtol=1e-12)
+
+    def test_path_backend_batch_matches_single_replications(self):
+        cfg = path_config(replications=3)
+        table = run_experiment(cfg)
+        for rep in range(3):
+            single = run_experiment(path_config(replications=1, base_seed=10 + rep))
+            rows = [r for r in table.rows if r["rep"] == rep]
+            for got, want in zip(rows, single.rows):
+                assert got["case"] == want["case"]
+                assert (got["delta_bar"], got["ddelta"]) == (want["delta_bar"], want["ddelta"])
+                if want["s0_hat"] is not None:
+                    # exp and log may take another vector path at another size
+                    np.testing.assert_allclose([got["s0_hat"], got["alpha_hat"]],
+                                               [want["s0_hat"], want["alpha_hat"]], rtol=1e-15)
+
+    def test_thousands_of_replications_stay_in_bounded_memory(self):
+        # 512 coefficients a replication: 8000 of them would stack 4.1M
+        # coefficients (32 MB) at once; batches of at most 2^20 keep the
+        # traced peak under 24 MB, rows of the table included.
+        cfg = exact_config(
+            schedule=small_schedule(((8.0, 256), (16.0, 256))), replications=8000
+        )
+        run_experiment(dataclasses.replace(cfg, replications=1))  # build the factors
+        tracemalloc.start()
+        try:
+            table = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.counts == (8000, 8000)
+        assert peak < 24e6, peak / 1e6
 
 
 class TestRunPath:

@@ -82,6 +82,21 @@ class TestGaussianStream:
         assert abs(np.corrcoef(base, other_tag)[0, 1]) <= 6.0 / math.sqrt(n)
         assert abs(np.corrcoef(base, other_seed)[0, 1]) <= 6.0 / math.sqrt(n)
 
+    def test_seed_array_matches_each_seed_bit_for_bit(self):
+        # Seeds reduce modulo 2^64 as Python ints: 2^63 and 2^64 - 1 do
+        # not fit an int64, and -1 wraps to 2^64 - 1.
+        seeds = (-1, 0, 2**63 - 1, 2**63, 2**64 - 1)
+        idx = np.arange(-3, 200)
+        block = gaussian_stream(seeds, 2, idx[:, None])
+        assert block.shape == (idx.size, len(seeds))
+        for r, seed in enumerate(seeds):
+            np.testing.assert_array_equal(block[:, r], gaussian_stream(seed, 2, idx))
+        np.testing.assert_array_equal(block[:, 0], block[:, 4])
+        np.testing.assert_array_equal(
+            gaussian_stream(np.array([5, 6]), 1, idx[:, None]),
+            gaussian_stream((5, 6), 1, idx[:, None]),
+        )
+
 
 class TestGegenbauerPath:
     def test_zero_noise_gives_zero_path(self):
@@ -516,6 +531,40 @@ class TestPanelFactors:
         same = exact_coefficient_sample(self.model, self.filt, sched, 2)
         for lv, ref in zip(panels[-1].levels, same.levels):
             np.testing.assert_array_equal(lv.coeffs, ref.coeffs)
+
+
+class TestBatchedSample:
+    model = indicator_model(1.2661036727794992, 0.1, 3.0)
+    filt = builtin_filter("shannon-father")
+
+    @pytest.mark.parametrize("seeds", [(7,), (7, 8), (3, 900, -1, 2**63, 12)])
+    def test_rows_match_single_seed_panels(self, seeds):
+        # gemm and gemv round differently, so rows agree to rounding only
+        sched = ladder((8.0, 16.0, 32.0), m=48)
+        batch = exact_coefficient_sample(self.model, self.filt, sched, seeds)
+        assert batch.seed == seeds
+        for r, seed in enumerate(seeds):
+            single = exact_coefficient_sample(self.model, self.filt, sched, seed)
+            for lv, ref in zip(batch.levels, single.levels):
+                assert lv.coeffs.shape == (len(seeds), 48)
+                np.testing.assert_array_equal(lv.shifts, ref.shifts)
+                scale = np.max(np.abs(ref.coeffs))
+                np.testing.assert_allclose(lv.coeffs[r], ref.coeffs, rtol=0.0,
+                                           atol=1e-14 * scale)
+
+    def test_panel_rows_must_match_the_seeds(self):
+        block = PanelLevel(j=1, a_j=2.0, shifts=[1.0, 2.0], coeffs=np.ones((3, 2)))
+        CoefficientPanel(levels=(block,), provenance="exact-gaussian", seed=(1, 2, 3))
+        with pytest.raises(ValueError, match="tuple of R"):
+            CoefficientPanel(levels=(block,), provenance="exact-gaussian", seed=(1, 2))
+        with pytest.raises(ValueError, match="int seed"):
+            CoefficientPanel(levels=(block,), provenance="exact-gaussian", seed=1)
+        empty = PanelLevel(j=1, a_j=2.0, shifts=[1.0], coeffs=np.ones((0, 1)))
+        with pytest.raises(ValueError, match="tuple of R"):
+            CoefficientPanel(levels=(empty,), provenance="exact-gaussian", seed=())
+        with pytest.raises(ValueError, match="several replications"):
+            panel_to_csv(CoefficientPanel(levels=(block,), provenance="exact-gaussian",
+                                          seed=(1, 2, 3)), "unused.csv")
 
 
 class TestPanelTypes:
