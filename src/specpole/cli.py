@@ -342,6 +342,11 @@ def cmd_estimate(args):
         seed = 0
     panel = panel_from_csv(panel_csv, provenance, seed)
     results = estimate(panel, filt)
+    if not results:
+        raise ValueError(
+            "estimate: no level pair of %s can be estimated; every level "
+            "with a successor has zero mean square" % panel_csv
+        )
     out_dir = _ensure_out(args.out)
     results_to_csv(results, os.path.join(out_dir, "estimates.csv"))
     resolved = {

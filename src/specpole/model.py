@@ -27,7 +27,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import lambertw
 
 from .specfun import QuadratureSpec, gegenbauer_coeffs, integrate
 
@@ -249,6 +248,12 @@ BUILTIN_FILTER_NAMES = (
 # the father filter) is documented in the README.
 _SHANNON_TIME_THRESHOLD = 1e-4
 _MEXICAN_TIME_THRESHOLD = 1e-10
+# Lower-branch Lambert W values that fix the Mexican hat's effective band
+# and support (see _mexican_hat): W_-1(-1e-6/e) and
+# W_-1(-_MEXICAN_TIME_THRESHOLD sqrt(e)/2), as scipy.special.lambertw
+# gives them; tests/test_model.py checks both against it.
+_MEXICAN_W_BAND = -17.68842079085992
+_MEXICAN_W_TIME = -26.495991570563227
 
 
 def _moments(psi_hat, A, breakpoints):
@@ -342,9 +347,8 @@ def _mexican_hat(sigma):
     # (x^2/2)^2 exp(2 - x^2) falls to 1e-12 at x^2 = -2 W_-1(-1e-6/e), and
     # |psi(t)| / |psi(0)| = (x^2 - 1) exp(-x^2/2) with x = t/sigma falls
     # to the time threshold tau at x^2 = 1 - 2 W_-1(-tau sqrt(e)/2).
-    A_eff = math.sqrt(-2.0 * lambertw(-1e-6 / math.e, -1).real) / sigma
-    w_t = lambertw(-0.5 * math.sqrt(math.e) * _MEXICAN_TIME_THRESHOLD, -1).real
-    T = float(math.ceil(sigma * math.sqrt(1.0 - 2.0 * w_t)))
+    A_eff = math.sqrt(-2.0 * _MEXICAN_W_BAND) / sigma
+    T = float(math.ceil(sigma * math.sqrt(1.0 - 2.0 * _MEXICAN_W_TIME)))
     return psi, psi_hat, A_eff, True, T, ()
 
 

@@ -18,6 +18,11 @@ panels at different scales share low indices of one normal pool.  That
 sharing is deliberate: difference statistics of panel averages then see
 positively coupled noise, which cancels in across-scale differences the
 same way it would along one long realization.
+
+SciPy is imported inside the functions that call it (``ndtri`` in
+``gaussian_stream``, ``dct`` and ``toeplitz`` for the covariance column
+and matrix, ``quad`` for the oscillatory fallback), so that reading and
+writing CSVs and the path transform load no SciPy module.
 """
 
 import math
@@ -26,10 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.integrate import quad as scipy_quad
-from scipy.linalg import toeplitz
-from scipy.special import ndtri
 
 from .model import FilterSpec, SpectralModel
 from .specfun import QuadratureConvergenceError, QuadratureSpec, integrate
@@ -96,6 +97,8 @@ def gaussian_stream(seed, tag, indices):
         base = _mix64(seeds ^ _mix64(np.uint64(tag) + _GOLDEN))
         bits = _mix64(base + (idx + np.uint64(1)) * _GOLDEN)
     u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    from scipy.special import ndtri
+
     return ndtri(u)
 
 
@@ -285,9 +288,11 @@ def _entry_oscillatory(model, filt, a, delta_b, upper, sing, breaks, spec):
         for lo, hi in zip(knots[:-1], knots[1:])
         if not any(abs(0.5 * (lo + hi) - s) < max(1e-9, 1e-12 * s) for s in interior)
     ]
+    from scipy.integrate import quad
+
     total = 0.0
     for lo, hi in keep:
-        piece, piece_err = scipy_quad(
+        piece, piece_err = quad(
             g,
             lo,
             hi,
@@ -378,6 +383,8 @@ def _dct_column(model, filt, a, gamma, m, spec):
     n = 1 << (max(_DCT_MIN_NODES, _DCT_NODES_PER_LAG * steps * m) - 1).bit_length()
     if n > _DCT_MAX_NODES:
         return None
+    from scipy.fft import dct
+
     lam = np.linspace(0.0, upper, 2 * n + 1)
     # a * upper may round past the band edge A; keep the edge node inside
     win = np.abs(filt.psi_hat(np.minimum(a * lam, filt.band_limit_A))) ** 2
@@ -442,6 +449,8 @@ def coefficient_covariance(model, filt, a_j, shifts, spec=None):
         col = _dct_column(model, filt, a_j, gamma, m, spec)
         if col is None:
             col = np.array([entry(k * gamma) for k in range(m)])
+        from scipy.linalg import toeplitz
+
         return toeplitz(col)
     out = np.empty((m, m))
     cache = {}
@@ -559,17 +568,13 @@ def panel_to_csv(panel, path):
     """Write a panel as CSV with columns j, k, a_j, b_jk, delta_jk."""
     if isinstance(panel.seed, tuple):
         raise ValueError("panel_to_csv: a panel of several replications has no CSV form")
-    arr = np.vstack([np.column_stack(np.broadcast_arrays(
-        lv.j, np.arange(1, lv.shifts.size + 1), lv.a_j, lv.shifts, lv.coeffs))
-        for lv in panel.levels])
-    np.savetxt(
-        path,
-        arr,
-        fmt=("%d", "%d", "%.17g", "%.17g", "%.17g"),
-        delimiter=",",
-        header="j,k,a_j,b_jk,delta_jk",
-        comments="",
-    )
+    with open(path, "w") as fh:
+        fh.write("j,k,a_j,b_jk,delta_jk\n")
+        for lv in panel.levels:
+            m = lv.shifts.size
+            fh.writelines(map("%d,%d,%.17g,%.17g,%.17g\n".__mod__, zip(
+                [lv.j] * m, range(1, m + 1), [lv.a_j] * m,
+                lv.shifts.tolist(), lv.coeffs.tolist())))
 
 
 def _csv_rows(path):

@@ -7,6 +7,8 @@ of them:
   workhorse of the closed-form singularity solver.  It is
   ``scipy.special.lambertw`` with the package's domain checks: NaN and
   arguments below ``-1/e`` raise, the branch point gives ``-1``.
+  ``scipy.special`` is imported on the first call, not with the module,
+  so importing the package loads no SciPy.
 * ``gegenbauer_coeff`` / ``gegenbauer_coeffs``: Gegenbauer polynomial
   values evaluated through the stable three-term recurrence.  The
   textbook ratio-of-gamma sum overflows for moderate orders, so it is
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 __all__ = [
     "QuadratureSpec",
@@ -67,6 +68,8 @@ def lambert_w0(x):
             "lambert_w0: argument %r lies below the branch point -1/e"
             % float(np.min(z))
         )
+    from scipy.special import lambertw
+
     w = np.where(z > _BRANCH_POINT, lambertw(z).real, -1.0)
     return float(w) if w.ndim == 0 else w
 

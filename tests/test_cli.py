@@ -556,6 +556,18 @@ class TestEstimate:
                          "shannon-father", "--out", str(tmp_path / "o"))
         assert_one_error_line(result, "empty_panel.csv")
 
+    def test_panel_with_no_estimable_pair_is_domain_error(self, tmp_path):
+        panel_csv = tmp_path / "zero_panel.csv"
+        panel_csv.write_text("j,k,a_j,b_jk,delta_jk\n1,1,1,1,0\n2,1,2,1,0\n")
+        out = tmp_path / "o"
+        result = run_cli("estimate", "--panel", str(panel_csv), "--filter",
+                         "shannon-father", "--out", str(out))
+        assert result.returncode == 1
+        errors = [ln for ln in result.stderr.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "zero_panel.csv" in errors[0], result.stderr
+        assert result.stderr.splitlines()[-1] == errors[0]
+        assert not (out / "estimates.csv").exists()
+
     def test_bad_provenance_reports_pointer(self, panel_dir, tmp_path, capsys):
         cfg = write_json(tmp_path / "est.json", {
             "panel_csv": os.path.join(panel_dir, "panel.csv"),

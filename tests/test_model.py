@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from specpole.model import (
+    _MEXICAN_TIME_THRESHOLD,
+    _MEXICAN_W_BAND,
+    _MEXICAN_W_TIME,
     BUILTIN_FILTER_NAMES,
     ConfigError,
     FilterSpec,
@@ -214,6 +217,35 @@ class TestFilterShapes:
         b = builtin_filter("mexican-hat", sigma=2.0)
         assert a.cache_key() != b.cache_key()
         assert a.cache_key() == builtin_filter("mexican-hat", sigma=1.0).cache_key()
+
+
+# (sigma, band_limit_A, time_support, c2, c3) of the mexican-hat filter,
+# as built when its two Lambert W_-1 values were computed by
+# scipy.special.lambertw at construction.
+MEXICAN_HAT_CONSTANTS = [
+    (0.37, 16.075252539397454, 3.0, 6.283185307179121, 229.48083663889818),
+    (0.5, 11.895686879154114, 4.0, 6.283185307179119, 125.66370614346063),
+    (1.0, 5.947843439577057, 8.0, 6.283185307179119, 31.415926535865154),
+    (1.3, 4.5752641842900434, 10.0, 6.283185307179118, 18.58930564252376),
+    (2.0, 2.9739217197885286, 15.0, 6.283185307179119, 7.853981633966289),
+    (3.3, 1.8023767998718356, 25.0, 6.283185307179121, 2.8848417388305934),
+    (7.0, 0.8496919199395796, 52.0, 6.283185307179119, 0.6411413578747991),
+]
+
+
+class TestMexicanHatLambertLiterals:
+    def test_literals_equal_scipy_lower_branch(self):
+        from scipy.special import lambertw
+
+        band = lambertw(-1e-6 / math.e, -1).real
+        time = lambertw(-0.5 * math.sqrt(math.e) * _MEXICAN_TIME_THRESHOLD, -1).real
+        assert _MEXICAN_W_BAND == band
+        assert _MEXICAN_W_TIME == time
+
+    @pytest.mark.parametrize("sigma,A,T,c2,c3", MEXICAN_HAT_CONSTANTS)
+    def test_filter_constants_unchanged(self, sigma, A, T, c2, c3):
+        filt = builtin_filter("mexican-hat", sigma=sigma)
+        assert (filt.band_limit_A, filt.time_support, filt.c2, filt.c3) == (A, T, c2, c3)
 
 
 class TestSpectralModel:

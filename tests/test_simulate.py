@@ -667,6 +667,29 @@ class TestSerialization:
             "3,1,4.5,4.5,0.10000000000000001\n"
         )
 
+    def test_panel_csv_bytes_match_savetxt(self, tmp_path):
+        values = [-1.5, 1e-300, -1e-300, 1e300, -1e300, 3.0, -7.0, -0.0,
+                  0.1, 2.0**-1074, 1.0 / 3.0, -123456789.0]
+        levels = (
+            PanelLevel(j=1, a_j=1.0 / 3.0, shifts=[-0.0], coeffs=[-2.5]),
+            PanelLevel(j=2, a_j=8.0, shifts=np.arange(len(values)) - 5.5,
+                       coeffs=values),
+            PanelLevel(j=7, a_j=1e300, shifts=[-1e300, -1e-300, 0.0, 1e300],
+                       coeffs=[-0.0, 1e300, -1e-300, 4.0]),
+        )
+        panel = CoefficientPanel(levels=levels, provenance="path-transform", seed=4)
+        target = tmp_path / "panel.csv"
+        panel_to_csv(panel, target)
+        rows = np.vstack([
+            np.column_stack(np.broadcast_arrays(
+                lv.j, np.arange(1, lv.shifts.size + 1), lv.a_j, lv.shifts, lv.coeffs))
+            for lv in levels])
+        reference = tmp_path / "savetxt.csv"
+        np.savetxt(reference, rows, fmt=("%d", "%d", "%.17g", "%.17g", "%.17g"),
+                   delimiter=",", header="j,k,a_j,b_jk,delta_jk", comments="")
+        assert target.read_bytes() == reference.read_bytes()
+        assert target.read_text().splitlines()[1] == "1,1,0.33333333333333331,-0,-2.5"
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_path_csv_rejects_non_finite_values(self, tmp_path, bad):
         for row in ("0,0.1\n1,%s\n2,0.3\n" % bad, "0,0.1\n%s,0.2\n2,0.3\n" % bad):
