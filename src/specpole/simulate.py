@@ -19,10 +19,10 @@ sharing is deliberate: difference statistics of panel averages then see
 positively coupled noise, which cancels in across-scale differences the
 same way it would along one long realization.
 
-SciPy is imported inside the functions that call it (``ndtri`` in
-``gaussian_stream``, ``dct`` and ``toeplitz`` for the covariance column
-and matrix, ``quad`` for the oscillatory fallback), so that reading and
-writing CSVs and the path transform load no SciPy module.
+The normal quantile, the DCT-I of the covariance column and its
+Toeplitz matrix are NumPy code.  SciPy is imported only inside the
+oscillatory fallback for far shifts (``quad``), so simulating, sampling
+and reading or writing CSVs load no SciPy module.
 """
 
 import math
@@ -77,6 +77,83 @@ def _mix64(z):
         return z ^ (z >> np.uint64(31))
 
 
+# Wichura's AS241 (PPND16; 1988, Appl. Statist. 37(3)): numerator and
+# denominator coefficients, lowest degree first, of the central rational
+# function in r = 0.180625 - q^2 (|q| = |p - 1/2| <= 0.425) and of the
+# tail ones in s - 1.6 (s <= 5) and s - 5, s = sqrt(-log(min(p, 1 - p))).
+_PPND_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
+     5.3941960214247511077e3, 2.1213794301586595867e4, 3.9307895800092710610e4,
+     2.8729085735721942674e4, 5.2264952788528545610e3),
+)
+_PPND_NEAR_TAIL = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
+     6.89767334985100004550e-1, 1.48103976427480074590e-1, 1.51986665636164571966e-2,
+     5.47593808499534494600e-4, 1.05075007164441684324e-9),
+)
+_PPND_FAR_TAIL = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
+     1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
+     1.42151175831644588870e-7, 2.04426310338993978564e-15),
+)
+# Entries per block of _normal_quantile, which bounds its temporaries.
+_QUANTILE_BLOCK = 1 << 16
+
+
+def _rational(coeffs, r):
+    """Ratio of the two polynomials in coeffs at r, by Horner's rule."""
+    num, den = coeffs
+    n = num[-1] * r
+    d = den[-1] * r
+    for a, b in zip(num[-2:0:-1], den[-2:0:-1]):
+        n += a
+        n *= r
+        d += b
+        d *= r
+    n += num[0]
+    d += den[0]
+    n /= d
+    return n
+
+
+def _normal_quantile(u):
+    """Standard normal quantile of each u in (0, 1), by AS241 PPND16.
+
+    Relative accuracy is about 1e-16: within 8 ulp of
+    ``scipy.special.ndtri`` on the whole lattice ``gaussian_stream``
+    draws from.  Runs in blocks of _QUANTILE_BLOCK entries; the tail
+    branches run only on the entries with |u - 1/2| > 0.425.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, _QUANTILE_BLOCK):
+        p = flat[lo:lo + _QUANTILE_BLOCK]
+        q = p - 0.5
+        x = _rational(_PPND_CENTRAL, 0.180625 - q * q)
+        x *= q
+        tail = np.flatnonzero(np.abs(q) > 0.425)
+        if tail.size:
+            pt = p[tail]
+            s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+            t = _rational(_PPND_NEAR_TAIL, s - 1.6)
+            far = np.flatnonzero(s > 5.0)
+            if far.size:
+                t[far] = _rational(_PPND_FAR_TAIL, s[far] - 5.0)
+            x[tail] = np.copysign(t, q[tail])
+        out[lo:lo + p.size] = x
+    return out.reshape(u.shape)
+
+
 def gaussian_stream(seed, tag, indices):
     """Standard normals at the given indices of stream (seed, tag).
 
@@ -88,6 +165,10 @@ def gaussian_stream(seed, tag, indices):
     (M, R) block whose column r is the stream of seed r.  Every seed is
     reduced modulo 2^64 as a Python int, so a batch draws exactly what
     the seeds draw one by one.
+
+    The top 53 bits of each hash pick the lattice point
+    u = k 2^-53 + 2^-54, clamped to at most 1 - 2^-53 (all-ones bits
+    round to 1.0), and the draw is its normal quantile.
     """
     seeds = np.asarray(seed, dtype=object)
     seeds = np.array([int(s) & _MASK64 for s in seeds.flat],
@@ -97,9 +178,8 @@ def gaussian_stream(seed, tag, indices):
         base = _mix64(seeds ^ _mix64(np.uint64(tag) + _GOLDEN))
         bits = _mix64(base + (idx + np.uint64(1)) * _GOLDEN)
     u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    from scipy.special import ndtri
-
-    return ndtri(u)
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    return _normal_quantile(u)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +443,11 @@ _DCT_MIN_NODES = 1 << 12
 _DCT_MAX_NODES = 1 << 18
 
 
+def _dct1(g):
+    """Unnormalised DCT-I of g: the real FFT of its even extension."""
+    return np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real
+
+
 def _dct_column(model, filt, a, gamma, m, spec):
     """Entries at lags k * gamma, k < m, from one DCT-I, or None.
 
@@ -383,20 +468,28 @@ def _dct_column(model, filt, a, gamma, m, spec):
     n = 1 << (max(_DCT_MIN_NODES, _DCT_NODES_PER_LAG * steps * m) - 1).bit_length()
     if n > _DCT_MAX_NODES:
         return None
-    from scipy.fft import dct
-
     lam = np.linspace(0.0, upper, 2 * n + 1)
     # a * upper may round past the band edge A; keep the edge node inside
     win = np.abs(filt.psi_hat(np.minimum(a * lam, filt.band_limit_A))) ** 2
     g = win * model.pole_density(lam)
     lags = steps * np.arange(m)
-    fine = 0.25 * upper / n * dct(g, type=1)[lags]
-    coarse = 0.5 * upper / n * dct(g[::2], type=1)[lags]
+    fine = 0.25 * upper / n * _dct1(g)[lags]
+    coarse = 0.5 * upper / n * _dct1(g[::2])[lags]
     col = (4.0 * fine - coarse) / 3.0
     tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(col))
     if np.any(np.abs(fine - coarse) / 3.0 > tol):
         return None
     return 2.0 * a * col
+
+
+def _symmetric_toeplitz(col):
+    """The m x m matrix with entries col[|i - j|].
+
+    Row i of the reversed length-m windows of [c_m-1 .. c_1, c_0 .. c_m-1]
+    is c_|i-j| over j, so the copy is the only m x m allocation.
+    """
+    ends = np.concatenate([col[:0:-1], col])
+    return np.lib.stride_tricks.sliding_window_view(ends, col.size)[::-1].copy()
 
 
 def coefficient_covariance(model, filt, a_j, shifts, spec=None):
@@ -449,9 +542,7 @@ def coefficient_covariance(model, filt, a_j, shifts, spec=None):
         col = _dct_column(model, filt, a_j, gamma, m, spec)
         if col is None:
             col = np.array([entry(k * gamma) for k in range(m)])
-        from scipy.linalg import toeplitz
-
-        return toeplitz(col)
+        return _symmetric_toeplitz(col)
     out = np.empty((m, m))
     cache = {}
     for k1 in range(m):
@@ -618,8 +709,10 @@ def panel_from_csv(path, provenance, seed):
 
 def path_to_csv(path_realization, path):
     """Write a path as CSV with columns t, x."""
-    arr = np.column_stack([path_realization.times(), path_realization.values])
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",", header="t,x", comments="")
+    with open(path, "w") as fh:
+        fh.write("t,x\n")
+        fh.writelines(map("%.17g,%.17g\n".__mod__, zip(
+            path_realization.times().tolist(), path_realization.values.tolist())))
 
 
 def path_from_csv(path, seed):

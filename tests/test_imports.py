@@ -1,8 +1,11 @@
-"""What importing the package and transforming a path CSV load.
+"""What importing the package and running its commands need of SciPy.
 
-SciPy is imported inside the functions that call it, so a fresh
-interpreter that imports specpole, builds the filters and turns a path
-CSV into a panel CSV must hold no ``scipy`` module afterwards.
+SciPy is used only by the oscillatory fallback for far covariance
+shifts, so a fresh interpreter that imports specpole, builds the filters
+and turns a path CSV into a panel CSV must hold no ``scipy`` module
+afterwards, and the commands that simulate, transform, estimate and run
+an exact-backend experiment must succeed with SciPy blocked.  This file
+imports no SciPy itself, so it also runs where SciPy is not installed.
 """
 
 import json
@@ -46,28 +49,62 @@ print(json.dumps(sorted(m for m in sys.modules
                         if m == "scipy" or m.startswith("scipy."))))
 """
 
+# Every "import scipy..." raises ImportError once sys.modules maps
+# "scipy" to None, whether or not SciPy is installed.
+COMMANDS_WITHOUT_SCIPY = """
+import json, os, sys
+sys.modules["scipy"] = None
+from specpole.cli import main
 
-def loaded_scipy(script, *args):
-    """SciPy modules in sys.modules after script runs in a fresh interpreter."""
+tmp = sys.argv[1]
+gegenbauer = {"family": "gegenbauer", "d": 0.1, "u": 0.3, "truncation": 40}
+configs = {
+    "simulate": {"model": gegenbauer, "n_points": 500, "t0": 0, "dt": 1.0,
+                 "seed": 11},
+    "transform": {"model": gegenbauer,
+                  "filter": {"name": "mexican-hat", "sigma": 1.0},
+                  "schedule": {"rule": "linear", "j_max": 3, "kappa": 3.0},
+                  "seed": 11},
+    "estimate": {"panel_csv": os.path.join(tmp, "transform", "panel.csv"),
+                 "filter": {"name": "mexican-hat", "sigma": 1.0}},
+    "montecarlo": {"model": {"family": "indicator", "s0": 1.2661036727794992,
+                             "alpha": 0.1, "M": 3.0},
+                   "filter": {"name": "shannon-father"},
+                   "schedule": {"rule": "geometric", "j_max": 3, "a0": 8.0,
+                                "rho": 2.0, "kappa": 6.0, "m_cap": 64},
+                   "backend": "exact-gaussian", "replications": 3,
+                   "base_seed": 700},
+}
+codes = {}
+for command, doc in configs.items():
+    config = os.path.join(tmp, command + ".json")
+    with open(config, "w") as fh:
+        json.dump(doc, fh)
+    codes[command] = main([command, "--config", config,
+                           "--out", os.path.join(tmp, command)])
+print(json.dumps(codes))
+"""
+
+
+def run_fresh(script, *args):
+    """Last stdout line of script run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(specpole.__file__))
     result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script) + REPORT, *args],
-        capture_output=True, text=True, env=env, check=True)
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
 
 
 def test_import_and_path_csv_transform_load_no_scipy(tmp_path):
-    assert loaded_scipy(TRANSFORM_A_PATH_CSV, str(tmp_path)) == []
+    assert run_fresh(TRANSFORM_A_PATH_CSV + REPORT, str(tmp_path)) == []
     assert (tmp_path / "out" / "panel.csv").read_bytes() == (
         tmp_path / "panel.csv").read_bytes()
 
 
-def test_lambert_w0_loads_scipy_special_on_first_call():
-    loaded = loaded_scipy("""
-        import json, sys
-        from specpole import lambert_w0
-        assert "scipy.special" not in sys.modules
-        assert abs(lambert_w0(1.0) - 0.5671432904097838) < 1e-15
-    """)
-    assert "scipy.special" in loaded
+def test_commands_run_with_scipy_blocked(tmp_path):
+    codes = run_fresh(COMMANDS_WITHOUT_SCIPY, str(tmp_path))
+    assert codes == {"simulate": 0, "transform": 0, "estimate": 0, "montecarlo": 0}
+    assert (tmp_path / "estimate" / "estimates.csv").stat().st_size > 0
+    assert (tmp_path / "montecarlo" / "summary.json").stat().st_size > 0

@@ -8,7 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.linalg import toeplitz
+from scipy.special import ndtri
 
 from specpole import simulate
 from specpole.model import GegenbauerSpec, SpectralModel, builtin_filter, indicator_model
@@ -96,6 +98,57 @@ class TestGaussianStream:
             gaussian_stream(np.array([5, 6]), 1, idx[:, None]),
             gaussian_stream((5, 6), 1, idx[:, None]),
         )
+
+    @pytest.mark.parametrize("k, u", [(2**53 - 1, 1.0 - 2.0**-53),
+                                      (2**53 - 2, 1.0 - 2.0**-52)])
+    def test_top_lattice_points_give_finite_draws(self, monkeypatch, k, u):
+        # All-ones bits put k 2^-53 + 2^-54 at exactly 1.0, whose quantile
+        # is +inf; the clamp moves that draw alone to 1 - 2^-53.
+        bits = np.uint64(k << 11 | 0x7FF)
+        monkeypatch.setattr(simulate, "_mix64", lambda z: np.full(np.shape(z), bits))
+        z = gaussian_stream(3, 1, np.arange(4))
+        assert np.all(np.isfinite(z))
+        np.testing.assert_array_equal(z, simulate._normal_quantile(np.full(4, u)))
+        assert abs(z[0] - ndtri(u)) <= 8 * np.spacing(ndtri(u))
+
+
+def ulps(x, oracle):
+    return np.max(np.abs(x - oracle) / np.spacing(np.abs(oracle)))
+
+
+class TestNormalQuantile:
+    """AS241 against SciPy's ndtri and an mpmath quantile."""
+
+    def test_matches_ndtri_on_the_stream_lattice(self):
+        k = np.random.default_rng(11).integers(0, 2**53, 1_200_000, dtype=np.uint64)
+        k[:4] = (0, 1, 2**52, 2**53 - 2)
+        u = k.astype(np.float64) * 2.0**-53 + 2.0**-54
+        assert ulps(simulate._normal_quantile(u), ndtri(u)) <= 8
+
+    def test_matches_ndtri_into_both_tails(self):
+        low = np.geomspace(2.0**-54, 0.5, 100_000)
+        high = 1.0 - np.geomspace(2.0**-53, 0.5, 100_000)
+        for u in (low, high):
+            assert ulps(simulate._normal_quantile(u), ndtri(u)) <= 8
+
+    def test_matches_mpmath(self):
+        u = np.concatenate([
+            np.geomspace(2.0**-54, 0.49, 150),
+            1.0 - np.geomspace(2.0**-53, 0.49, 150),
+            np.random.default_rng(12).random(100),
+        ])
+        with mpmath.workdps(40):
+            oracle = np.array([
+                float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)) for p in u
+            ])
+        assert ulps(simulate._normal_quantile(u), oracle) <= 6
+
+    def test_keeps_the_shape_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_QUANTILE_BLOCK", 7)
+        u = np.random.default_rng(13).random((5, 9))
+        out = simulate._normal_quantile(u)
+        assert out.shape == (5, 9)
+        assert ulps(out, ndtri(u)) <= 8
 
 
 class TestGegenbauerPath:
@@ -213,6 +266,11 @@ class TestCoefficientCovariance:
             f = lambda lam: mpmath.cos(delta * lam) * abs(lam * lam - s0_sq) ** power
             edges = mpmath.linspace(0, mpmath.mpf(self.filt.band_limit_A / a), 13)
             return float(2 * a * mpmath.quad(f, edges))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 600])
+    def test_strided_toeplitz_equals_scipy(self, m):
+        col = np.random.default_rng(m).standard_normal(m)
+        np.testing.assert_array_equal(simulate._symmetric_toeplitz(col), toeplitz(col))
 
     def test_non_arithmetic_shifts_consistent(self):
         # The per-lag entries of the non-arithmetic grid and the DCT
@@ -428,6 +486,13 @@ class TestDctColumn:
         # a non-arithmetic grid never asks for a Toeplitz column
         assert results == ([] if case == "non-arithmetic" else [None])
         np.testing.assert_array_equal(cov, oracle)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 1025, 8193])
+    def test_dct1_matches_scipy(self, n):
+        g = np.random.default_rng(n).standard_normal(n)
+        ref = dct(g, type=1)
+        np.testing.assert_allclose(simulate._dct1(g), ref, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
 
     def test_far_shifts_stay_per_lag(self):
         # gamma = 1e6 a gives P = 1e6: the DCT would need 2^25 nodes.
@@ -689,6 +754,19 @@ class TestSerialization:
                    delimiter=",", header="j,k,a_j,b_jk,delta_jk", comments="")
         assert target.read_bytes() == reference.read_bytes()
         assert target.read_text().splitlines()[1] == "1,1,0.33333333333333331,-0,-2.5"
+
+    def test_path_csv_bytes_match_savetxt(self, tmp_path):
+        values = [-1.5, 1e-300, -1e-300, 1e300, -1e300, 3.0, -7.0, -0.0,
+                  0.1, 2.0**-1074, 1.0 / 3.0, -123456789.0]
+        for t0, dt in ((-5.5, 1.0), (0.0, 2.0**-1074), (-1e300, 1e299)):
+            path = PathRealization(t0=t0, dt=dt, values=values, seed=0)
+            target = tmp_path / "path.csv"
+            reference = tmp_path / "savetxt.csv"
+            path_to_csv(path, target)
+            np.savetxt(reference, np.column_stack([path.times(), path.values]),
+                       fmt="%.17g", delimiter=",", header="t,x", comments="")
+            assert target.read_bytes() == reference.read_bytes()
+        assert target.read_text().splitlines()[:2] == ["t,x", "-1.0000000000000001e+300,-1.5"]
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_path_csv_rejects_non_finite_values(self, tmp_path, bad):
