@@ -10,6 +10,10 @@ covariance is the frequency-domain integral
         = a_j int cos((b_{j k1} - b_{j k2}) lam) |psi_hat(a_j lam)|^2 f(lam) dlam,
 
 so that estimator behaviour can be studied without discretization bias.
+On the arithmetic shift grid of a schedule level that covariance is a
+Toeplitz matrix, and the sampler factors it straight from its first
+column by the Schur algorithm, in O(m^2) time and without building the
+m x m matrix.
 
 All randomness flows through a counter-based Gaussian stream: draw k of
 a tagged stream is a pure function of (seed, tag, k), which makes any
@@ -19,8 +23,8 @@ sharing is deliberate: difference statistics of panel averages then see
 positively coupled noise, which cancels in across-scale differences the
 same way it would along one long realization.
 
-The normal quantile, the DCT-I of the covariance column and its
-Toeplitz matrix are NumPy code.  SciPy is imported only inside the
+The normal quantile, the DCT-I of the covariance column, its Toeplitz
+matrix and its Schur factor are NumPy code.  SciPy is imported only inside the
 oscillatory fallback for far shifts (``quad``), so simulating, sampling
 and reading or writing CSVs load no SciPy module.
 """
@@ -492,27 +496,35 @@ def _symmetric_toeplitz(col):
     return np.lib.stride_tricks.sliding_window_view(ends, col.size)[::-1].copy()
 
 
-def coefficient_covariance(model, filt, a_j, shifts, spec=None):
-    """Exact covariance matrix of the coefficients at one scale.
+def _checked_entry(model, filt, a_j, delta, spec):
+    """One covariance entry, with its separation named on non-convergence."""
+    try:
+        return _entry_integral(model, filt, a_j, delta, spec)
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(
+            "coefficient_covariance: entry at shift separation %r did "
+            "not converge: %s" % (delta, exc),
+            exc.estimate,
+            exc.error_bound,
+        ) from exc
 
-    Arithmetic shift grids produce a Toeplitz matrix, detected here so
-    only the first column is computed: by one DCT-I where the integrand
-    is smooth on the band (see _dct_column), otherwise by one adaptive
-    quadrature per lag.  The recommended regime is
-    a_j >= 2 * band limit; below that the across-scale decorrelation
-    bounds stop applying and a warning is emitted.
+
+def _covariance_column(model, filt, a_j, shifts, spec):
+    """Checked inputs, then the Toeplitz column of one level, or None.
+
+    An arithmetic grid (or a single shift) gives the entries at lags
+    k * gamma, k < m: by one DCT-I where the integrand is smooth on the
+    band (see _dct_column), otherwise by one adaptive quadrature per lag.
+    Any other grid gives None; its matrix is not Toeplitz.
     """
     if not isinstance(model, SpectralModel):
         raise TypeError(
             "coefficient_covariance: need a SpectralModel with an explicit "
             "density; moving-average specs have no closed density here"
         )
-    if spec is None:
-        spec = QuadratureSpec()
     a_j = float(a_j)
     if not (a_j > 0.0 and math.isfinite(a_j)):
         raise ValueError("coefficient_covariance: scale must be a positive real")
-    shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size < 1:
         raise ValueError("coefficient_covariance: shifts must be a non-empty vector")
     if a_j < 2.0 * filt.band_limit_A:
@@ -521,35 +533,45 @@ def coefficient_covariance(model, filt, a_j, shifts, spec=None):
             "bounds assume scales at least twice the band limit"
             % (a_j / (2.0 * filt.band_limit_A))
         )
-
-    def entry(delta):
-        try:
-            return _entry_integral(model, filt, a_j, delta, spec)
-        except QuadratureConvergenceError as exc:
-            raise QuadratureConvergenceError(
-                "coefficient_covariance: entry at shift separation %r did "
-                "not converge: %s" % (delta, exc),
-                exc.estimate,
-                exc.error_bound,
-            ) from exc
-
     m = shifts.size
-    diffs = np.diff(shifts)
     if m == 1:
-        return np.array([[entry(0.0)]])
-    if np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0):
-        gamma = float(diffs[0])
-        col = _dct_column(model, filt, a_j, gamma, m, spec)
-        if col is None:
-            col = np.array([entry(k * gamma) for k in range(m)])
+        return np.array([_checked_entry(model, filt, a_j, 0.0, spec)])
+    diffs = np.diff(shifts)
+    if not np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0):
+        return None
+    gamma = float(diffs[0])
+    col = _dct_column(model, filt, a_j, gamma, m, spec)
+    if col is None:
+        col = np.array([_checked_entry(model, filt, a_j, k * gamma, spec)
+                        for k in range(m)])
+    return col
+
+
+def coefficient_covariance(model, filt, a_j, shifts, spec=None):
+    """Exact covariance matrix of the coefficients at one scale.
+
+    Arithmetic shift grids produce a Toeplitz matrix, detected here so
+    only the first column is computed: by one DCT-I where the integrand
+    is smooth on the band (see _dct_column), otherwise by one adaptive
+    quadrature per lag.  Sampling factors that column directly (see
+    _schur_factor) and never builds this matrix.  The recommended regime
+    is a_j >= 2 * band limit; below that the across-scale decorrelation
+    bounds stop applying and a warning is emitted.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    shifts = np.asarray(shifts, dtype=float)
+    col = _covariance_column(model, filt, a_j, shifts, spec)
+    if col is not None:
         return _symmetric_toeplitz(col)
+    m = shifts.size
     out = np.empty((m, m))
     cache = {}
     for k1 in range(m):
         for k2 in range(k1, m):
             delta = abs(shifts[k2] - shifts[k1])
             if delta not in cache:
-                cache[delta] = entry(delta)
+                cache[delta] = _checked_entry(model, filt, float(a_j), delta, spec)
             out[k1, k2] = out[k2, k1] = cache[delta]
     return out
 
@@ -561,37 +583,79 @@ def scale_second_moment(model, filt, a, spec=None):
     return _entry_integral(model, filt, float(a), 0.0, spec)
 
 
-def _cholesky_with_jitter(cov):
-    """Lower Cholesky factor, escalating a diagonal jitter on failure.
+def _schur(col):
+    """Upper factor U, T = U^T U, of the Toeplitz matrix T with column col.
 
-    Quadrature noise can push tiny eigenvalues a hair negative; jitter
-    starts at 1e-12 * trace/m and escalates tenfold up to 1e-6 * trace/m
-    before giving up.  Any jitter applied is reported as a UserWarning.
+    The Schur algorithm on the generators u, v of T - Z T Z^T = u u^T -
+    v v^T (Z the down shift): row k of U is u shifted down once, rotated
+    hyperbolically against v so that v[k] vanishes.  The rotation is in
+    mixed form (v from the new u), which is weakly stable for positive
+    definite T (Bojanczyk, Brent, de Hoog & Sweet 1995).  O(m^2) time;
+    beside U it holds two length-m vectors.  Returns (U, None), or
+    (None, k) when T is not positive definite: the first step k at which
+    |rho| >= 1 (k = 0: col[0] <= 0).
     """
-    m = cov.shape[0]
-    base = np.trace(cov) / m
-    jitter = 0.0
-    while True:
-        try:
-            factor = np.linalg.cholesky(cov + jitter * np.eye(m))
-        except np.linalg.LinAlgError:
-            if jitter == 0.0:
-                jitter = 1e-12 * base
-            else:
-                jitter *= 10.0
-            if jitter > 1e-6 * base:
-                raise ArithmeticError(
-                    "coefficient covariance is not positive semi-definite "
-                    "even with diagonal jitter up to 1e-6 * trace/m"
-                )
+    m = col.size
+    if not col[0] > 0.0:
+        return None, 0
+    u = np.zeros((m, m))
+    u[0] = col / math.sqrt(col[0])
+    v = u[0].copy()  # entry 0 is never read: v starts at c_1 / sqrt(c_0)
+    scratch = np.empty(m)
+    for k in range(1, m):
+        prev = u[k - 1, k - 1:-1]
+        vk = v[k:]
+        rho = vk[0] / prev[0]
+        if not abs(rho) < 1.0:
+            return None, k
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        row = u[k, k:]
+        np.multiply(vk, rho, out=row)
+        np.subtract(prev, row, out=row)
+        row /= s
+        vk *= s
+        tmp = scratch[k:]
+        np.multiply(row, rho, out=tmp)
+        vk -= tmp
+    return u, None
+
+
+# Diagonal jitters tried in turn, in units of trace/m = col[0].
+_JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def _schur_factor(col, a_j):
+    """Upper Schur factor of one level, escalating a diagonal jitter.
+
+    Quadrature noise can push tiny eigenvalues a hair negative, so on
+    failure the jitter is added to col[0] (T + eps I is still Toeplitz),
+    from 1e-12 * trace/m tenfold up to 1e-6 * trace/m.  Any jitter
+    applied is reported as a UserWarning; running out raises
+    ArithmeticError.  Both name the level's a_j and m_j.
+    """
+    m = col.size
+    base = col[0]
+    steps = []
+    for scale in _JITTERS:
+        jittered = col.copy()
+        jittered[0] += scale * base
+        factor, step = _schur(jittered)
+        if factor is None:
+            steps.append(step)
             continue
-        if jitter:
+        if scale:
             warnings.warn(
-                "coefficient covariance (m = %d) is not positive definite; "
-                "added diagonal jitter %.3g = %.0e * trace/m"
-                % (m, jitter, jitter / base)
+                "coefficient covariance at a_j = %g (m_j = %d) is not positive "
+                "definite; added diagonal jitter %.3g = %.0e * trace/m"
+                % (a_j, m, scale * base, scale)
             )
         return factor
+    raise ArithmeticError(
+        "coefficient covariance at a_j = %g (m_j = %d) is not positive "
+        "semi-definite even with diagonal jitter up to 1e-6 * trace/m: "
+        "|rho| first reached 1 at Schur step %d without jitter and at step "
+        "%d with the largest" % (a_j, m, steps[0], steps[-1])
+    )
 
 
 # The factors of the last panel shape sampled, as (key, factors).  A new
@@ -603,16 +667,20 @@ _FACTOR_LOCK = threading.Lock()
 
 
 def _panel_factors(model, filt, schedule, spec):
-    """Cholesky factor of every level's covariance, cached per panel shape."""
+    """Upper Schur factor of every level's covariance, cached per panel shape.
+
+    Schedules have arithmetic shift grids, so every level has a column.
+    """
     global _FACTORS
     key = (model.cache_key(), filt.cache_key(), spec,
            tuple((lv.a_j, lv.gamma_j, lv.m_j) for lv in schedule.levels))
     with _FACTOR_LOCK:
         if _FACTORS[0] != key:
             _FACTORS = (None, None)
-            covs = (coefficient_covariance(model, filt, lv.a_j, lv.shifts(), spec)
-                    for lv in schedule.levels)
-            _FACTORS = (key, tuple(map(_cholesky_with_jitter, covs)))
+            _FACTORS = (key, tuple(
+                _schur_factor(_covariance_column(model, filt, lv.a_j, lv.shifts(), spec),
+                              lv.a_j)
+                for lv in schedule.levels))
         return _FACTORS[1]
 
 
@@ -622,10 +690,12 @@ def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
     Every level draws its normals from the low indices of one shared
     pool keyed by (seed, panel tag), so levels with nested sizes are
     positively coupled across scales; see the module docstring for why.
-    Deterministic in the seed.  ``seed`` may also be a tuple of R ints:
-    each level is then one product of its factor with the (m_j, R)
-    normals of all seeds, an (R, m_j) block whose row r matches the
-    panel of seed r to rounding.
+    Each level is z^T U, with z its m_j normals and U the upper Schur
+    factor of its covariance (T = U^T U), built from the covariance
+    column and cached per panel shape.  Deterministic in the seed.
+    ``seed`` may also be a tuple of R ints: each level is then one
+    product of the (R, m_j) transposed normals of all seeds with U, an
+    (R, m_j) block whose row r matches the panel of seed r to rounding.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -644,7 +714,7 @@ def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
         seed = int(seed)
     z = gaussian_stream(seed, _PANEL_TAG, idx)
     levels = tuple(
-        PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(), coeffs=(factor @ z[: lv.m_j]).T)
+        PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(), coeffs=z[: lv.m_j].T @ factor)
         for lv, factor in zip(schedule.levels, factors)
     )
     return CoefficientPanel(levels=levels, provenance="exact-gaussian", seed=seed)

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -524,11 +525,12 @@ class TestLevelFactor:
         np.testing.assert_allclose(moved[0], base[0], rtol=1e-12)
 
     def test_jitter_is_reported(self):
-        cov = np.ones((4, 4))  # rank one: no Cholesky factor without jitter
-        expected = r"not positive definite; added diagonal jitter 1e-12 = 1e-12 \* trace/m"
+        col = np.ones(4)  # rank one: no Schur factor without jitter
+        expected = (r"at a_j = 8 \(m_j = 4\) is not positive definite; "
+                    r"added diagonal jitter 1e-12 = 1e-12 \* trace/m")
         with pytest.warns(UserWarning, match=expected):
-            factor = simulate._cholesky_with_jitter(cov)
-        np.testing.assert_allclose(factor @ factor.T, cov + 1e-12 * np.eye(4),
+            factor = simulate._schur_factor(col, 8.0)
+        np.testing.assert_allclose(factor.T @ factor, np.ones((4, 4)) + 1e-12 * np.eye(4),
                                    rtol=0.0, atol=1e-15)
 
     def test_exact_c6_levels_need_no_jitter(self):
@@ -537,7 +539,70 @@ class TestLevelFactor:
             assert np.linalg.eigvalsh(cov).min() > 5.0, a
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                simulate._cholesky_with_jitter(cov)
+                simulate._schur_factor(cov[:, 0].copy(), a)
+
+    @pytest.mark.parametrize("a, m", [(8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768),
+                                      (64.0, 4096)])
+    def test_matches_dense_cholesky(self, a, m):
+        # the exact-c6 levels (m capped at 768) and one criterion-6 level
+        shifts = a * np.arange(1, m + 1)
+        cov = coefficient_covariance(self.model, self.filt, a, shifts)
+        factor = simulate._schur_factor(cov[:, 0].copy(), a)
+        dense = np.linalg.cholesky(cov)
+        assert factor.shape == (m, m) and factor.flags.c_contiguous
+        np.testing.assert_array_equal(np.tril(factor, -1), 0.0)
+        np.testing.assert_allclose(factor.T, dense, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(dense)))
+
+    def test_nearly_singular_level_reconstructs(self):
+        # eigenvalues from about 2e-6 to 10.7; the column is per-lag
+        model = indicator_model(1.5, 0.25, 4.0)
+        filt = builtin_filter("mexican-hat")
+        a, m = 16.0, 256
+        cov = coefficient_covariance(model, filt, a, a * np.arange(1, m + 1))
+        assert np.linalg.eigvalsh(cov).min() < 1e-5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = simulate._schur_factor(cov[:, 0].copy(), a)
+        assert np.max(np.abs(factor.T @ factor - cov)) <= 1e-13 * cov[0, 0]
+
+    def test_indefinite_column_raises_once_the_ladder_runs_out(self, monkeypatch):
+        with pytest.raises(ArithmeticError, match=r"a_j = 8 \(m_j = 3\).*step 1 without"):
+            simulate._schur_factor(np.array([1.0, 2.0, 0.0]), 8.0)
+        # rho = 1/2 at step 1, then -4/3: only the leading 2 x 2 block is definite
+        with pytest.raises(ArithmeticError, match=r"Schur step 2 without jitter"):
+            simulate._schur_factor(np.array([1.0, 0.5, -0.75]), 8.0)
+        # a zero variance leaves no jitter to add (trace/m = 0)
+        with pytest.raises(ArithmeticError, match=r"Schur step 0 without jitter"):
+            simulate._schur_factor(np.zeros(3), 8.0)
+        # the sampling path names the level that failed
+        monkeypatch.setattr(simulate, "_FACTORS", (None, None))
+        real = simulate._covariance_column
+
+        def column(model, filt, a_j, shifts, spec):
+            col = real(model, filt, a_j, shifts, spec)
+            return np.array([1.0, 2.0, 0.0]) if a_j == 16.0 else col
+
+        monkeypatch.setattr(simulate, "_covariance_column", column)
+        with pytest.raises(ArithmeticError, match=r"a_j = 16 \(m_j = 3\)"):
+            exact_coefficient_sample(self.model, self.filt, ladder((8.0, 16.0), m=3), 0)
+
+    def test_factor_build_holds_one_factor(self, monkeypatch):
+        # One m = 2048 level: the factor's 8 m^2 bytes plus a margin of 16
+        # length-m vectors.  The build measured 4.2 such vectors above the
+        # factor (column, its jittered copy and the two generators); a
+        # build through the m x m covariance matrix holds three times the
+        # factor.
+        monkeypatch.setattr(simulate, "_FACTORS", (None, None))
+        m = 2048
+        sched = single_level_schedule(16.0, m)
+        tracemalloc.start()
+        try:
+            simulate._panel_factors(self.model, self.filt, sched, QuadratureSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * m + 16 * 8 * m, peak
 
 
 def ladder(scales, m=8):
@@ -548,7 +613,7 @@ def ladder(scales, m=8):
 
 
 class TestPanelFactors:
-    """Factor builds, counted as calls of coefficient_covariance."""
+    """Factor builds, counted as calls of _covariance_column."""
 
     model = indicator_model(1.2661036727794992, 0.1, 3.0)
     filt = builtin_filter("shannon-father")
@@ -557,7 +622,7 @@ class TestPanelFactors:
     def builds(self, monkeypatch):
         monkeypatch.setattr(simulate, "_FACTORS", (None, None))
         calls = []
-        real = simulate.coefficient_covariance
+        real = simulate._covariance_column
 
         def counted(*args, **kwargs):
             calls.append(args[2])
@@ -565,7 +630,7 @@ class TestPanelFactors:
             time.sleep(0.02)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "coefficient_covariance", counted)
+        monkeypatch.setattr(simulate, "_covariance_column", counted)
         return calls
 
     def test_workers_share_one_build_per_level(self, builds):
