@@ -1,11 +1,11 @@
 """What importing the package and running its commands need of SciPy.
 
-SciPy is used only by the oscillatory fallback for far covariance
-shifts, so a fresh interpreter that imports specpole, builds the filters
-and turns a path CSV into a panel CSV must hold no ``scipy`` module
-afterwards, and the commands that simulate, transform, estimate and run
-an exact-backend experiment must succeed with SciPy blocked.  This file
-imports no SciPy itself, so it also runs where SciPy is not installed.
+The package uses no SciPy, so a fresh interpreter that imports specpole,
+builds the filters and turns a path CSV into a panel CSV must hold no
+``scipy`` module afterwards, and the commands that simulate, transform,
+estimate and run an exact-backend experiment, and a far-lag covariance
+entry, must succeed with SciPy blocked.  This file imports no SciPy
+itself, so it also runs where SciPy is not installed.
 """
 
 import json
@@ -15,6 +15,7 @@ import sys
 import textwrap
 
 import specpole
+from specpole import builtin_filter, coefficient_covariance, indicator_model
 
 TRANSFORM_A_PATH_CSV = """
 import json, os, sys
@@ -54,6 +55,7 @@ print(json.dumps(sorted(m for m in sys.modules
 COMMANDS_WITHOUT_SCIPY = """
 import json, os, sys
 sys.modules["scipy"] = None
+from specpole import builtin_filter, coefficient_covariance, indicator_model
 from specpole.cli import main
 
 tmp = sys.argv[1]
@@ -82,7 +84,9 @@ for command, doc in configs.items():
         json.dump(doc, fh)
     codes[command] = main([command, "--config", config,
                            "--out", os.path.join(tmp, command)])
-print(json.dumps(codes))
+far = coefficient_covariance(indicator_model(1.2661, 0.1, 3),
+                             builtin_filter("shannon-father"), 8.0, [0.0, 8e6])
+print(json.dumps({"codes": codes, "far_lag": far[0, 1]}))
 """
 
 
@@ -104,7 +108,12 @@ def test_import_and_path_csv_transform_load_no_scipy(tmp_path):
 
 
 def test_commands_run_with_scipy_blocked(tmp_path):
-    codes = run_fresh(COMMANDS_WITHOUT_SCIPY, str(tmp_path))
-    assert codes == {"simulate": 0, "transform": 0, "estimate": 0, "montecarlo": 0}
+    out = run_fresh(COMMANDS_WITHOUT_SCIPY, str(tmp_path))
+    assert out["codes"] == {"simulate": 0, "transform": 0, "estimate": 0,
+                            "montecarlo": 0}
+    # 8e6 spans 1e6 half-periods of the band [0, pi/8]: a far lag
+    far = coefficient_covariance(indicator_model(1.2661, 0.1, 3),
+                                 builtin_filter("shannon-father"), 8.0, [0.0, 8e6])
+    assert out["far_lag"] == far[0, 1]
     assert (tmp_path / "estimate" / "estimates.csv").stat().st_size > 0
     assert (tmp_path / "montecarlo" / "summary.json").stat().st_size > 0

@@ -10,11 +10,18 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.fft import dct
+from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.special import ndtri
 
 from specpole import simulate
-from specpole.model import GegenbauerSpec, SpectralModel, builtin_filter, indicator_model
+from specpole.model import (
+    BUILTIN_FILTER_NAMES,
+    GegenbauerSpec,
+    SpectralModel,
+    builtin_filter,
+    indicator_model,
+)
 from specpole.simulate import (
     CoefficientPanel,
     PanelLevel,
@@ -501,6 +508,103 @@ class TestDctColumn:
         assert simulate._dct_column(
             self.model, self.filt, a, 1e6 * a, 2, self.spec
         ) is None
+
+
+class TestFarLags:
+    """Entries past _OSC_SWITCH half-periods, by the Filon rule."""
+
+    model = indicator_model(1.2661, 0.1, 3.0)
+    spec = QuadratureSpec()
+
+    def by_parts(self, lo, hi, delta, terms=10):
+        """int_lo^hi cos(delta lam) f(lam) dlam to 40 digits, f the pole
+        density with h = 1: the integration-by-parts series
+        Re [e^(i delta lam) sum_k (-1)^k f^(k)(lam) / (i delta)^(k+1)]_lo^hi,
+        whose terms shrink like 1/(delta * distance to s0)."""
+        with mpmath.workdps(40):
+            s0_sq = mpmath.mpf(self.model.s0) ** 2
+            power = -2 * mpmath.mpf(self.model.alpha)
+            f = lambda lam: abs(lam * lam - s0_sq) ** power
+            d = mpmath.mpf(delta)
+            total = 0
+            for x, sign in ((mpmath.mpf(hi), 1), (mpmath.mpf(lo), -1)):
+                taylor = mpmath.taylor(f, x, terms)
+                total += sign * mpmath.expj(d * x) * sum(
+                    (-1) ** k * taylor[k] * mpmath.factorial(k) / (1j * d) ** (k + 1)
+                    for k in range(terms))
+            return float(mpmath.re(total))
+
+    def oracle(self, filt, a, delta):
+        """2a int_0^U cos(delta lam)|psi_hat(a lam)|^2 f(lam) dlam.
+
+        |psi_hat|^2 = 1 on the Shannon bands, so they take the series;
+        the Meyer and Mexican-hat windows are continuous, so QUADPACK's
+        QAWO on each piece between breakpoints reads them correctly.
+        """
+        upper, _, breaks = simulate._band(self.model, filt, a, self.spec)
+        if filt.name == "shannon-father":
+            return 2 * a * self.by_parts(0.0, upper, delta)
+        if filt.name == "shannon-mother":
+            return 2 * a * self.by_parts(math.pi / a, upper, delta)
+
+        def g(lam):
+            win = np.abs(filt.psi_hat(min(a * lam, filt.band_limit_A))) ** 2
+            return float(win * self.model.pole_density(lam))
+
+        knots = sorted({0.0, upper, *breaks})
+        return 2 * a * sum(
+            quad(g, lo, hi, weight="cos", wvar=delta, limit=2000,
+                 epsabs=1e-15, epsrel=1e-13)[0]
+            for lo, hi in zip(knots[:-1], knots[1:]))
+
+    @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
+    @pytest.mark.parametrize("a", [8.0, 64.0])
+    def test_entries_match_oracle(self, name, a):
+        filt = builtin_filter(name)
+        upper = simulate._band(self.model, filt, a, self.spec)[0]
+        switch = simulate._OSC_SWITCH * math.pi / upper
+        for factor in (1.0001, 50.0, 5000.0):
+            delta = factor * switch + 0.37
+            got = simulate._entry_integral(self.model, filt, a, delta, self.spec)
+            assert abs(got - self.oracle(filt, a, delta)) <= 2 * a * self.spec.abs_tol
+
+    def test_shannon_mother_reads_the_jump_from_inside_the_band(self):
+        # psi_hat reads 0 at the band edge pi/a itself; a rule with a
+        # node there gets 5.74e-7 for this entry.
+        filt = builtin_filter("shannon-mother")
+        a, delta = 8.0, 8e6 + 0.37
+        with pytest.warns(UserWarning, match="band limit"):  # a = 8 < 2A
+            cov = coefficient_covariance(self.model, filt, a, [0.0, delta])
+        oracle = 2 * a * self.by_parts(math.pi / a, 2 * math.pi / a, delta)
+        assert oracle == pytest.approx(3.0576727e-7, rel=1e-7)
+        assert abs(cov[0, 1] - oracle) <= 2 * a * self.spec.abs_tol
+
+    @pytest.mark.parametrize("tol", [None, 1e-5, 1e-6])
+    def test_pole_in_band_raises(self, tol):
+        spec = QuadratureSpec() if tol is None else QuadratureSpec(abs_tol=tol, rel_tol=tol)
+        filt = builtin_filter("shannon-father")
+        with pytest.warns(UserWarning, match="band limit"):  # a = 2 < 2A
+            with pytest.raises(QuadratureConvergenceError,
+                               match=r"separation 100000\.0 .*singularity 1\.2661"):
+                coefficient_covariance(self.model, filt, 2.0, [0.0, 1e5], spec)
+
+    def test_declared_singularity_in_band_raises(self):
+        spec = QuadratureSpec(singularities=(0.2,))
+        filt = builtin_filter("shannon-father")
+        with pytest.raises(QuadratureConvergenceError, match="singularity 0.2"):
+            simulate._entry_integral(self.model, filt, 8.0, 8e6, spec)
+
+    def test_node_cap_miss_reports_estimate_and_bound(self):
+        # No rounded sum meets a 1e-30 relative tolerance, so the
+        # doubling runs to _DCT_MAX_NODES cells per piece and raises.
+        filt = builtin_filter("shannon-father")
+        a, delta = 8.0, 8e6
+        starved = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30)
+        with pytest.raises(QuadratureConvergenceError, match="%d cells" % simulate._DCT_MAX_NODES) as info:
+            simulate._entry_integral(self.model, filt, a, delta, starved)
+        oracle = 2 * a * self.by_parts(0.0, math.pi / a, delta)
+        assert abs(info.value.estimate - oracle) <= 2 * a * self.spec.abs_tol
+        assert 0.0 < info.value.error_bound <= 2 * a * self.spec.abs_tol
 
 
 class TestLevelFactor:
