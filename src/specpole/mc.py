@@ -8,8 +8,8 @@ moving-average recipe pushed through the time-domain filter).
 
 Replication i has seed base_seed + i.  Replications run in batches of
 up to _BATCH stacked coefficients, in the calling thread: a batch is one
-panel of (R, m_j) blocks, sampled with one matrix product per level on
-the exact backend (or stacked from per-seed path panels), and estimated
+panel of (R, m_j) blocks, sampled with one triangular product per level
+on the exact backend (or stacked from per-seed path panels), and estimated
 as arrays.  A batch that fails numerically is rerun one replication at
 a time, so failures are still recorded per replication.  Every heavy
 step is BLAS or numpy, which already uses the cores.
@@ -79,6 +79,9 @@ class ExperimentConfig:
     base_seed: int
     sigma: float = 1.0
     out_dir: str = None
+    # The filter of filter_name and sigma, built once here to validate it
+    # and passed to every step of the experiment.
+    filt: object = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.backend not in PROVENANCES:
@@ -93,6 +96,7 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("ExperimentConfig: replications must be >= 1")
         filt = builtin_filter(self.filter_name, sigma=self.sigma)
+        object.__setattr__(self, "filt", filt)
         if self.backend == "exact-gaussian":
             if not isinstance(self.model, SpectralModel):
                 raise TypeError(
@@ -122,12 +126,11 @@ class ExperimentConfig:
         moving average they do not, and its nominal pair is reported as is.
         """
         f0, f2 = self.model.zero_limits()
-        filt = builtin_filter(self.filter_name, sigma=self.sigma)
         return {
             "s0": self.model.s0,
             "alpha": self.model.alpha,
-            "delta_bar": filt.c2 * f0,
-            "ddelta": filt.c3 * f2,
+            "delta_bar": self.filt.c2 * f0,
+            "ddelta": self.filt.c3 * f2,
         }
 
 
@@ -162,9 +165,7 @@ def experiment_to_json(config):
     """JSON document form of a config (inverse of experiment_from_json)."""
     doc = {
         "model": model_to_json(config.model),
-        "filter": filter_to_json(
-            builtin_filter(config.filter_name, sigma=config.sigma)
-        ),
+        "filter": filter_to_json(config.filt),
         "schedule": schedule_to_json(config.schedule),
         "backend": config.backend,
         "replications": config.replications,
@@ -303,7 +304,7 @@ def run_experiment(config):
     aborts the experiment.  With out_dir set, writes replications.csv,
     mse_table.csv and summary.json.
     """
-    filt = builtin_filter(config.filter_name, sigma=config.sigma)
+    filt = config.filt
     n_rep = config.replications
     size = max(1, _BATCH // sum(lv.m_j for lv in config.schedule.levels))
     batches, failures = [], []

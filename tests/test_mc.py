@@ -132,6 +132,27 @@ class TestConfig:
         assert back.replications == cfg.replications
         assert back.base_seed == cfg.base_seed
 
+    @pytest.mark.parametrize("make", [
+        lambda **kw: exact_config(schedule=geometric_schedule(2, 4.0, 2.0, 6.0, m_cap=32), **kw),
+        path_config,
+    ], ids=["exact", "path"])
+    def test_filter_is_built_once_per_config(self, make, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return builtin_filter(*args, **kwargs)
+
+        monkeypatch.setattr(specpole.mc, "builtin_filter", counted)
+        cfg = make(replications=2)
+        assert len(calls) == 1
+        run_experiment(cfg)
+        cfg.targets()
+        experiment_to_json(cfg)
+        assert len(calls) == 1
+        dataclasses.replace(cfg, base_seed=5)
+        assert len(calls) == 2
+
     def test_leftover_workers_key_is_ignored(self, tmp_path):
         doc = experiment_to_json(path_config())
         outputs = ("replications.csv", "mse_table.csv", "summary.json")
