@@ -195,9 +195,10 @@ class FilterSpec:
     """A filter with frequency form psi_hat and moments c2, c3.
 
     ``psi`` may be None when only frequency-domain work is needed (the
-    Meyer pair ships without a time form).  ``band_limit_A`` is exact
-    when ``band_is_effective`` is False, otherwise it is the smallest A
-    with |psi_hat|^2 below 1e-12 of its peak outside [-A, A].
+    Meyer pair ships without a time form).  ``band_limit_A`` bounds the
+    support of psi_hat; where that support is unbounded (the Mexican
+    hat), it is the effective band, the smallest A with |psi_hat|^2
+    below 1e-12 of its peak outside [-A, A].
     ``time_support`` bounds the effective support of psi, rounded up to
     a whole time unit so transform windows align with unit grids; None
     for frequency-only filters.
@@ -209,7 +210,6 @@ class FilterSpec:
     band_limit_A: float
     c2: float
     c3: float
-    band_is_effective: bool = False
     time_support: float = None
     sigma: float = None
     breakpoints: tuple = ()
@@ -269,7 +269,7 @@ def _shannon_father():
     psi = lambda t: np.sinc(np.asarray(t, dtype=float))
     psi_hat = lambda lam: np.where(np.abs(lam) <= math.pi, 1.0, 0.0) + 0.0j
     T = float(math.ceil(1.0 / (math.pi * _SHANNON_TIME_THRESHOLD)))
-    return psi, psi_hat, math.pi, False, T, ()
+    return psi, psi_hat, math.pi, T, ()
 
 
 def _shannon_mother_psi(t):
@@ -289,7 +289,7 @@ def _shannon_mother():
 
     T = float(math.ceil(0.5 + 2.0 / (math.pi * _SHANNON_TIME_THRESHOLD)))
     breaks = (-math.pi, math.pi)
-    return _shannon_mother_psi, psi_hat, 2.0 * math.pi, False, T, breaks
+    return _shannon_mother_psi, psi_hat, 2.0 * math.pi, T, breaks
 
 
 def _meyer_window(x):
@@ -306,7 +306,7 @@ def _meyer_father():
         return np.where(lam <= 2.0 * two_thirds, np.cos(0.5 * math.pi * ramp), 0.0) + 0.0j
 
     breaks = (-two_thirds, two_thirds)
-    return None, psi_hat, 2.0 * two_thirds, False, None, breaks
+    return None, psi_hat, 2.0 * two_thirds, None, breaks
 
 
 def _meyer_mother():
@@ -326,7 +326,7 @@ def _meyer_mother():
         two_thirds,
         2.0 * two_thirds,
     )
-    return None, psi_hat, 4.0 * two_thirds, False, None, breaks
+    return None, psi_hat, 4.0 * two_thirds, None, breaks
 
 
 def _mexican_hat(sigma):
@@ -349,7 +349,7 @@ def _mexican_hat(sigma):
     # to the time threshold tau at x^2 = 1 - 2 W_-1(-tau sqrt(e)/2).
     A_eff = math.sqrt(-2.0 * _MEXICAN_W_BAND) / sigma
     T = float(math.ceil(sigma * math.sqrt(1.0 - 2.0 * _MEXICAN_W_TIME)))
-    return psi, psi_hat, A_eff, True, T, ()
+    return psi, psi_hat, A_eff, T, ()
 
 
 def builtin_filter(name, sigma=1.0):
@@ -360,19 +360,19 @@ def builtin_filter(name, sigma=1.0):
     by quadrature here, never hard-coded.
     """
     if name == "shannon-father":
-        psi, psi_hat, A, eff, T, breaks = _shannon_father()
+        psi, psi_hat, A, T, breaks = _shannon_father()
         used_sigma = None
     elif name == "shannon-mother":
-        psi, psi_hat, A, eff, T, breaks = _shannon_mother()
+        psi, psi_hat, A, T, breaks = _shannon_mother()
         used_sigma = None
     elif name == "meyer-father":
-        psi, psi_hat, A, eff, T, breaks = _meyer_father()
+        psi, psi_hat, A, T, breaks = _meyer_father()
         used_sigma = None
     elif name == "meyer-mother":
-        psi, psi_hat, A, eff, T, breaks = _meyer_mother()
+        psi, psi_hat, A, T, breaks = _meyer_mother()
         used_sigma = None
     elif name == "mexican-hat":
-        psi, psi_hat, A, eff, T, breaks = _mexican_hat(float(sigma))
+        psi, psi_hat, A, T, breaks = _mexican_hat(float(sigma))
         used_sigma = float(sigma)
     else:
         raise ValueError(
@@ -386,7 +386,6 @@ def builtin_filter(name, sigma=1.0):
         band_limit_A=A,
         c2=c2,
         c3=c3,
-        band_is_effective=eff,
         time_support=T,
         sigma=used_sigma,
         breakpoints=breaks,

@@ -440,26 +440,35 @@ def _band(model, filt, a, spec):
 
 
 def _entry_integral(model, filt, a, delta_b, spec):
-    """One covariance entry a * int cos(delta_b lam)|psi_hat(a lam)|^2 f."""
+    """One covariance entry a * int cos(delta_b lam)|psi_hat(a lam)|^2 f,
+    with its separation named on non-convergence."""
     upper, sing, breaks = _band(model, filt, a, spec)
-    if delta_b != 0.0:
-        half_period = math.pi / abs(delta_b)
-        n_osc = int(upper / half_period)
-        if n_osc > _OSC_SWITCH:
-            return _entry_filon(model, filt, a, delta_b, upper, sing, breaks, spec)
-        if n_osc:
-            breaks.extend(half_period * np.arange(1, n_osc + 1))
-    merged = QuadratureSpec(
-        abs_tol=spec.abs_tol,
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-        singularities=sing,
-    )
-    def integrand(lam):
-        win = np.abs(np.asarray(filt.psi_hat(a * lam))) ** 2
-        return np.cos(delta_b * lam) * win * model.pole_density(lam)
+    try:
+        if delta_b != 0.0:
+            half_period = math.pi / abs(delta_b)
+            n_osc = int(upper / half_period)
+            if n_osc > _OSC_SWITCH:
+                return _entry_filon(model, filt, a, delta_b, upper, sing, breaks, spec)
+            if n_osc:
+                breaks.extend(half_period * np.arange(1, n_osc + 1))
+        merged = QuadratureSpec(
+            abs_tol=spec.abs_tol,
+            rel_tol=spec.rel_tol,
+            max_subdivisions=spec.max_subdivisions,
+            singularities=sing,
+        )
+        def integrand(lam):
+            win = np.abs(np.asarray(filt.psi_hat(a * lam))) ** 2
+            return np.cos(delta_b * lam) * win * model.pole_density(lam)
 
-    return 2.0 * a * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
+        return 2.0 * a * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(
+            "coefficient_covariance: entry at shift separation %r did "
+            "not converge: %s" % (delta_b, exc),
+            exc.estimate,
+            exc.error_bound,
+        ) from exc
 
 
 # Trapezoid nodes of the DCT-I column: N is the smallest power of two at
@@ -484,8 +493,8 @@ def _dct_column(model, filt, a, gamma, m, spec):
     k P of one DCT-I of the integrand.  Sums on N and 2N intervals are
     combined by Richardson extrapolation, and |T_2N - T_N| / 3 must meet
     the tolerance at every lag.  None (use the per-lag quadrature) when
-    P is not an integer, a pole, singularity or filter breakpoint lies
-    in the band, N would exceed _DCT_MAX_NODES, or a lag misses.
+    P is not a positive integer (a single shift has gamma = 0), a pole,
+    singularity or filter breakpoint lies in the band, N would exceed _DCT_MAX_NODES, or a lag misses.
     """
     upper, sing, breaks = _band(model, filt, a, spec)
     p = gamma * upper / math.pi
@@ -519,26 +528,13 @@ def _symmetric_toeplitz(col):
     return np.lib.stride_tricks.sliding_window_view(ends, col.size)[::-1].copy()
 
 
-def _checked_entry(model, filt, a_j, delta, spec):
-    """One covariance entry, with its separation named on non-convergence."""
-    try:
-        return _entry_integral(model, filt, a_j, delta, spec)
-    except QuadratureConvergenceError as exc:
-        raise QuadratureConvergenceError(
-            "coefficient_covariance: entry at shift separation %r did "
-            "not converge: %s" % (delta, exc),
-            exc.estimate,
-            exc.error_bound,
-        ) from exc
-
-
 def _covariance_column(model, filt, a_j, shifts, spec):
-    """Checked inputs, then the Toeplitz column of one level, or None.
+    """Checked inputs, then the Toeplitz column of one level.
 
-    An arithmetic grid (or a single shift) gives the entries at lags
-    k * gamma, k < m: by one DCT-I where the integrand is smooth on the
-    band (see _dct_column), otherwise by one adaptive quadrature per lag.
-    Any other grid gives None; its matrix is not Toeplitz.
+    The shifts must form an arithmetic grid, and a single shift counts
+    as one.  The column holds the entries at lags k * gamma, k < m: by
+    one DCT-I where the integrand is smooth on the band (see
+    _dct_column), otherwise by one adaptive quadrature per lag.
     """
     if not isinstance(model, SpectralModel):
         raise TypeError(
@@ -550,22 +546,22 @@ def _covariance_column(model, filt, a_j, shifts, spec):
         raise ValueError("coefficient_covariance: scale must be a positive real")
     if shifts.ndim != 1 or shifts.size < 1:
         raise ValueError("coefficient_covariance: shifts must be a non-empty vector")
+    m = shifts.size
+    gamma = float(shifts[1] - shifts[0]) if m > 1 else 0.0
+    if not np.allclose(np.diff(shifts), gamma, rtol=1e-12, atol=0.0):
+        raise ValueError(
+            "coefficient_covariance: shifts must form an arithmetic grid "
+            "b_k = b_1 + (k - 1) * gamma"
+        )
     if a_j < 2.0 * filt.band_limit_A:
         warnings.warn(
             "coefficient_covariance: a_j/(2A) = %.3g < 1; decorrelation "
             "bounds assume scales at least twice the band limit"
             % (a_j / (2.0 * filt.band_limit_A))
         )
-    m = shifts.size
-    if m == 1:
-        return np.array([_checked_entry(model, filt, a_j, 0.0, spec)])
-    diffs = np.diff(shifts)
-    if not np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0):
-        return None
-    gamma = float(diffs[0])
     col = _dct_column(model, filt, a_j, gamma, m, spec)
     if col is None:
-        col = np.array([_checked_entry(model, filt, a_j, k * gamma, spec)
+        col = np.array([_entry_integral(model, filt, a_j, k * gamma, spec)
                         for k in range(m)])
     return col
 
@@ -573,37 +569,30 @@ def _covariance_column(model, filt, a_j, shifts, spec):
 def coefficient_covariance(model, filt, a_j, shifts, spec=None):
     """Exact covariance matrix of the coefficients at one scale.
 
-    Arithmetic shift grids produce a Toeplitz matrix, detected here so
-    only the first column is computed: by one DCT-I where the integrand
-    is smooth on the band (see _dct_column), otherwise by one adaptive
-    quadrature per lag.  Sampling factors that column directly (see
-    _schur_factor) and never builds this matrix.  The recommended regime
-    is a_j >= 2 * band limit; below that the across-scale decorrelation
-    bounds stop applying and a warning is emitted.
+    The shifts must form an arithmetic grid (a single shift counts as
+    one), the only grid a ScaleSchedule admits; any other grid raises
+    ValueError.  The matrix is then Toeplitz, the symmetric extension of
+    its first column (see _covariance_column).  Sampling factors that
+    column directly (see _schur_factor) and never builds this matrix.
+    The recommended regime is a_j >= 2 * band limit; below that the
+    across-scale decorrelation bounds stop applying and a warning is
+    emitted.
     """
     if spec is None:
         spec = QuadratureSpec()
     shifts = np.asarray(shifts, dtype=float)
-    col = _covariance_column(model, filt, a_j, shifts, spec)
-    if col is not None:
-        return _symmetric_toeplitz(col)
-    m = shifts.size
-    out = np.empty((m, m))
-    cache = {}
-    for k1 in range(m):
-        for k2 in range(k1, m):
-            delta = abs(shifts[k2] - shifts[k1])
-            if delta not in cache:
-                cache[delta] = _checked_entry(model, filt, float(a_j), delta, spec)
-            out[k1, k2] = out[k2, k1] = cache[delta]
-    return out
+    return _symmetric_toeplitz(_covariance_column(model, filt, a_j, shifts, spec))
 
 
 def scale_second_moment(model, filt, a, spec=None):
-    """J(a): the common variance of coefficients at scale a."""
+    """J(a): the common variance of coefficients at scale a.
+
+    Entry 0 of the single-shift column, with the checks and the warning
+    of coefficient_covariance.
+    """
     if spec is None:
         spec = QuadratureSpec()
-    return _entry_integral(model, filt, float(a), 0.0, spec)
+    return float(_covariance_column(model, filt, a, np.zeros(1), spec)[0])
 
 
 def _schur(col):
@@ -689,17 +678,15 @@ _FACTORS = (None, None)
 _FACTOR_LOCK = threading.Lock()
 
 
-def _panel_factors(model, filt, schedule, spec):
-    """Upper Schur factor of every level's covariance, cached per panel shape.
-
-    Schedules have arithmetic shift grids, so every level has a column.
-    """
+def _panel_factors(model, filt, schedule):
+    """Upper Schur factor of every level's covariance, cached per panel shape."""
     global _FACTORS
-    key = (model.cache_key(), filt.cache_key(), spec,
+    key = (model.cache_key(), filt.cache_key(),
            tuple((lv.a_j, lv.gamma_j, lv.m_j) for lv in schedule.levels))
     with _FACTOR_LOCK:
         if _FACTORS[0] != key:
             _FACTORS = (None, None)
+            spec = QuadratureSpec()
             _FACTORS = (key, tuple(
                 _schur_factor(_covariance_column(model, filt, lv.a_j, lv.shifts(), spec),
                               lv.a_j)
@@ -728,7 +715,7 @@ def _upper_product(z, factor):
     return out
 
 
-def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
+def exact_coefficient_sample(model, filt, schedule, seed):
     """Draw a panel of coefficients from their exact Gaussian law.
 
     Every level draws its normals from the low indices of one shared
@@ -742,15 +729,13 @@ def exact_coefficient_sample(model, filt, schedule, seed, spec=None):
     each level is then one (R, m_j) block, the transposed normals of all
     seeds times U, whose row r matches the panel of seed r to rounding.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     for lv in schedule.levels:
         if lv.m_j > 8192:
             raise ValueError(
                 "exact_coefficient_sample: m_j = %d at level %d exceeds the "
                 "factorization guard of 8192" % (lv.m_j, lv.j)
             )
-    factors = _panel_factors(model, filt, schedule, spec)
+    factors = _panel_factors(model, filt, schedule)
     idx = np.arange(max(lv.m_j for lv in schedule.levels))
     if isinstance(seed, tuple):
         seed = tuple(int(s) for s in seed)

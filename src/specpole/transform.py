@@ -82,15 +82,12 @@ class ScaleSchedule:
     """Strictly increasing scales with per-scale shift grids."""
 
     levels: tuple
-    shift_rule: str = "arithmetic"
     rule_doc: dict = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("ScaleSchedule: need at least one level")
-        if self.shift_rule != "arithmetic":
-            raise ValueError("ScaleSchedule: only the arithmetic shift rule exists")
         a = np.array([lv.a_j for lv in self.levels], dtype=float)
         r = np.array([lv.r_j for lv in self.levels], dtype=float)
         if not np.all(a > 0) or not np.all(np.diff(a) > 0):

@@ -13,7 +13,6 @@ import pytest
 from specpole import simulate
 from specpole.model import builtin_filter, indicator_model
 from specpole.simulate import exact_coefficient_sample, gaussian_stream
-from specpole.specfun import QuadratureSpec
 from specpole.transform import ScaleSchedule, ScheduleLevel, geometric_schedule
 
 
@@ -124,7 +123,7 @@ class TestTriangularProduct:
     @pytest.mark.parametrize("seed", [tuple(range(40, 80)), 11], ids=["seeds", "int"])
     def test_panel_matches_the_full_product(self, schedule, seed):
         panel = exact_coefficient_sample(self.model, self.filt, schedule, seed)
-        factors = simulate._panel_factors(self.model, self.filt, schedule, QuadratureSpec())
+        factors = simulate._panel_factors(self.model, self.filt, schedule)
         idx = np.arange(max(lv.m_j for lv in schedule.levels))
         z = gaussian_stream(seed, simulate._PANEL_TAG,
                             idx[:, None] if isinstance(seed, tuple) else idx)

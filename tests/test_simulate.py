@@ -237,10 +237,16 @@ class TestCoefficientCovariance:
     filt = builtin_filter("shannon-father")
 
     def test_single_shift_equals_second_moment(self):
+        # both are entry 0 of the single-shift column
         cov = coefficient_covariance(self.model, self.filt, 8.0, [5.0])
-        np.testing.assert_allclose(
-            cov, [[scale_second_moment(self.model, self.filt, 8.0)]], rtol=1e-12
+        np.testing.assert_array_equal(
+            cov, [[scale_second_moment(self.model, self.filt, 8.0)]]
         )
+
+    @pytest.mark.parametrize("a", [-8.0, 0.0])
+    def test_second_moment_rejects_non_positive_scale(self, a):
+        with pytest.raises(ValueError, match="scale must be a positive real"):
+            scale_second_moment(self.model, self.filt, a)
 
     def test_entry_against_midpoint_oracle(self):
         # Smooth integrand for a = 8 (the pole sits outside the band),
@@ -281,16 +287,14 @@ class TestCoefficientCovariance:
         np.testing.assert_array_equal(simulate._symmetric_toeplitz(col), toeplitz(col))
 
     def test_non_arithmetic_shifts_consistent(self):
-        # The per-lag entries of the non-arithmetic grid and the DCT
-        # columns of the two-shift grids, each against a 30-digit oracle.
-        shifts = np.array([8.0, 24.0, 56.0])
-        cov = coefficient_covariance(self.model, self.filt, 8.0, shifts)
-        np.testing.assert_array_equal(cov, cov.T)
-        for col, delta in ((1, 16.0), (2, 48.0)):
+        # A non-arithmetic grid raises; the DCT columns of the two-shift
+        # grids at its separations match a 30-digit oracle.
+        with pytest.raises(ValueError, match="arithmetic grid"):
+            coefficient_covariance(self.model, self.filt, 8.0, [8.0, 24.0, 56.0])
+        for delta in (16.0, 48.0):
             pair = coefficient_covariance(self.model, self.filt, 8.0, [0.0, delta])
-            oracle = self.entry_oracle(8.0, delta)
-            np.testing.assert_allclose(cov[0, col], oracle, rtol=1e-12)
-            np.testing.assert_allclose(pair[0, 1], oracle, rtol=1e-12)
+            np.testing.assert_allclose(pair[0, 1], self.entry_oracle(8.0, delta),
+                                       rtol=1e-12)
 
     def test_second_moment_approaches_limit_quadratically(self):
         limit = self.filt.c2 * self.model.s0 ** (-4 * self.model.alpha)
@@ -332,6 +336,8 @@ class TestCoefficientCovariance:
             coefficient_covariance(
                 GegenbauerSpec(d=0.1, u=0.3), self.filt, 8.0, [1.0]
             )
+        with pytest.raises(TypeError, match="SpectralModel"):
+            scale_second_moment(GegenbauerSpec(d=0.1, u=0.3), self.filt, 8.0)
 
     def test_nonconvergence_names_entry(self):
         starved = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2)
@@ -484,6 +490,11 @@ class TestDctColumn:
             return results[-1]
 
         monkeypatch.setattr(simulate, "_dct_column", spy)
+        if case == "non-arithmetic":
+            with pytest.raises(ValueError, match="arithmetic grid"):
+                coefficient_covariance(self.model, filt, a, shifts, spec)
+            assert results == []  # raised before asking for a column
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a = 2 is below 2A
             cov = coefficient_covariance(self.model, filt, a, shifts, spec)
@@ -491,8 +502,7 @@ class TestDctColumn:
             oracle = np.vectorize(
                 lambda d: simulate._entry_integral(self.model, filt, a, d, spec)
             )(seps)
-        # a non-arithmetic grid never asks for a Toeplitz column
-        assert results == ([] if case == "non-arithmetic" else [None])
+        assert results == [None]
         np.testing.assert_array_equal(cov, oracle)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 1025, 8193])
@@ -611,22 +621,20 @@ class TestLevelFactor:
     model = indicator_model(1.2661036727794992, 0.1, 3.0)
     filt = builtin_filter("shannon-father")
 
-    def test_cache_key_holds_the_whole_spec(self, monkeypatch):
+    def test_memo_holds_one_panel_shape(self, monkeypatch):
         monkeypatch.setattr(simulate, "_FACTORS", (None, None))
         sched = single_level_schedule(8.0, 6)
-        plain = QuadratureSpec()
-        base = simulate._panel_factors(self.model, self.filt, sched, plain)
-        assert simulate._panel_factors(self.model, self.filt, sched, plain) is base
-        # same tolerances, different budget and singularity list
-        for spec in (
-            QuadratureSpec(max_subdivisions=500),
-            QuadratureSpec(singularities=(0.2,)),
-        ):
-            moved = simulate._panel_factors(self.model, self.filt, sched, spec)
-            assert moved is not base
-            assert simulate._FACTORS[1] is moved  # one entry, the last shape
+        base = simulate._panel_factors(self.model, self.filt, sched)
+        assert simulate._panel_factors(self.model, self.filt, sched) is base
+        assert simulate._FACTORS[1] is base
+        moved = simulate._panel_factors(self.model, self.filt, single_level_schedule(8.0, 7))
+        assert moved is not base
+        assert simulate._FACTORS[1] is moved  # one entry, the last shape
         # a singularity in the band forces the per-lag column
-        np.testing.assert_allclose(moved[0], base[0], rtol=1e-12)
+        per_lag = coefficient_covariance(self.model, self.filt, 8.0, 8.0 * np.arange(1, 7),
+                                         QuadratureSpec(singularities=(0.2,)))
+        np.testing.assert_allclose(simulate._schur_factor(per_lag[:, 0].copy(), 8.0),
+                                   base[0], rtol=1e-12)
 
     def test_jitter_is_reported(self):
         col = np.ones(4)  # rank one: no Schur factor without jitter
@@ -702,7 +710,7 @@ class TestLevelFactor:
         sched = single_level_schedule(16.0, m)
         tracemalloc.start()
         try:
-            simulate._panel_factors(self.model, self.filt, sched, QuadratureSpec())
+            simulate._panel_factors(self.model, self.filt, sched)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -126,8 +126,6 @@ class TestSchedules:
             ScaleSchedule(
                 levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=0.0, m_j=4, r_j=0.5),)
             )
-        with pytest.raises(ValueError, match="shift rule"):
-            ScaleSchedule(levels=(good,), shift_rule="geometric")
 
     def test_shifts_are_arithmetic(self):
         lv = ScheduleLevel(j=2, a_j=4.0, gamma_j=3.0, m_j=5, r_j=0.1)
