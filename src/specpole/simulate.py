@@ -573,7 +573,8 @@ def coefficient_covariance(model, filt, a_j, shifts, spec=None):
     one), the only grid a ScaleSchedule admits; any other grid raises
     ValueError.  The matrix is then Toeplitz, the symmetric extension of
     its first column (see _covariance_column).  Sampling factors that
-    column directly (see _schur_factor) and never builds this matrix.
+    column directly (see _schur_factor) and never builds this matrix,
+    nor any other m x m array.
     The recommended regime is a_j >= 2 * band limit; below that the
     across-scale decorrelation bounds stop applying and a warning is
     emitted.
@@ -595,6 +596,10 @@ def scale_second_moment(model, filt, a, spec=None):
     return float(_covariance_column(model, filt, a, np.zeros(1), spec)[0])
 
 
+# Columns per block of a packed Schur factor, and rows per staging band.
+_PRODUCT_BLOCK = 64
+
+
 def _schur(col):
     """Upper factor U, T = U^T U, of the Toeplitz matrix T with column col.
 
@@ -602,34 +607,59 @@ def _schur(col):
     v v^T (Z the down shift): row k of U is u shifted down once, rotated
     hyperbolically against v so that v[k] vanishes.  The rotation is in
     mixed form (v from the new u), which is weakly stable for positive
-    definite T (Bojanczyk, Brent, de Hoog & Sweet 1995).  O(m^2) time;
-    beside U it holds two length-m vectors.  Returns (U, None), or
-    (None, k) when T is not positive definite: the first step k at which
-    |rho| >= 1 (k = 0: col[0] <= 0).
+    definite T (Bojanczyk, Brent, de Hoog & Sweet 1995).  O(m^2) time.
+
+    U is returned packed, as the tuple of its column blocks
+    U[:c1, c0:c1] for c0 in steps of B = _PRODUCT_BLOCK, the operands of
+    _upper_product.  Each is C-contiguous, and all are carved from one
+    buffer of 8 (m^2 + m B) / 2 bytes when B divides m (the dense U
+    takes 8 m^2), so the zeros below the diagonal are never stored.
+    Rows are computed into a (B, m) staging band, which is never
+    re-zeroed: each finished band is copied into the blocks right of
+    its rows, and into its diagonal block only on and above the
+    diagonal.  Beside the blocks it holds the band and two length-m
+    vectors.  Returns (blocks, None), or (None, k) when T is not
+    positive definite: the first step k at which |rho| >= 1 (k = 0:
+    col[0] <= 0).
     """
     m = col.size
     if not col[0] > 0.0:
         return None, 0
-    u = np.zeros((m, m))
-    u[0] = col / math.sqrt(col[0])
-    v = u[0].copy()  # entry 0 is never read: v starts at c_1 / sqrt(c_0)
+    bounds = [(c0, min(c0 + _PRODUCT_BLOCK, m)) for c0 in range(0, m, _PRODUCT_BLOCK)]
+    sizes = [c1 * (c1 - c0) for c0, c1 in bounds]
+    blocks = tuple(part.reshape(c1, c1 - c0) for part, (c0, c1) in zip(
+        np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1]), bounds))
+    band = np.empty((min(_PRODUCT_BLOCK, m), m))
+    upper = np.triu(np.ones((band.shape[0],) * 2, dtype=bool))
+    band[0] = col / math.sqrt(col[0])
+    v = band[0].copy()  # entry 0 is never read: v starts at c_1 / sqrt(c_0)
     scratch = np.empty(m)
-    for k in range(1, m):
-        prev = u[k - 1, k - 1:-1]
-        vk = v[k:]
-        rho = vk[0] / prev[0]
-        if not abs(rho) < 1.0:
-            return None, k
-        s = math.sqrt((1.0 - rho) * (1.0 + rho))
-        row = u[k, k:]
-        np.multiply(vk, rho, out=row)
-        np.subtract(prev, row, out=row)
-        row /= s
-        vk *= s
-        tmp = scratch[k:]
-        np.multiply(row, rho, out=tmp)
-        vk -= tmp
-    return u, None
+    last = 0  # band row of U's row k - 1
+    for r0 in range(0, m, _PRODUCT_BLOCK):
+        r1 = min(r0 + _PRODUCT_BLOCK, m)
+        for k in range(max(r0, 1), r1):
+            prev = band[last, k - 1:-1]
+            vk = v[k:]
+            rho = vk[0] / prev[0]
+            if not abs(rho) < 1.0:
+                return None, k
+            s = math.sqrt((1.0 - rho) * (1.0 + rho))
+            last = k - r0
+            row = band[last, k:]
+            np.multiply(vk, rho, out=row)
+            np.subtract(prev, row, out=row)
+            row /= s
+            vk *= s
+            tmp = scratch[k:]
+            np.multiply(row, rho, out=tmp)
+            vk -= tmp
+        rows = band[:r1 - r0]
+        diag = blocks[r0 // _PRODUCT_BLOCK]
+        np.copyto(diag[r0:], rows[:, r0:r1], where=upper[:r1 - r0, :r1 - r0])
+        for block in blocks[r0 // _PRODUCT_BLOCK + 1:]:
+            c1, w = block.shape
+            block[r0:r1] = rows[:, c1 - w:c1]
+    return blocks, None
 
 
 # Diagonal jitters tried in turn, in units of trace/m = col[0].
@@ -694,24 +724,20 @@ def _panel_factors(model, filt, schedule):
         return _FACTORS[1]
 
 
-# Columns per block of the triangular product in _upper_product.
-_PRODUCT_BLOCK = 256
-
-
 def _upper_product(z, factor):
-    """z @ factor for an upper triangular factor, skipping its zeros.
+    """z @ U for an upper triangular U packed as by _schur.
 
     z is (..., m); column block [c0, c1) of the result needs only the
     first c1 entries of z's rows, so each block is one BLAS product of
-    z[..., :c1] with factor[:c1, c0:c1], written into one preallocated
-    result.  It differs from the full product by the rounding of the
-    shorter sums.
+    z[..., :c1] with the stored U[:c1, c0:c1], written into one
+    preallocated result.  It differs from the full product by the
+    rounding of the shorter sums.
     """
-    m = factor.shape[0]
+    m = factor[-1].shape[0]
     out = np.empty(z.shape[:-1] + (m,))
-    for c0 in range(0, m, _PRODUCT_BLOCK):
-        c1 = min(c0 + _PRODUCT_BLOCK, m)
-        np.matmul(z[..., :c1], factor[:c1, c0:c1], out=out[..., c0:c1])
+    for block in factor:
+        c1, w = block.shape
+        np.matmul(z[..., :c1], block, out=out[..., c1 - w:c1])
     return out
 
 
@@ -723,8 +749,9 @@ def exact_coefficient_sample(model, filt, schedule, seed):
     positively coupled across scales; see the module docstring for why.
     Each level is z^T U, with z its m_j normals and U the upper Schur
     factor of its covariance (T = U^T U), built from the covariance
-    column and cached per panel shape.  The product skips U's zeros
-    below the diagonal, by column blocks (see _upper_product).
+    column and cached per panel shape.  U is stored as its column blocks
+    above the diagonal, about half of m_j x m_j (see _schur), and the
+    product multiplies z by each block (see _upper_product).
     Deterministic in the seed.  ``seed`` may also be a tuple of R ints:
     each level is then one (R, m_j) block, the transposed normals of all
     seeds times U, whose row r matches the panel of seed r to rounding.
@@ -786,15 +813,22 @@ def panel_from_csv(path, provenance, seed):
         )
     if not (arr[:, :2] == np.round(arr[:, :2])).all():
         raise ValueError("panel_from_csv: %s holds a non-integer j or k" % path)
+    # rows by (j, k); np.lexsort, unlike np.unique, leaves numpy.ma unloaded
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    same_j = arr[1:, 0] == arr[:-1, 0]
+    twice = np.flatnonzero(same_j & (arr[1:, 1] == arr[:-1, 1]))
+    if twice.size:
+        j, k = arr[twice[0], :2]
+        raise ValueError(
+            "panel_from_csv: %s gives level %d row k = %d more than once" % (path, j, k)
+        )
     levels = []
-    for j in np.unique(arr[:, 0]):
-        block = arr[arr[:, 0] == j]
+    for block in np.split(arr, np.flatnonzero(~same_j) + 1):
+        j = block[0, 0]
         if not (block[:, 2] == block[0, 2]).all():
             raise ValueError(
                 "panel_from_csv: %s gives level %d more than one a_j" % (path, j)
             )
-        order = np.argsort(block[:, 1])
-        block = block[order]
         levels.append(
             PanelLevel(
                 j=int(j),

@@ -362,7 +362,9 @@ def integrate(f, lo, hi, spec=None, *, breakpoints=()):
         def ctx(x):
             return x
 
-    edges = np.unique(np.concatenate([[a, b], np.asarray(cuts, dtype=float)]))
+    # np.sort, not np.unique, which imports numpy.ma; equal edges go
+    # with the near-duplicates below.
+    edges = np.sort(np.concatenate([[a, b], np.asarray(cuts, dtype=float)]))
     edges = edges[(edges >= a) & (edges <= b)]
     # Drop near-duplicate edges that would create empty panels.
     keep = np.concatenate([[True], np.diff(edges) > 1e-15 * max(1.0, abs(b - a))])

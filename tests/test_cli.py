@@ -540,7 +540,8 @@ class TestEstimate:
         "1,1,2,2,inf\n",
         "1,1,8,1,0.5\n1,2,8,2,0.4\n1.5,1,16,1,0.3\n1.5,2,16,2,0.2\n",
         "1,1,8,1,0.5\n1,2,9,2,0.4\n2,1,16,1,0.3\n2,2,16,2,0.2\n",
-    ], ids=["3 columns", "non-finite", "fractional j", "two a_j"])
+        "1,1,8,1,0.5\n1,1,8,1,0.4\n1,3,8,3,0.3\n2,1,16,1,0.3\n2,2,16,2,0.2\n",
+    ], ids=["3 columns", "non-finite", "fractional j", "two a_j", "duplicate k"])
     def test_malformed_panel_csv_is_domain_error(self, tmp_path, capsys, body):
         panel_csv = tmp_path / "bad_panel.csv"
         panel_csv.write_text("j,k,a_j,b_jk,delta_jk\n" + body)

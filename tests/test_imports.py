@@ -1,8 +1,9 @@
 """What importing the package and running its commands need of SciPy.
 
 The package uses no SciPy, so a fresh interpreter that imports specpole,
-builds the filters and turns a path CSV into a panel CSV must hold no
-``scipy`` module afterwards, and the commands that simulate, transform,
+builds the filters, turns a path CSV into a panel CSV and reads it back
+must hold no ``scipy`` module afterwards, nor ``numpy.ma``, which plain
+``np.unique`` imports, and the commands that simulate, transform,
 estimate and run an exact-backend experiment, and a far-lag covariance
 entry, must succeed with SciPy blocked.  This file imports no SciPy
 itself, so it also runs where SciPy is not installed.
@@ -23,8 +24,8 @@ import numpy as np
 import specpole
 import specpole.cli
 from specpole import (BUILTIN_FILTER_NAMES, PathRealization, builtin_filter,
-                      lattice_window, linear_schedule, panel_from_path,
-                      panel_to_csv, path_from_csv, path_to_csv)
+                      lattice_window, linear_schedule, panel_from_csv,
+                      panel_from_path, panel_to_csv, path_from_csv, path_to_csv)
 
 tmp = sys.argv[1]
 filters = [builtin_filter(name) for name in BUILTIN_FILTER_NAMES]
@@ -36,6 +37,7 @@ path_csv = os.path.join(tmp, "path.csv")
 path_to_csv(PathRealization(t0=float(t_lo), dt=1.0, values=x, seed=0), path_csv)
 panel = panel_from_path(path_from_csv(path_csv, 0), filt, schedule)
 panel_to_csv(panel, os.path.join(tmp, "panel.csv"))
+assert panel_from_csv(os.path.join(tmp, "panel.csv"), "path-transform", 0).levels
 config = os.path.join(tmp, "transform.json")
 with open(config, "w") as fh:
     json.dump({"filter": {"name": "mexican-hat"},
@@ -46,8 +48,9 @@ assert specpole.cli.main(["transform", "--config", config,
 """
 
 REPORT = """
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps({top: sorted(m for m in sys.modules
+                              if m == top or m.startswith(top + "."))
+                  for top in ("scipy", "numpy.ma")}))
 """
 
 # Every "import scipy..." raises ImportError once sys.modules maps
@@ -102,7 +105,8 @@ def run_fresh(script, *args):
 
 
 def test_import_and_path_csv_transform_load_no_scipy(tmp_path):
-    assert run_fresh(TRANSFORM_A_PATH_CSV + REPORT, str(tmp_path)) == []
+    assert run_fresh(TRANSFORM_A_PATH_CSV + REPORT, str(tmp_path)) == {
+        "scipy": [], "numpy.ma": []}
     assert (tmp_path / "out" / "panel.csv").read_bytes() == (
         tmp_path / "panel.csv").read_bytes()
 

@@ -1,7 +1,9 @@
-"""Blocked Gaussian stream and triangular factor product, with NumPy only.
+"""Blocked Gaussian stream, packed Schur factors and their product, with NumPy only.
 
 The stream is checked bit for bit against the unblocked formula, kept
-here as the reference; the product against the full matrix product.
+here as the reference; a packed factor through its dense assembly,
+dense_factor, which tests/test_simulate.py also uses; the product
+against the full matrix product.
 """
 
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 from specpole import simulate
 from specpole.model import builtin_filter, indicator_model
 from specpole.simulate import exact_coefficient_sample, gaussian_stream
+from specpole.specfun import QuadratureSpec
 from specpole.transform import ScaleSchedule, ScheduleLevel, geometric_schedule
 
 
@@ -114,9 +117,61 @@ def one_level(m):
     return ScaleSchedule(levels=(ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=m, r_j=0.5),))
 
 
+def dense_factor(blocks):
+    """The m x m upper factor whose column blocks _schur packed."""
+    m = blocks[-1].shape[0]
+    dense = np.zeros((m, m))
+    for block in blocks:
+        c1, w = block.shape
+        dense[:c1, c1 - w:c1] = block
+    return dense
+
+
+def packed(dense):
+    """A dense upper triangular matrix as the column blocks _schur stores."""
+    m, b = dense.shape[0], simulate._PRODUCT_BLOCK
+    return tuple(np.ascontiguousarray(dense[:min(c0 + b, m), c0:c0 + b])
+                 for c0 in range(0, m, b))
+
+
+MODEL = indicator_model(1.2661, 0.1, 3.0)
+FILT = builtin_filter("shannon-father")
+
+
+def level_column(a, m):
+    return simulate._covariance_column(MODEL, FILT, a, a * np.arange(1, m + 1), QuadratureSpec())
+
+
+EXACT_C6_LEVELS = ((8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768))
+
+
+class TestPackedFactor:
+    @pytest.mark.parametrize("m", [1, 300, 513, 768])
+    def test_blocks_hold_the_upper_triangle_only(self, m):
+        blocks, step = simulate._schur(level_column(8.0, m))
+        assert step is None
+        b = simulate._PRODUCT_BLOCK
+        bounds = [(c0, min(c0 + b, m)) for c0 in range(0, m, b)]
+        assert [block.shape for block in blocks] == [(c1, c1 - c0) for c0, c1 in bounds]
+        assert all(block.flags.c_contiguous for block in blocks)
+        base = blocks[0].base  # one allocation, all of it in the blocks
+        assert base is not None and all(block.base is base for block in blocks)
+        assert base.nbytes == 8 * sum(c1 * (c1 - c0) for c0, c1 in bounds)
+        if m % b == 0:
+            assert base.nbytes == 8 * (m * m + m * b) // 2
+        np.testing.assert_array_equal(np.tril(dense_factor(blocks), -1), 0.0)
+
+    @pytest.mark.parametrize("a, m", EXACT_C6_LEVELS + ((8.0, 1), (8.0, 300), (8.0, 513)))
+    def test_dense_assembly_reconstructs_the_covariance(self, a, m):
+        col = level_column(a, m)
+        factor = dense_factor(simulate._schur_factor(col, a))
+        toeplitz = simulate._symmetric_toeplitz(col)
+        assert np.max(np.abs(factor.T @ factor - toeplitz)) <= 1e-13 * col[0]
+
+
 class TestTriangularProduct:
-    model = indicator_model(1.2661, 0.1, 3.0)
-    filt = builtin_filter("shannon-father")
+    model = MODEL
+    filt = FILT
 
     @pytest.mark.parametrize("schedule", [exact_c6_schedule(), one_level(1), one_level(300)],
                              ids=["exact-c6", "m=1", "m=300"])
@@ -128,15 +183,17 @@ class TestTriangularProduct:
         z = gaussian_stream(seed, simulate._PANEL_TAG,
                             idx[:, None] if isinstance(seed, tuple) else idx)
         for lv, factor in zip(panel.levels, factors):
-            want = z[: lv.shifts.size].T @ factor
+            want = z[: lv.shifts.size].T @ dense_factor(factor)
             assert lv.coeffs.shape == want.shape
             assert np.max(np.abs(lv.coeffs - want)) <= 1e-15 * np.max(np.abs(want)), lv.j
 
-    @pytest.mark.parametrize("m", [1, simulate._PRODUCT_BLOCK, 2 * simulate._PRODUCT_BLOCK + 1])
+    # a single column, one whole block, a ragged last block, four blocks, nine
+    @pytest.mark.parametrize("m", [1, simulate._PRODUCT_BLOCK, 2 * simulate._PRODUCT_BLOCK + 1,
+                                   256, 513])
     def test_skips_only_zeros(self, m):
         rng = np.random.default_rng(m)
         factor = np.triu(rng.standard_normal((m, m)))
         z = rng.standard_normal((7, m))
         want = z @ factor
-        got = simulate._upper_product(z, factor)
+        got = simulate._upper_product(z, packed(factor))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())

@@ -42,6 +42,7 @@ from specpole.specfun import (
     gegenbauer_coeffs,
 )
 from specpole.transform import ScaleSchedule, ScheduleLevel
+from test_sampling import dense_factor
 
 
 def single_level_schedule(a, m, gamma=None):
@@ -633,15 +634,15 @@ class TestLevelFactor:
         # a singularity in the band forces the per-lag column
         per_lag = coefficient_covariance(self.model, self.filt, 8.0, 8.0 * np.arange(1, 7),
                                          QuadratureSpec(singularities=(0.2,)))
-        np.testing.assert_allclose(simulate._schur_factor(per_lag[:, 0].copy(), 8.0),
-                                   base[0], rtol=1e-12)
+        np.testing.assert_allclose(dense_factor(simulate._schur_factor(per_lag[:, 0].copy(), 8.0)),
+                                   dense_factor(base[0]), rtol=1e-12)
 
     def test_jitter_is_reported(self):
         col = np.ones(4)  # rank one: no Schur factor without jitter
         expected = (r"at a_j = 8 \(m_j = 4\) is not positive definite; "
                     r"added diagonal jitter 1e-12 = 1e-12 \* trace/m")
         with pytest.warns(UserWarning, match=expected):
-            factor = simulate._schur_factor(col, 8.0)
+            factor = dense_factor(simulate._schur_factor(col, 8.0))
         np.testing.assert_allclose(factor.T @ factor, np.ones((4, 4)) + 1e-12 * np.eye(4),
                                    rtol=0.0, atol=1e-15)
 
@@ -659,10 +660,9 @@ class TestLevelFactor:
         # the exact-c6 levels (m capped at 768) and one criterion-6 level
         shifts = a * np.arange(1, m + 1)
         cov = coefficient_covariance(self.model, self.filt, a, shifts)
-        factor = simulate._schur_factor(cov[:, 0].copy(), a)
+        factor = dense_factor(simulate._schur_factor(cov[:, 0].copy(), a))
         dense = np.linalg.cholesky(cov)
-        assert factor.shape == (m, m) and factor.flags.c_contiguous
-        np.testing.assert_array_equal(np.tril(factor, -1), 0.0)
+        assert factor.shape == (m, m)
         np.testing.assert_allclose(factor.T, dense, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(dense)))
 
@@ -675,7 +675,7 @@ class TestLevelFactor:
         assert np.linalg.eigvalsh(cov).min() < 1e-5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factor = simulate._schur_factor(cov[:, 0].copy(), a)
+            factor = dense_factor(simulate._schur_factor(cov[:, 0].copy(), a))
         assert np.max(np.abs(factor.T @ factor - cov)) <= 1e-13 * cov[0, 0]
 
     def test_indefinite_column_raises_once_the_ladder_runs_out(self, monkeypatch):
@@ -700,13 +700,13 @@ class TestLevelFactor:
             exact_coefficient_sample(self.model, self.filt, ladder((8.0, 16.0), m=3), 0)
 
     def test_factor_build_holds_one_factor(self, monkeypatch):
-        # One m = 2048 level: the factor's 8 m^2 bytes plus a margin of 16
-        # length-m vectors.  The build measured 4.2 such vectors above the
-        # factor (column, its jittered copy and the two generators); a
-        # build through the m x m covariance matrix holds three times the
-        # factor.
+        # One m = 2048 level: the packed factor's 8 (m^2 + m B) / 2 bytes,
+        # the (B, m) staging band and a margin of 16 length-m vectors for
+        # the column, its jittered copy and the two generators.  A dense
+        # m x m factor alone holds about twice the packed one; a build
+        # through the m x m covariance matrix, six times.
         monkeypatch.setattr(simulate, "_FACTORS", (None, None))
-        m = 2048
+        m, b = 2048, simulate._PRODUCT_BLOCK
         sched = single_level_schedule(16.0, m)
         tracemalloc.start()
         try:
@@ -714,7 +714,7 @@ class TestLevelFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * m * m + 16 * 8 * m, peak
+        assert peak <= 8 * (m * m + m * b) // 2 + 8 * b * m + 16 * 8 * m, peak
 
 
 def ladder(scales, m=8):
@@ -968,7 +968,9 @@ class TestSerialization:
         ("1,1,8,1,0.5\n1,2,8,2,0.4\n1.5,1,16,1,0.3\n1.5,2,16,2,0.2\n", "non-integer j or k"),
         ("1,1,8,1,0.5\n1,2.5,8,2,0.4\n2,1,16,1,0.3\n2,2,16,2,0.2\n", "non-integer j or k"),
         ("1,1,8,1,0.5\n1,2,9,2,0.4\n2,1,16,1,0.3\n2,2,16,2,0.2\n", "level 1 more than one a_j"),
-    ], ids=["fractional j", "fractional k", "two a_j"])
+        ("2,1,16,1,0.3\n1,1,8,1,0.5\n1,3,8,3,0.3\n2,2,16,2,0.2\n1,1,8,1,0.4\n",
+         "level 1 row k = 1 more than once"),
+    ], ids=["fractional j", "fractional k", "two a_j", "duplicate k"])
     def test_panel_csv_rejects_inconsistent_indices(self, tmp_path, body, message):
         target = tmp_path / "odd.csv"
         target.write_text("j,k,a_j,b_jk,delta_jk\n" + body)
