@@ -23,15 +23,15 @@ sharing is deliberate: difference statistics of panel averages then see
 positively coupled noise, which cancels in across-scale differences the
 same way it would along one long realization.
 
-The normal quantile, the DCT-I of the covariance column, its Toeplitz
-matrix, its Schur factor and the Filon rule for far shifts are NumPy
-code; the package needs no SciPy.
+The normal quantile, the covariance column's Filon rule (one DCT-I for
+all lags, near and far), its Toeplitz matrix and its Schur factor are
+NumPy code; the package needs no SciPy.
 """
 
 import math
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -365,63 +365,8 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
 
 
 # Above this many half-periods inside the band, breakpoint-guided
-# adaptive quadrature is hopeless; the entry goes to the Filon rule
-# of _entry_filon instead.
+# adaptive quadrature is hopeless and _entry_integral raises.
 _OSC_SWITCH = 20000
-
-
-def _entry_filon(model, filt, a, delta_b, upper, sing, breaks, spec):
-    """Covariance entry for a rapidly oscillating cosine weight.
-
-    Filon-trapezoid rule (Filon 1928; Iserles & Norsett 2005): on each
-    piece of [0, upper] between filter breakpoints, the integrand is
-    interpolated linearly on N uniform cells and each cell is integrated
-    against cos(delta_b lam) in closed form.  The end nodes of a piece
-    sit 1e-13 of its width inside it, so a jump at a breakpoint is read
-    from the piece's own side.  N doubles from _DCT_MIN_NODES until two
-    sums meet the tolerance, or raises at _DCT_MAX_NODES.  A singularity
-    in the band defeats uniform nodes, so it raises at once.
-    """
-    if sing:
-        raise QuadratureConvergenceError(
-            "the band [0, %r] holds the singularity %r, which the Filon rule "
-            "for far lags cannot integrate" % (upper, min(sing)),
-            math.nan,
-            math.inf,
-        )
-    w = abs(delta_b)
-    knots = sorted({0.0, upper, *breaks})
-
-    def filon_sum(n):
-        total = 0.0
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            lam = np.linspace(lo, hi, n + 1)
-            at = lam.copy()
-            at[0] += 1e-13 * (hi - lo)
-            at[-1] -= 1e-13 * (hi - lo)
-            win = np.abs(filt.psi_hat(np.minimum(a * at, filt.band_limit_A))) ** 2
-            g = win * model.pole_density(at)
-            # cell [x0, x1] of width h gives (g1 sin w x1 - g0 sin w x0) / w
-            # + (g1 - g0)(cos w x1 - cos w x0) / (h w^2); the sine terms
-            # telescope to the piece's ends
-            total += (g[-1] * math.sin(w * hi) - g[0] * math.sin(w * lo)) / w
-            total += np.dot(np.diff(g), np.diff(np.cos(w * lam))) * n / ((hi - lo) * w * w)
-        return total
-
-    n = _DCT_MIN_NODES
-    fine = filon_sum(n)
-    while n < _DCT_MAX_NODES:
-        n *= 2
-        coarse, fine = fine, filon_sum(n)
-        error = abs(fine - coarse)
-        if error <= max(spec.abs_tol, spec.rel_tol * abs(fine)):
-            return 2.0 * a * fine
-    raise QuadratureConvergenceError(
-        "Filon sums on %d and %d cells per piece differ by %.3g, above the "
-        "tolerance" % (n // 2, n, 2.0 * a * error),
-        2.0 * a * fine,
-        2.0 * a * error,
-    )
 
 
 def _band(model, filt, a, spec):
@@ -448,15 +393,13 @@ def _entry_integral(model, filt, a, delta_b, spec):
             half_period = math.pi / abs(delta_b)
             n_osc = int(upper / half_period)
             if n_osc > _OSC_SWITCH:
-                return _entry_filon(model, filt, a, delta_b, upper, sing, breaks, spec)
+                raise QuadratureConvergenceError(
+                    "the band [0, %r] holds the singularity %r and %d half-periods, more "
+                    "than adaptive quadrature takes" % (upper, min(sing), n_osc), math.nan, math.inf)
             if n_osc:
                 breaks.extend(half_period * np.arange(1, n_osc + 1))
-        merged = QuadratureSpec(
-            abs_tol=spec.abs_tol,
-            rel_tol=spec.rel_tol,
-            max_subdivisions=spec.max_subdivisions,
-            singularities=sing,
-        )
+        merged = replace(spec, singularities=sing)
+
         def integrand(lam):
             win = np.abs(np.asarray(filt.psi_hat(a * lam))) ** 2
             return np.cos(delta_b * lam) * win * model.pole_density(lam)
@@ -471,12 +414,11 @@ def _entry_integral(model, filt, a, delta_b, spec):
         ) from exc
 
 
-# Trapezoid nodes of the DCT-I column: N is the smallest power of two at
-# or above both _DCT_MIN_NODES and _DCT_NODES_PER_LAG * P * m, and the
-# column is built this way only while N stays within _DCT_MAX_NODES.
-_DCT_NODES_PER_LAG = 16
-_DCT_MIN_NODES = 1 << 12
-_DCT_MAX_NODES = 1 << 18
+# Cells of the first and the last Filon rule of a column.  Fewer than 2^14
+# leave 1e-11 of col[0] at the Meyer kinks and at lags of a period per
+# cell; Shannon mother and the Mexican hat at a = 5, unit shifts, take 2^20.
+_DCT_MIN_NODES = 1 << 14
+_DCT_MAX_NODES = 1 << 20
 
 
 def _dct1(g):
@@ -484,38 +426,93 @@ def _dct1(g):
     return np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real
 
 
-def _dct_column(model, filt, a, gamma, m, spec):
-    """Entries at lags k * gamma, k < m, from one DCT-I, or None.
+def _filon_cells(w, x0, x1, g0, g1):
+    """int_x0^x1 cos(w lam) L(lam) dlam, L the line from (x0, g0) to
+    (x1, g1), in closed form: frequencies w along rows, cells down
+    columns."""
+    c, u = 0.5 * (x0 + x1) * w, 0.5 * (x1 - x0) * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(u == 0.0, 0.0, (np.sin(u) - u * np.cos(u)) / (u * u))
+    return (x1 - x0) * (0.5 * (g0 + g1) * np.cos(c) * np.sinc(u / math.pi)
+                        - 0.5 * (g1 - g0) * np.sin(c) * slope)
 
-    With upper the top of the band and P = gamma * upper / pi an
-    integer, cos(k gamma lam) at the N + 1 uniform nodes of [0, upper]
-    is cos(pi k P n / N), so the trapezoid sums of all lags are entries
-    k P of one DCT-I of the integrand.  Sums on N and 2N intervals are
-    combined by Richardson extrapolation, and |T_2N - T_N| / 3 must meet
-    the tolerance at every lag.  None (use the per-lag quadrature) when
-    P is not a positive integer (a single shift has gamma = 0), a pole,
-    singularity or filter breakpoint lies in the band, N would exceed _DCT_MAX_NODES, or a lag misses.
+
+def _dct_column(model, filt, a, gamma, m, spec):
+    """Entries at lags k * gamma, k < m and gamma > 0, by one Filon rule
+    for all lags; None when the band holds a singularity.
+
+    The band [0, upper] is padded with zeros to top = P pi / gamma,
+    P = ceil(gamma upper / pi) (top = upper if that is an integer within
+    1e-12).  On n cells of [0, top], cos(k gamma lam) at node i is
+    cos(pi k P i / n), so the trapezoid sums of all lags are the entries
+    k P mod 2n, reflected into [0, n], of one DCT-I.  Times
+    sinc^2(k gamma h / 2), h = top / n, each is the Filon rule: the
+    linear interpolant integrated against the cosine in closed form
+    (Filon 1928; Iserles & Norsett 2005).  At a jump (Shannon mother's
+    pi/a, a padded band's top) closed-form cells on its one-sided limits
+    end at the jump.  A continuous breakpoint (a Meyer kink) gets none:
+    such cells would leave an error that Richardson extrapolation of the
+    rules on n and 2n cells does not remove.  n doubles from
+    _DCT_MIN_NODES until |S_2n - S_n| / 3 meets the tolerance at every
+    lag, or raises at _DCT_MAX_NODES.
     """
     upper, sing, breaks = _band(model, filt, a, spec)
+    if sing:
+        return None
     p = gamma * upper / math.pi
-    steps = round(p)
-    if sing or breaks or steps < 1 or abs(p - steps) > 1e-12 * p:
-        return None
-    n = 1 << (max(_DCT_MIN_NODES, _DCT_NODES_PER_LAG * steps * m) - 1).bit_length()
-    if n > _DCT_MAX_NODES:
-        return None
-    lam = np.linspace(0.0, upper, 2 * n + 1)
-    # a * upper may round past the band edge A; keep the edge node inside
-    win = np.abs(filt.psi_hat(np.minimum(a * lam, filt.band_limit_A))) ** 2
-    g = win * model.pole_density(lam)
-    lags = steps * np.arange(m)
-    fine = 0.25 * upper / n * _dct1(g)[lags]
-    coarse = 0.5 * upper / n * _dct1(g[::2])[lags]
-    col = (4.0 * fine - coarse) / 3.0
-    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(col))
-    if np.any(np.abs(fine - coarse) / 3.0 > tol):
-        return None
-    return 2.0 * a * col
+    steps, top = round(p), upper
+    if steps < 1 or abs(p - steps) > 1e-12 * p:
+        steps = math.ceil(p)
+        top, breaks = steps * math.pi / gamma, breaks + [upper]
+    halves = steps * np.arange(m)  # half-periods of lag k on [0, top]
+
+    def values(lam):
+        inside = lam[lam <= upper]  # lam ascends; zero above the band
+        # a * upper may round past the band edge A; keep the edge node inside
+        win = np.abs(filt.psi_hat(np.minimum(a * inside, filt.band_limit_A))) ** 2
+        return np.pad(win * model.pole_density(inside), (0, lam.size - inside.size))
+
+    def filon_sum(g, dct):  # the rule on the cells between the nodes g
+        n = g.size - 1
+        h, j = top / n, halves % (2 * n)
+        total = 0.5 * h * np.sinc(halves / (2 * n)) ** 2 * dct[np.minimum(j, 2 * n - j)]
+        if not knots.size:
+            return total
+        # swap the two cells around the node nearest each jump for the
+        # two that end at the jump
+        i = np.clip(np.rint(knots / h), 1, n - 1).astype(int)
+        if np.any(np.diff(i) < 2):
+            return np.full(m, np.nan)  # two jumps share a cell: refine
+        lo, mid, hi = (i - 1) * h, i * h, (i + 1) * h
+        cells = (np.concatenate(v)[:, None] for v in (
+            (lo, knots, lo, mid), (knots, hi, mid, hi),
+            (g[i - 1], right, g[i - 1], g[i]), (left, g[i + 1], g[i], g[i + 1])))
+        w = math.pi / top * halves
+        return total + np.repeat([1.0, 1.0, -1.0, -1.0], i.size) @ _filon_cells(w, *cells)
+
+    knots = np.array(sorted(breaks))
+    left, right = values(knots * (1 - 1e-13)), values(knots * (1 + 1e-13))
+    jumps = np.abs(left - right) > 1e-10 * values(np.linspace(0.0, upper, 257)).max()
+    knots, left, right = knots[jumps], left[jumps], right[jumps]
+    n = _DCT_MIN_NODES
+    while True:
+        n *= 2
+        g = values(np.linspace(0.0, top, n + 1))
+        dct = _dct1(g)
+        # the DCT-I of g[::2] at j is (dct[j] + dct[n - j]) / 2
+        coarse = filon_sum(g[::2], 0.5 * (dct[:n // 2 + 1] + dct[n // 2:][::-1]))
+        fine = filon_sum(g, dct)
+        col = (4.0 * fine - coarse) / 3.0
+        error = np.abs(fine - coarse) / 3.0
+        miss = error / np.maximum(spec.abs_tol, spec.rel_tol * np.abs(col))
+        if miss.max() <= 1.0:
+            return 2.0 * a * col
+        if n >= _DCT_MAX_NODES:
+            k = int(np.argmax(miss))
+            raise QuadratureConvergenceError(
+                "coefficient_covariance: entry at shift separation %r did not converge: "
+                "Filon sums on %d and %d cells differ by %.3g, above the tolerance"
+                % (k * gamma, n // 2, n, 2.0 * a * error[k]), 2.0 * a * col[k], 2.0 * a * error[k])
 
 
 def _symmetric_toeplitz(col):
@@ -532,9 +529,9 @@ def _covariance_column(model, filt, a_j, shifts, spec):
     """Checked inputs, then the Toeplitz column of one level.
 
     The shifts must form an arithmetic grid, and a single shift counts
-    as one.  The column holds the entries at lags k * gamma, k < m: by
-    one DCT-I where the integrand is smooth on the band (see
-    _dct_column), otherwise by one adaptive quadrature per lag.
+    as one.  The column holds the entries at lags k * gamma, k < m: by one
+    Filon rule for all lags (see _dct_column), but by one adaptive
+    quadrature per lag for a single shift or a singular band.
     """
     if not isinstance(model, SpectralModel):
         raise TypeError(
@@ -559,7 +556,7 @@ def _covariance_column(model, filt, a_j, shifts, spec):
             "bounds assume scales at least twice the band limit"
             % (a_j / (2.0 * filt.band_limit_A))
         )
-    col = _dct_column(model, filt, a_j, gamma, m, spec)
+    col = _dct_column(model, filt, a_j, abs(gamma), m, spec) if gamma else None
     if col is None:
         col = np.array([_entry_integral(model, filt, a_j, k * gamma, spec)
                         for k in range(m)])
@@ -572,9 +569,10 @@ def coefficient_covariance(model, filt, a_j, shifts, spec=None):
     The shifts must form an arithmetic grid (a single shift counts as
     one), the only grid a ScaleSchedule admits; any other grid raises
     ValueError.  The matrix is then Toeplitz, the symmetric extension of
-    its first column (see _covariance_column).  Sampling factors that
-    column directly (see _schur_factor) and never builds this matrix,
-    nor any other m x m array.
+    its first column, which one Filon rule gives for every lag unless the
+    band holds a singularity (see _covariance_column).  Sampling factors
+    that column directly (see _schur_factor) and never builds this
+    matrix, nor any other m x m array.
     The recommended regime is a_j >= 2 * band limit; below that the
     across-scale decorrelation bounds stop applying and a warning is
     emitted.
@@ -790,10 +788,10 @@ def panel_to_csv(panel, path):
     with open(path, "w") as fh:
         fh.write("j,k,a_j,b_jk,delta_jk\n")
         for lv in panel.levels:
-            m = lv.shifts.size
-            fh.writelines(map("%d,%d,%.17g,%.17g,%.17g\n".__mod__, zip(
-                [lv.j] * m, range(1, m + 1), [lv.a_j] * m,
-                lv.shifts.tolist(), lv.coeffs.tolist())))
+            # j and a_j are formatted once per level, into the row format
+            row = "%d,%%d,%.17g,%%.17g,%%.17g\n" % (lv.j, lv.a_j)
+            fh.writelines(map(row.__mod__, zip(
+                range(1, lv.shifts.size + 1), lv.shifts.tolist(), lv.coeffs.tolist())))
 
 
 def _csv_rows(path):

@@ -9,10 +9,6 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
-from scipy.fft import dct
-from scipy.integrate import quad
-from scipy.linalg import toeplitz
-from scipy.special import ndtri
 
 from specpole import simulate
 from specpole.model import (
@@ -41,8 +37,16 @@ from specpole.specfun import (
     QuadratureSpec,
     gegenbauer_coeffs,
 )
-from specpole.transform import ScaleSchedule, ScheduleLevel
+from specpole.transform import (
+    ScaleSchedule,
+    ScheduleLevel,
+    geometric_schedule,
+    linear_schedule,
+)
 from test_sampling import dense_factor
+
+# SciPy serves only as an oracle here; the tests that need it fetch it
+# with pytest.importorskip, so the rest run where it is not installed.
 
 
 def single_level_schedule(a, m, gamma=None):
@@ -118,6 +122,7 @@ class TestGaussianStream:
         z = gaussian_stream(3, 1, np.arange(4))
         assert np.all(np.isfinite(z))
         np.testing.assert_array_equal(z, simulate._normal_quantile(np.full(4, u)))
+        ndtri = pytest.importorskip("scipy.special").ndtri
         assert abs(z[0] - ndtri(u)) <= 8 * np.spacing(ndtri(u))
 
 
@@ -129,12 +134,14 @@ class TestNormalQuantile:
     """AS241 against SciPy's ndtri and an mpmath quantile."""
 
     def test_matches_ndtri_on_the_stream_lattice(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
         k = np.random.default_rng(11).integers(0, 2**53, 1_200_000, dtype=np.uint64)
         k[:4] = (0, 1, 2**52, 2**53 - 2)
         u = k.astype(np.float64) * 2.0**-53 + 2.0**-54
         assert ulps(simulate._normal_quantile(u), ndtri(u)) <= 8
 
     def test_matches_ndtri_into_both_tails(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
         low = np.geomspace(2.0**-54, 0.5, 100_000)
         high = 1.0 - np.geomspace(2.0**-53, 0.5, 100_000)
         for u in (low, high):
@@ -157,6 +164,7 @@ class TestNormalQuantile:
         u = np.random.default_rng(13).random((5, 9))
         out = simulate._normal_quantile(u)
         assert out.shape == (5, 9)
+        ndtri = pytest.importorskip("scipy.special").ndtri
         assert ulps(out, ndtri(u)) <= 8
 
 
@@ -284,6 +292,7 @@ class TestCoefficientCovariance:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 17, 600])
     def test_strided_toeplitz_equals_scipy(self, m):
+        toeplitz = pytest.importorskip("scipy.linalg").toeplitz
         col = np.random.default_rng(m).standard_normal(m)
         np.testing.assert_array_equal(simulate._symmetric_toeplitz(col), toeplitz(col))
 
@@ -296,6 +305,14 @@ class TestCoefficientCovariance:
             pair = coefficient_covariance(self.model, self.filt, 8.0, [0.0, delta])
             np.testing.assert_allclose(pair[0, 1], self.entry_oracle(8.0, delta),
                                        rtol=1e-12)
+
+    def test_descending_and_repeated_shifts(self):
+        # the entries depend on |b_k1 - b_k2| only
+        up = coefficient_covariance(self.model, self.filt, 8.0, [8.0, 16.0, 24.0])
+        down = coefficient_covariance(self.model, self.filt, 8.0, [24.0, 16.0, 8.0])
+        np.testing.assert_array_equal(down, up)
+        same = coefficient_covariance(self.model, self.filt, 8.0, [5.0, 5.0])
+        np.testing.assert_array_equal(same, scale_second_moment(self.model, self.filt, 8.0))
 
     def test_second_moment_approaches_limit_quadratically(self):
         limit = self.filt.c2 * self.model.s0 ** (-4 * self.model.alpha)
@@ -440,19 +457,24 @@ class TestDctColumn:
     filt = builtin_filter("shannon-father")
     spec = QuadratureSpec()
 
-    def per_lag(self, a, lags):
-        return np.array([
-            simulate._entry_integral(self.model, self.filt, a, k * a, self.spec)
+    def assert_matches_per_lag(self, name, a, gamma, m, lags):
+        filt = builtin_filter(name)
+        col = simulate._dct_column(self.model, filt, a, gamma, m, self.spec)
+        assert col.shape == (m,)
+        oracle = np.array([
+            simulate._entry_integral(self.model, filt, a, k * gamma, self.spec)
             for k in lags
         ])
+        assert np.max(np.abs(col[lags] - oracle)) <= 1e-12 * oracle[0], (name, a)
 
     def test_matches_quadrature_on_exact_c6_levels(self):
         # The benchmark's exact-c6 ladder: a = 8..64 with m capped at 768.
-        for a, m in ((8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768)):
-            col = simulate._dct_column(self.model, self.filt, a, a, m, self.spec)
-            assert col is not None and col.shape == (m,)
-            oracle = self.per_lag(a, range(m))
-            assert np.max(np.abs(col - oracle)) <= 1e-12 * oracle[0], a
+        # Every lag of the benchmark's Shannon father; every sixth and the
+        # last of the other filters, whose oracle takes up to 5x longer.
+        for name in BUILTIN_FILTER_NAMES:
+            for a, m in ((8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768)):
+                step = 1 if name == "shannon-father" else 6
+                self.assert_matches_per_lag(name, a, a, m, np.r_[0:m:step, m - 1])
 
     def test_matches_quadrature_at_criterion_6_size(self):
         # Criterion 6 runs a = 16..64 at m = 4096; check sampled lags,
@@ -462,25 +484,27 @@ class TestDctColumn:
             [0, 1, 2, m - 1],
             np.random.default_rng(6).choice(m, 56, replace=False),
         ]))
-        for a in (16.0, 64.0):
-            col = simulate._dct_column(self.model, self.filt, a, a, m, self.spec)
-            assert col is not None
-            oracle = self.per_lag(a, lags)
-            assert np.max(np.abs(col[lags] - oracle)) <= 1e-12 * oracle[0], a
+        for name in BUILTIN_FILTER_NAMES:
+            for a in (16.0, 64.0):
+                self.assert_matches_per_lag(name, a, a, m, lags)
 
-    @pytest.mark.parametrize(
-        "case", ["pole in band", "non-integer P", "tolerance missed", "non-arithmetic"]
-    )
+    @pytest.mark.parametrize("name, a", [
+        ("shannon-father", 3.0), ("shannon-mother", 5.0), ("meyer-father", 4.0),
+        ("meyer-mother", 7.0), ("mexican-hat", 5.0)])
+    def test_matches_quadrature_on_linear_schedule_levels(self, name, a):
+        # linear_schedule's unit shifts at the smallest a_j whose band
+        # leaves the pole out: P = gamma U / pi is 0.14 to 0.4, and
+        # Shannon mother's band ends 0.0095 below s0.
+        m = int(a) ** 3
+        self.assert_matches_per_lag(name, a, 1.0, m, np.arange(m))
+
+    @pytest.mark.parametrize("case", ["pole in band", "non-arithmetic"])
     def test_per_lag_fallback_is_bit_identical(self, case, monkeypatch):
         a, filt, spec = 8.0, self.filt, self.spec
         shifts = a * np.arange(1, 7)
         if case == "pole in band":
             a = 2.0  # upper = pi/2 > s0
             shifts = a * np.arange(1, 7)
-        elif case == "non-integer P":
-            filt = builtin_filter("meyer-father")  # P = 4/3
-        elif case == "tolerance missed":
-            spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
         else:
             shifts = np.array([8.0, 24.0, 56.0, 64.0])
         results = []
@@ -506,23 +530,43 @@ class TestDctColumn:
         assert results == [None]
         np.testing.assert_array_equal(cov, oracle)
 
+    @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
+    def test_schedules_take_per_lag_quadrature_only_where_it_is_needed(
+            self, name, monkeypatch):
+        # Per-lag quadrature serves a single shift and a band that holds
+        # the pole, nothing else: not the exact-c6 ladder, nor a linear
+        # ladder's levels (P < 1) with the pole above their band.
+        filt = builtin_filter(name)
+        seps = []
+        real = simulate._entry_integral
+
+        def spy(model, filt, a, delta_b, spec):
+            seps.append(delta_b)
+            return real(model, filt, a, delta_b, spec)
+
+        monkeypatch.setattr(simulate, "_entry_integral", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # kappa <= 5 and a_j < 2A
+            levels = (geometric_schedule(4, 4.0, 2.0, 3.0, m_cap=768).levels
+                      + linear_schedule(7, kappa=2.0).levels)
+            for lv in levels:
+                seps.clear()
+                coefficient_covariance(self.model, filt, lv.a_j, lv.shifts())
+                per_lag = lv.m_j == 1 or filt.band_limit_A / lv.a_j >= self.model.s0
+                assert seps == (list(lv.gamma_j * np.arange(lv.m_j)) if per_lag else []), lv
+
     @pytest.mark.parametrize("n", [2, 3, 8, 1025, 8193])
     def test_dct1_matches_scipy(self, n):
+        dct = pytest.importorskip("scipy.fft").dct
         g = np.random.default_rng(n).standard_normal(n)
         ref = dct(g, type=1)
         np.testing.assert_allclose(simulate._dct1(g), ref, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(ref)))
 
-    def test_far_shifts_stay_per_lag(self):
-        # gamma = 1e6 a gives P = 1e6: the DCT would need 2^25 nodes.
-        a = 8.0
-        assert simulate._dct_column(
-            self.model, self.filt, a, 1e6 * a, 2, self.spec
-        ) is None
-
 
 class TestFarLags:
-    """Entries past _OSC_SWITCH half-periods, by the Filon rule."""
+    """Two-shift entries past _OSC_SWITCH half-periods of the band, where
+    the column's Filon rule reads each lag from one aliased DCT entry."""
 
     model = indicator_model(1.2661, 0.1, 3.0)
     spec = QuadratureSpec()
@@ -557,6 +601,7 @@ class TestFarLags:
             return 2 * a * self.by_parts(0.0, upper, delta)
         if filt.name == "shannon-mother":
             return 2 * a * self.by_parts(math.pi / a, upper, delta)
+        quad = pytest.importorskip("scipy.integrate").quad
 
         def g(lam):
             win = np.abs(filt.psi_hat(min(a * lam, filt.band_limit_A))) ** 2
@@ -576,8 +621,10 @@ class TestFarLags:
         switch = simulate._OSC_SWITCH * math.pi / upper
         for factor in (1.0001, 50.0, 5000.0):
             delta = factor * switch + 0.37
-            got = simulate._entry_integral(self.model, filt, a, delta, self.spec)
-            assert abs(got - self.oracle(filt, a, delta)) <= 2 * a * self.spec.abs_tol
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a = 8 < 2A
+                got = coefficient_covariance(self.model, filt, a, [0.0, delta], self.spec)
+            assert abs(got[0, 1] - self.oracle(filt, a, delta)) <= 2 * a * self.spec.abs_tol
 
     def test_shannon_mother_reads_the_jump_from_inside_the_band(self):
         # psi_hat reads 0 at the band edge pi/a itself; a rule with a
@@ -602,17 +649,21 @@ class TestFarLags:
     def test_declared_singularity_in_band_raises(self):
         spec = QuadratureSpec(singularities=(0.2,))
         filt = builtin_filter("shannon-father")
-        with pytest.raises(QuadratureConvergenceError, match="singularity 0.2"):
-            simulate._entry_integral(self.model, filt, 8.0, 8e6, spec)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"separation 8000000\.0 .*singularity 0\.2"):
+            coefficient_covariance(self.model, filt, 8.0, [0.0, 8e6], spec)
 
     def test_node_cap_miss_reports_estimate_and_bound(self):
-        # No rounded sum meets a 1e-30 relative tolerance, so the
-        # doubling runs to _DCT_MAX_NODES cells per piece and raises.
+        # The far entry is about 2.5e-14, so no rounded sum meets a 1e-12
+        # relative tolerance with no absolute floor: the doubling runs to
+        # _DCT_MAX_NODES cells and raises at that lag.
         filt = builtin_filter("shannon-father")
         a, delta = 8.0, 8e6
-        starved = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30)
-        with pytest.raises(QuadratureConvergenceError, match="%d cells" % simulate._DCT_MAX_NODES) as info:
-            simulate._entry_integral(self.model, filt, a, delta, starved)
+        starved = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-12)
+        cells = (simulate._DCT_MAX_NODES // 2, simulate._DCT_MAX_NODES)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"separation 8000000\.0 .*on %d and %d cells" % cells) as info:
+            coefficient_covariance(self.model, filt, a, [0.0, delta], starved)
         oracle = 2 * a * self.by_parts(0.0, math.pi / a, delta)
         assert abs(info.value.estimate - oracle) <= 2 * a * self.spec.abs_tol
         assert 0.0 < info.value.error_bound <= 2 * a * self.spec.abs_tol
@@ -931,6 +982,23 @@ class TestSerialization:
                    delimiter=",", header="j,k,a_j,b_jk,delta_jk", comments="")
         assert target.read_bytes() == reference.read_bytes()
         assert target.read_text().splitlines()[1] == "1,1,0.33333333333333331,-0,-2.5"
+
+    def test_panel_csv_bytes_match_the_per_row_format(self, tmp_path):
+        # j and a_j are formatted once per level; every row must read as
+        # if formatted on its own
+        rng = np.random.default_rng(9)
+        levels = (
+            PanelLevel(j=2, a_j=7.3e-5, shifts=-0.1 + 1e-3 * np.arange(5),
+                       coeffs=rng.standard_normal(5) * 1e-200),
+            PanelLevel(j=11, a_j=2.0 / 3.0, shifts=np.pi * np.arange(1, 40),
+                       coeffs=rng.standard_normal(39)),
+        )
+        panel = CoefficientPanel(levels=levels, provenance="exact-gaussian", seed=1)
+        target = tmp_path / "panel.csv"
+        panel_to_csv(panel, target)
+        assert target.read_text() == "j,k,a_j,b_jk,delta_jk\n" + "".join(
+            "%d,%d,%.17g,%.17g,%.17g\n" % (lv.j, k + 1, lv.a_j, b, d)
+            for lv in levels for k, (b, d) in enumerate(zip(lv.shifts, lv.coeffs)))
 
     def test_path_csv_bytes_match_savetxt(self, tmp_path):
         values = [-1.5, 1e-300, -1e-300, 1e300, -1e300, 3.0, -7.0, -0.0,
