@@ -375,11 +375,7 @@ def _band(model, filt, a, spec):
     upper = filt.band_limit_A / a
     if model.envelope is not None:
         upper = min(upper, model.envelope)
-    sing = tuple(
-        s
-        for s in set(spec.singularities) | {model.s0}
-        if 0.0 < s <= upper
-    )
+    sing = tuple(s for s in set(spec.singularities) | {model.s0} if 0.0 < s <= upper)
     breaks = [x / a for x in filt.breakpoints if 0.0 < x / a < upper]
     return upper, sing, breaks
 
@@ -396,8 +392,7 @@ def _entry_integral(model, filt, a, delta_b, spec):
                 raise QuadratureConvergenceError(
                     "the band [0, %r] holds the singularity %r and %d half-periods, more "
                     "than adaptive quadrature takes" % (upper, min(sing), n_osc), math.nan, math.inf)
-            if n_osc:
-                breaks.extend(half_period * np.arange(1, n_osc + 1))
+            breaks.extend(half_period * np.arange(1, n_osc + 1))
         merged = replace(spec, singularities=sing)
 
         def integrand(lam):
@@ -407,18 +402,14 @@ def _entry_integral(model, filt, a, delta_b, spec):
         return 2.0 * a * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
     except QuadratureConvergenceError as exc:
         raise QuadratureConvergenceError(
-            "coefficient_covariance: entry at shift separation %r did "
-            "not converge: %s" % (delta_b, exc),
-            exc.estimate,
-            exc.error_bound,
-        ) from exc
+            "coefficient_covariance: entry at shift separation %r did not converge: %s"
+            % (delta_b, exc), exc.estimate, exc.error_bound) from exc
 
 
-# Cells of the first and the last Filon rule of a column.  Fewer than 2^14
-# leave 1e-11 of col[0] at the Meyer kinks and at lags of a period per
-# cell; Shannon mother and the Mexican hat at a = 5, unit shifts, take 2^20.
+# Cells of the band in a column's first Filon rule, and of [0, top] in its
+# last; a band that gets fewer within the cap is left to per-lag quadrature.
 _DCT_MIN_NODES = 1 << 14
-_DCT_MAX_NODES = 1 << 20
+_DCT_MAX_NODES = 1 << 18
 
 
 def _dct1(g):
@@ -439,7 +430,7 @@ def _filon_cells(w, x0, x1, g0, g1):
 
 def _dct_column(model, filt, a, gamma, m, spec):
     """Entries at lags k * gamma, k < m and gamma > 0, by one Filon rule
-    for all lags; None when the band holds a singularity.
+    for all lags; NaN at the lags it leaves to per-lag quadrature.
 
     The band [0, upper] is padded with zeros to top = P pi / gamma,
     P = ceil(gamma upper / pi) (top = upper if that is an integer within
@@ -450,20 +441,26 @@ def _dct_column(model, filt, a, gamma, m, spec):
     linear interpolant integrated against the cosine in closed form
     (Filon 1928; Iserles & Norsett 2005).  At a jump (Shannon mother's
     pi/a, a padded band's top) closed-form cells on its one-sided limits
-    end at the jump.  A continuous breakpoint (a Meyer kink) gets none:
-    such cells would leave an error that Richardson extrapolation of the
-    rules on n and 2n cells does not remove.  n doubles from
-    _DCT_MIN_NODES until |S_2n - S_n| / 3 meets the tolerance at every
-    lag, or raises at _DCT_MAX_NODES.
+    end at the jump.  A continuous breakpoint (a Meyer kink) gets none.
+
+    The FFT on n cells also gives the rules S on n/2, n/4 and n/8, and
+    the column is R_n = (4 S_n - S_n/2) / 3.  max(|R_n - R_n/2|,
+    |R_n/2 - R_n/4| / 4) bounds its error with a margin of 3 while the
+    error of R shrinks 4x or more per doubling, as it does at a kink.  n
+    starts where the band holds _DCT_MIN_NODES cells and doubles until
+    every lag meets the tolerance.  A singular or too narrow band leaves
+    all lags NaN, and _DCT_MAX_NODES the lags that miss, but one with
+    over _OSC_SWITCH half-periods in the band raises.
     """
     upper, sing, breaks = _band(model, filt, a, spec)
-    if sing:
-        return None
     p = gamma * upper / math.pi
     steps, top = round(p), upper
     if steps < 1 or abs(p - steps) > 1e-12 * p:
         steps = math.ceil(p)
         top, breaks = steps * math.pi / gamma, breaks + [upper]
+    n = 1 << math.ceil(math.log2(_DCT_MIN_NODES * top / upper))
+    if sing or n > _DCT_MAX_NODES:
+        return np.full(m, np.nan)
     halves = steps * np.arange(m)  # half-periods of lag k on [0, top]
 
     def values(lam):
@@ -494,25 +491,28 @@ def _dct_column(model, filt, a, gamma, m, spec):
     left, right = values(knots * (1 - 1e-13)), values(knots * (1 + 1e-13))
     jumps = np.abs(left - right) > 1e-10 * values(np.linspace(0.0, upper, 257)).max()
     knots, left, right = knots[jumps], left[jumps], right[jumps]
-    n = _DCT_MIN_NODES
     while True:
-        n *= 2
         g = values(np.linspace(0.0, top, n + 1))
-        dct = _dct1(g)
-        # the DCT-I of g[::2] at j is (dct[j] + dct[n - j]) / 2
-        coarse = filon_sum(g[::2], 0.5 * (dct[:n // 2 + 1] + dct[n // 2:][::-1]))
-        fine = filon_sum(g, dct)
-        col = (4.0 * fine - coarse) / 3.0
-        error = np.abs(fine - coarse) / 3.0
-        miss = error / np.maximum(spec.abs_tol, spec.rel_tol * np.abs(col))
-        if miss.max() <= 1.0:
-            return 2.0 * a * col
-        if n >= _DCT_MAX_NODES:
-            k = int(np.argmax(miss))
-            raise QuadratureConvergenceError(
-                "coefficient_covariance: entry at shift separation %r did not converge: "
-                "Filon sums on %d and %d cells differ by %.3g, above the tolerance"
-                % (k * gamma, n // 2, n, 2.0 * a * error[k]), 2.0 * a * col[k], 2.0 * a * error[k])
+        dct, sums = _dct1(g), []
+        for _ in range(4):
+            sums.append(filon_sum(g, dct))
+            # the DCT-I of g[::2] at j is (dct[j] + dct[-1 - j]) / 2
+            half = dct.size // 2
+            g, dct = g[::2], 0.5 * (dct[:half + 1] + dct[half:][::-1])
+        r = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(sums, sums[1:])]
+        col, error = r[0], np.maximum(np.abs(r[0] - r[1]), np.abs(r[1] - r[2]) / 4.0)
+        missed = ~(error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(col)))
+        if not missed.any() or n >= _DCT_MAX_NODES:
+            break
+        n *= 2
+    far = np.flatnonzero(missed & (np.arange(m) * p > _OSC_SWITCH))
+    if far.size:  # beyond per-lag quadrature too
+        k = int(far[-1])
+        raise QuadratureConvergenceError(
+            "coefficient_covariance: entry at shift separation %r did not converge: Filon "
+            "rules on up to %d cells leave %.3g" % (k * gamma, n, 2.0 * a * error[k]),
+            2.0 * a * col[k], 2.0 * a * error[k])
+    return 2.0 * a * np.where(missed, np.nan, col)
 
 
 def _symmetric_toeplitz(col):
@@ -531,7 +531,8 @@ def _covariance_column(model, filt, a_j, shifts, spec):
     The shifts must form an arithmetic grid, and a single shift counts
     as one.  The column holds the entries at lags k * gamma, k < m: by one
     Filon rule for all lags (see _dct_column), but by one adaptive
-    quadrature per lag for a single shift or a singular band.
+    quadrature per lag for a single shift, a singular band, a band too
+    narrow for the rule and the lags it leaves at its cap.
     """
     if not isinstance(model, SpectralModel):
         raise TypeError(
@@ -556,10 +557,9 @@ def _covariance_column(model, filt, a_j, shifts, spec):
             "bounds assume scales at least twice the band limit"
             % (a_j / (2.0 * filt.band_limit_A))
         )
-    col = _dct_column(model, filt, a_j, abs(gamma), m, spec) if gamma else None
-    if col is None:
-        col = np.array([_entry_integral(model, filt, a_j, k * gamma, spec)
-                        for k in range(m)])
+    col = _dct_column(model, filt, a_j, abs(gamma), m, spec) if gamma else np.full(m, np.nan)
+    for k in np.flatnonzero(np.isnan(col)).tolist():  # the lags the Filon rule left
+        col[k] = _entry_integral(model, filt, a_j, k * gamma, spec)
     return col
 
 
@@ -570,7 +570,8 @@ def coefficient_covariance(model, filt, a_j, shifts, spec=None):
     one), the only grid a ScaleSchedule admits; any other grid raises
     ValueError.  The matrix is then Toeplitz, the symmetric extension of
     its first column, which one Filon rule gives for every lag unless the
-    band holds a singularity (see _covariance_column).  Sampling factors
+    band holds a singularity or spans less than 1/16 of the half-period
+    pi / gamma of the first lag (see _covariance_column).  Sampling factors
     that column directly (see _schur_factor) and never builds this
     matrix, nor any other m x m array.
     The recommended regime is a_j >= 2 * band limit; below that the

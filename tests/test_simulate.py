@@ -498,21 +498,27 @@ class TestDctColumn:
         m = int(a) ** 3
         self.assert_matches_per_lag(name, a, 1.0, m, np.arange(m))
 
-    @pytest.mark.parametrize("case", ["pole in band", "non-arithmetic"])
+    @pytest.mark.parametrize("case", ["pole in band", "non-arithmetic", "tolerance missed"])
     def test_per_lag_fallback_is_bit_identical(self, case, monkeypatch):
         a, filt, spec = 8.0, self.filt, self.spec
         shifts = a * np.arange(1, 7)
         if case == "pole in band":
             a = 2.0  # upper = pi/2 > s0
             shifts = a * np.arange(1, 7)
+        elif case == "tolerance missed":
+            # the band ends 0.0095 below s0: at 1e-11 the Filon rule on
+            # _DCT_MAX_NODES cells still misses at some lags
+            filt, a, shifts = builtin_filter("shannon-mother"), 5.0, np.arange(8.0)
+            spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
         else:
             shifts = np.array([8.0, 24.0, 56.0, 64.0])
         results = []
         real = simulate._dct_column
 
         def spy(*args):
-            results.append(real(*args))
-            return results[-1]
+            col = real(*args)
+            results.append(col.copy())
+            return col
 
         monkeypatch.setattr(simulate, "_dct_column", spy)
         if case == "non-arithmetic":
@@ -521,14 +527,39 @@ class TestDctColumn:
             assert results == []  # raised before asking for a column
             return
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a = 2 is below 2A
+            warnings.simplefilter("ignore")  # a = 2 and 5 are below 2A
             cov = coefficient_covariance(self.model, filt, a, shifts, spec)
             seps = np.abs(shifts[:, None] - shifts[None, :])
             oracle = np.vectorize(
                 lambda d: simulate._entry_integral(self.model, filt, a, d, spec)
             )(seps)
-        assert results == [None]
-        np.testing.assert_array_equal(cov, oracle)
+        [col] = results
+        missed = np.isnan(col)  # the lags left to per-lag quadrature
+        if case == "tolerance missed":
+            assert 0 < missed.sum() < shifts.size
+            np.testing.assert_array_equal(cov[0, ~missed], col[~missed])
+            np.testing.assert_array_equal(cov[0, missed], oracle[0, missed])
+            assert np.max(np.abs(cov - oracle)) <= 1e-12 * oracle[0, 0]
+        else:
+            assert missed.all()
+            np.testing.assert_array_equal(cov, oracle)
+
+    @pytest.mark.parametrize("name", ["shannon-father", "shannon-mother"])
+    @pytest.mark.parametrize("a, p", [(16.0, 2.0**-10), (8.0, 1e-4 / 8.0)])
+    def test_narrow_band_takes_per_lag_quadrature(self, name, a, p):
+        # P < 1/16: within the cap the band would get fewer than
+        # _DCT_MIN_NODES cells (256 at P = 2^-10, about 3 at 1.25e-5), so
+        # per-lag quadrature takes the grid.
+        filt = builtin_filter(name)
+        upper = simulate._band(self.model, filt, a, self.spec)[0]
+        gamma = p * math.pi / upper
+        assert np.isnan(simulate._dct_column(self.model, filt, a, gamma, 8, self.spec)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a = 8 is below 2A for Shannon mother
+            col = coefficient_covariance(self.model, filt, a, gamma * np.arange(8))[0]
+        oracle = [simulate._entry_integral(self.model, filt, a, k * gamma, self.spec)
+                  for k in range(8)]
+        np.testing.assert_array_equal(col, oracle)
 
     @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
     def test_schedules_take_per_lag_quadrature_only_where_it_is_needed(
@@ -660,9 +691,8 @@ class TestFarLags:
         filt = builtin_filter("shannon-father")
         a, delta = 8.0, 8e6
         starved = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-12)
-        cells = (simulate._DCT_MAX_NODES // 2, simulate._DCT_MAX_NODES)
-        with pytest.raises(QuadratureConvergenceError,
-                           match=r"separation 8000000\.0 .*on %d and %d cells" % cells) as info:
+        with pytest.raises(QuadratureConvergenceError, match=r"separation 8000000\.0 .*"
+                           r"on up to %d cells" % simulate._DCT_MAX_NODES) as info:
             coefficient_covariance(self.model, filt, a, [0.0, delta], starved)
         oracle = 2 * a * self.by_parts(0.0, math.pi / a, delta)
         assert abs(info.value.estimate - oracle) <= 2 * a * self.spec.abs_tol
