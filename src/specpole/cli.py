@@ -24,7 +24,6 @@ reproduced exactly from its manifest alone.
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -35,6 +34,7 @@ import numpy as np
 from . import __version__
 from .estimator import estimate, results_to_csv
 from .mc import (
+    _OUTPUTS,
     experiment_from_json,
     experiment_to_json,
     run_experiment,
@@ -44,7 +44,10 @@ from .model import (
     ConfigError,
     GegenbauerSpec,
     SpectralModel,
+    _document,
     _field,
+    _write_csv,
+    _write_json,
     builtin_filter,
     filter_from_json,
     filter_to_json,
@@ -80,16 +83,9 @@ def _load_config(path_str):
         raise ConfigError("", "a config file is required (pass --config)")
     try:
         with open(path_str, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return _document(fh.read(), "")
     except FileNotFoundError:
         raise ConfigError("", "config file %r does not exist" % path_str)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("", "config is not valid JSON (%s)" % exc)
-    if not isinstance(doc, dict):
-        raise ConfigError("", "config root must be an object")
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -98,25 +94,18 @@ def _load_config(path_str):
 
 
 def _write_manifest(out_dir, command, config_doc, seed, outputs):
-    doc = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "artifact_version": __version__,
         "command": command,
         "config": config_doc,
         "seed": seed,
         "outputs": sorted(outputs),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _ensure_out(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
-
-
-def _save_csv(path, arr, header):
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +121,7 @@ def cmd_constants(args):
         "c2": filt.c2,
         "c3": filt.c3,
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _write_json(sys.stdout, doc)
     return 0
 
 
@@ -202,15 +191,17 @@ def cmd_spectrum(args):
             "shifting every point by half a grid step" % model.s0
         )
         lam = lam + 0.5 * (lam[1] - lam[0])
-    spectrum_rows = np.column_stack([lam, model.density(lam)])
-
-    cov_rows = None
+    # Each table's header and rows, by the file name it takes under --out
+    tables = {
+        "spectrum.csv": (("lam", "f"), zip(lam.tolist(), model.density(lam).tolist()))
+    }
     if cov_lags > 0:
         lags = np.arange(cov_lags + 1, dtype=float)
         # Plot-data tolerance; the default spec can stall in roundoff at
         # the pole panel long before 1e-8 matters for a table.
         spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
-        cov_rows = np.column_stack([lags, model.covariances(lags, spec)])
+        tables["covariance.csv"] = (
+            ("r", "B"), zip(lags.tolist(), model.covariances(lags, spec).tolist()))
 
     resolved = {
         "model": model_to_json(model),
@@ -219,18 +210,14 @@ def cmd_spectrum(args):
         "cov_lags": cov_lags,
     }
     if args.out is None:
-        _save_csv(sys.stdout, spectrum_rows, "lam,f")
-        if cov_rows is not None:
-            _save_csv(sys.stdout, cov_rows, "r,B")
+        for header, rows in tables.values():
+            _write_csv(sys.stdout, header, rows)
         return 0
     out_dir = _ensure_out(args.out)
-    outputs = ["spectrum.csv"]
-    _save_csv(os.path.join(out_dir, "spectrum.csv"), spectrum_rows, "lam,f")
-    if cov_rows is not None:
-        outputs.append("covariance.csv")
-        _save_csv(os.path.join(out_dir, "covariance.csv"), cov_rows, "r,B")
-    _write_manifest(out_dir, "spectrum", resolved, None, outputs)
-    print("wrote %s to %s" % (", ".join(sorted(outputs)), out_dir))
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(out_dir, name), header, rows)
+    _write_manifest(out_dir, "spectrum", resolved, None, tables)
+    print("wrote %s to %s" % (", ".join(sorted(tables)), out_dir))
     return 0
 
 
@@ -389,7 +376,7 @@ def cmd_montecarlo(args):
         "montecarlo",
         experiment_to_json(config),
         config.base_seed,
-        ["replications.csv", "mse_table.csv", "summary.json"],
+        _OUTPUTS,
     )
     print(summarize(table))
     return 0

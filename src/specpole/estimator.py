@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _cell
 from .specfun import lambert_w0
 
 __all__ = [
@@ -352,20 +353,5 @@ def results_to_csv(results, path):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_CSV_COLUMNS)
-        for res in results:
-            record = _result_record(res)
-            writer.writerow(
-                [
-                    record["j"],
-                    "%.17g" % record["a_j"],
-                    "%.17g" % record["delta_bar"],
-                    "%.17g" % record["ddelta"],
-                    "%.17g" % record["y1_raw"],
-                    "%.17g" % record["y2_raw"],
-                    "%.17g" % record["y1_adj"],
-                    "%.17g" % record["y2_adj"],
-                    record["case"],
-                    "%.17g" % record["s0_hat"],
-                    "%.17g" % record["alpha_hat"],
-                ]
-            )
+        writer.writerows([_cell(record[name]) for name in _CSV_COLUMNS]
+                         for record in map(_result_record, results))

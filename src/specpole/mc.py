@@ -15,7 +15,6 @@ a time, so failures are still recorded per replication.  Every heavy
 step is BLAS or numpy, which already uses the cores.
 """
 
-import json
 import numbers
 import os
 import warnings
@@ -31,6 +30,8 @@ from .model import (
     _document,
     _field,
     _filter_args,
+    _write_csv,
+    _write_json,
     builtin_filter,
     filter_to_json,
     model_from_json,
@@ -341,50 +342,45 @@ def run_experiment(config):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value):
-    return "" if value is None else "%.17g" % value
+# The files that write_outputs writes into its directory.
+_OUTPUTS = ("replications.csv", "mse_table.csv", "summary.json")
+
+# The columns of replications.csv, keys of MseTable.rows.
+_ROW_FIELDS = (
+    "rep", "seed", "j", "a_j", "delta_bar", "ddelta", "s0_hat", "alpha_hat", "case",
+)
+
+# The per-level fields of an MseTable: the column of mse_table.csv and
+# summary.json's per_j, the MseTable attribute, and the heading, width
+# and conversion of summarize's table.
+_LEVEL_FIELDS = (
+    ("j", "js", "j", 3, "d"),
+    ("a_j", "a_js", "a_j", 8, "g"),
+    ("n", "counts", "n", 5, "d"),
+    ("mse_delta_bar", "mse_delta_bar", "mse(mean sq)", 14, ".6g"),
+    ("mse_ddelta", "mse_ddelta", "mse(diff)", 14, ".6g"),
+    ("mse_s0_hat", "mse_s0_hat", "mse(s0)", 14, ".6g"),
+    ("mse_alpha_hat", "mse_alpha_hat", "mse(alpha)", 14, ".6g"),
+)
+
+
+def _per_level(table):
+    """One {column: value} record per level, columns as in _LEVEL_FIELDS."""
+    return [
+        {name: getattr(table, attr)[i] for name, attr, *_ in _LEVEL_FIELDS}
+        for i in range(len(table.js))
+    ]
 
 
 def write_outputs(table, out_dir):
     """Write replications.csv, mse_table.csv and summary.json."""
     os.makedirs(out_dir, exist_ok=True)
-    rep_path = os.path.join(out_dir, "replications.csv")
-    with open(rep_path, "w") as handle:
-        handle.write("rep,seed,j,a_j,delta_bar,ddelta,s0_hat,alpha_hat,case\n")
-        for row in table.rows:
-            handle.write(
-                "%d,%d,%d,%s,%s,%s,%s,%s,%s\n"
-                % (
-                    row["rep"],
-                    row["seed"],
-                    row["j"],
-                    _fmt(row["a_j"]),
-                    _fmt(row["delta_bar"]),
-                    _fmt(row["ddelta"]),
-                    _fmt(row["s0_hat"]),
-                    _fmt(row["alpha_hat"]),
-                    row["case"],
-                )
-            )
-    mse_path = os.path.join(out_dir, "mse_table.csv")
-    with open(mse_path, "w") as handle:
-        handle.write("j,a_j,n,mse_delta_bar,mse_ddelta,mse_s0_hat,mse_alpha_hat\n")
-        for i, j in enumerate(table.js):
-            handle.write(
-                "%d,%s,%d,%s,%s,%s,%s\n"
-                % (
-                    j,
-                    _fmt(table.a_js[i]),
-                    table.counts[i],
-                    _fmt(table.mse_delta_bar[i]),
-                    _fmt(table.mse_ddelta[i]),
-                    _fmt(table.mse_s0_hat[i]),
-                    _fmt(table.mse_alpha_hat[i]),
-                )
-            )
-    with open(os.path.join(out_dir, "summary.json"), "w") as handle:
-        json.dump(summary_json(table), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    rep_path, mse_path, summary_path = (os.path.join(out_dir, name) for name in _OUTPUTS)
+    _write_csv(rep_path, _ROW_FIELDS,
+               ([row[name] for name in _ROW_FIELDS] for row in table.rows))
+    _write_csv(mse_path, [f[0] for f in _LEVEL_FIELDS],
+               (level.values() for level in _per_level(table)))
+    _write_json(summary_path, summary_json(table))
     return rep_path, mse_path
 
 
@@ -395,18 +391,7 @@ def summary_json(table):
         "failed": len(table.failures),
         "failures": [list(f) for f in table.failures],
         "targets": dict(table.targets),
-        "per_j": [
-            {
-                "j": table.js[i],
-                "a_j": table.a_js[i],
-                "n": table.counts[i],
-                "mse_delta_bar": table.mse_delta_bar[i],
-                "mse_ddelta": table.mse_ddelta[i],
-                "mse_s0_hat": table.mse_s0_hat[i],
-                "mse_alpha_hat": table.mse_alpha_hat[i],
-            }
-            for i in range(len(table.js))
-        ],
+        "per_j": _per_level(table),
     }
 
 
@@ -422,23 +407,12 @@ def summarize(table):
         "difference -> %.6g"
         % (t["s0"], t["alpha"], t["delta_bar"], t["ddelta"]),
         "",
-        "%3s %8s %5s %14s %14s %14s %14s"
-        % ("j", "a_j", "n", "mse(mean sq)", "mse(diff)", "mse(s0)", "mse(alpha)"),
+        " ".join("%*s" % (width, head) for _, _, head, width, _ in _LEVEL_FIELDS),
     ]
-    for i, j in enumerate(table.js):
-        def cell(value):
-            return "%14.6g" % value if value is not None else "%14s" % "-"
-
-        lines.append(
-            "%3d %8g %5d %s %s %s %s"
-            % (
-                j,
-                table.a_js[i],
-                table.counts[i],
-                cell(table.mse_delta_bar[i]),
-                cell(table.mse_ddelta[i]),
-                cell(table.mse_s0_hat[i]),
-                cell(table.mse_alpha_hat[i]),
-            )
-        )
+    for level in _per_level(table):
+        lines.append(" ".join(
+            "%*s" % (width, "-") if level[name] is None
+            else ("%*" + conv) % (width, level[name])
+            for name, _, _, width, conv in _LEVEL_FIELDS
+        ))
     return "\n".join(lines) + "\n"

@@ -513,7 +513,10 @@ def _field(doc, pointer, key, kind, required=True, default=None):
 def _document(doc, pointer):
     """A config mapping, parsed first when given as JSON text."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(pointer, "config is not valid JSON (%s)" % exc)
     if not isinstance(doc, dict):
         raise ConfigError(pointer, "expected an object, got %s" % type(doc).__name__)
     return doc
@@ -572,3 +575,40 @@ def filter_to_json(filt):
     if filt.sigma is not None:
         doc["sigma"] = filt.sigma
     return doc
+
+
+# ---------------------------------------------------------------------------
+# Artifacts
+# ---------------------------------------------------------------------------
+
+
+def _cell(value):
+    """One artifact field: empty for None, a string as it is, %d for an
+    integer and %.17g, which round-trips a float, for any other number."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    return "%.17g" % value
+
+
+def _write_csv(dest, header, rows):
+    """Write a header line, then one line of _cell fields per row, to
+    dest, an open text file or a path to create."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8") as handle:
+            return _write_csv(handle, header, rows)
+    dest.write(",".join(header) + "\n")
+    dest.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _write_json(dest, doc):
+    """Write doc as JSON with two-space indents, sorted keys and a final
+    newline, to dest, an open text file or a path to create."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8") as handle:
+            return _write_json(handle, doc)
+    json.dump(doc, dest, indent=2, sort_keys=True)
+    dest.write("\n")

@@ -235,34 +235,39 @@ def _uncovered(path, filt, a, b_lo, b_hi):
 def _transform_level(path, filt, a, shifts):
     """Riemann sums at every shift of one scale, in bounded blocks.
 
-    Each cell sums over its own window of samples.  Cells whose windows
-    have the same length and grid offset share one evaluation of the
-    taper and psi, and each block holds about _CHUNK samples at most.
+    Each cell sums over its own window of samples.  The shifts are taken
+    _CHUNK cells at a time; within such a block, cells whose windows
+    have the same grid offset and length share one evaluation of the
+    taper and psi, and each product holds about _CHUNK samples at most.
     Offsets are compared in units of _OFFSET_QUANTUM * dt, so that float
     rounding of t0 + dt * i0 - b does not split one offset into many.
     """
     radius = a * (filt.time_support + _TAPER_WIDTH)
-    lo = np.ceil((shifts - radius - path.t0) / path.dt - 1e-12).astype(np.int64)
-    hi = np.floor((shifts + radius - path.t0) / path.dt + 1e-12).astype(np.int64)
-    i0, i1 = np.maximum(lo, 0), np.minimum(hi, path.values.size - 1)
-    offsets = np.rint((path.t0 + path.dt * i0 - shifts) / (_OFFSET_QUANTUM * path.dt))
-    keys = np.column_stack([offsets, i1 - i0])
-    _, first, group, counts = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    members = np.split(np.argsort(group, kind="stable"), np.cumsum(counts)[:-1])
     out = np.zeros(shifts.size)
-    for k, cells in zip(first, members):
-        width = i1[k] - i0[k] + 1
-        windows = np.lib.stride_tricks.sliding_window_view(path.values, width)
-        for c0 in range(0, width, _CHUNK):
-            i = np.arange(i0[k] + c0, min(i1[k] + 1, i0[k] + c0 + _CHUNK))
-            u = (path.t0 + path.dt * i - shifts[k]) / a
-            taper = np.clip(filt.time_support + _TAPER_WIDTH - np.abs(u), 0.0, _TAPER_WIDTH)
-            weights = filt.psi(u) * (taper / _TAPER_WIDTH)
-            for rows in np.array_split(cells, math.ceil(cells.size * u.size / _CHUNK)):
-                out[rows] += windows[i0[rows], c0 : c0 + u.size] @ weights
-    return path.dt / math.sqrt(a) * out
+    for first in range(0, shifts.size, _CHUNK):
+        b = shifts[first : first + _CHUNK]
+        lo = np.ceil((b - radius - path.t0) / path.dt - 1e-12).astype(np.int64)
+        hi = np.floor((b + radius - path.t0) / path.dt + 1e-12).astype(np.int64)
+        i0, i1 = np.maximum(lo, 0), np.minimum(hi, path.values.size - 1)
+        offsets = np.rint((path.t0 + path.dt * i0 - b) / (_OFFSET_QUANTUM * path.dt))
+        # the block's cells by (offset, width), each group in block order
+        widths = i1 - i0 + 1
+        order = np.lexsort((widths, offsets))
+        key_o, key_w = offsets[order], widths[order]
+        starts = np.flatnonzero((key_o[1:] != key_o[:-1]) | (key_w[1:] != key_w[:-1])) + 1
+        for cells in np.split(order, starts):
+            k = cells[0]
+            width = widths[k]
+            windows = np.lib.stride_tricks.sliding_window_view(path.values, width)
+            for c0 in range(0, width, _CHUNK):
+                i = np.arange(i0[k] + c0, min(i1[k] + 1, i0[k] + c0 + _CHUNK))
+                u = (path.t0 + path.dt * i - b[k]) / a
+                taper = np.clip(filt.time_support + _TAPER_WIDTH - np.abs(u), 0.0, _TAPER_WIDTH)
+                weights = filt.psi(u) * (taper / _TAPER_WIDTH)
+                for rows in np.array_split(cells, math.ceil(cells.size * u.size / _CHUNK)):
+                    out[first + rows] += windows[i0[rows], c0 : c0 + u.size] @ weights
+    out *= path.dt / math.sqrt(a)
+    return out
 
 
 def filter_transform(path, filt, a, b):
@@ -298,9 +303,10 @@ def panel_from_path(path, filt, schedule):
                 "panel_from_path: level %d needs path extent [%g, %g] but "
                 "the path covers [%g, %g]" % ((lv.j,) + need + (path.t0, path.t_end))
             )
-    levels = tuple(
-        PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(),
-                   coeffs=_transform_level(path, filt, lv.a_j, lv.shifts()))
-        for lv in schedule.levels
-    )
-    return CoefficientPanel(levels=levels, provenance="path-transform", seed=path.seed)
+    levels = []
+    for lv in schedule.levels:
+        shifts = lv.shifts()
+        levels.append(PanelLevel(j=lv.j, a_j=lv.a_j, shifts=shifts,
+                                 coeffs=_transform_level(path, filt, lv.a_j, shifts)))
+    return CoefficientPanel(levels=tuple(levels), provenance="path-transform",
+                            seed=path.seed)

@@ -321,6 +321,14 @@ class TestSimulate:
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_non_object_json_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        rc = main(["simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: expected an object, got list" in capsys.readouterr().err
+
     def test_missing_key_reports_json_pointer(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json",
                          {"model": GEGEN_MODEL, "seed": 1})

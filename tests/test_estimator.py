@@ -545,3 +545,15 @@ class TestSerialization:
         row = lines[1].split(",")
         assert float(row[9]) == results[0].s0_hat
         assert float(row[10]) == results[0].alpha_hat
+        # csv.writer ends every line with CRLF; the fields are %d for j,
+        # the case name as it is and %.17g for every float
+        raw = target.read_bytes()
+        assert raw.count(b"\r\n") == len(lines) and raw.endswith(b"\r\n")
+        assert raw.count(b"\n") == len(lines)
+        res = results[0]
+        assert lines[1] == ",".join(
+            ["1", "8"]
+            + ["%.17g" % v for v in (res.row.delta_bar, res.row.ddelta, res.row.y1_raw,
+                                     res.row.y2_raw, res.point.y1, res.point.y2)]
+            + [res.point.case_applied, "%.17g" % res.s0_hat, "%.17g" % res.alpha_hat]
+        )

@@ -10,11 +10,13 @@ import pytest
 
 from specpole.mc import (
     ExperimentConfig,
+    MseTable,
     run_experiment,
     experiment_from_json,
     experiment_to_json,
     summarize,
     summary_json,
+    write_outputs,
 )
 import specpole.mc
 from specpole import simulate
@@ -449,3 +451,47 @@ class TestReports:
         assert len(rep_lines) == 1 + len(table.rows)
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary == summary_json(table)
+
+    def test_written_text_is_pinned(self, tmp_path):
+        # Every artifact field is empty for None, a string as it is, %d
+        # for an integer (the a_j of 8 below) and %.17g for a float; the
+        # last level has no successor, so only its mean square is set.
+        first = {"rep": 0, "seed": 5, "j": 1, "a_j": 8, "delta_bar": 0.1,
+                 "ddelta": -2.5e-3, "s0_hat": 1.25, "alpha_hat": 1 / 3,
+                 "case": "case2"}
+        last = {"rep": 0, "seed": 5, "j": 2, "a_j": 16.0, "delta_bar": 0.05,
+                "ddelta": None, "s0_hat": None, "alpha_hat": None, "case": ""}
+        table = MseTable(
+            js=(1, 2), a_js=(8, 16.0), counts=(1, 1),
+            mse_delta_bar=(0.25, 1e-20), mse_ddelta=(0.5, None),
+            mse_s0_hat=(2.0, None), mse_alpha_hat=(0.1, None),
+            targets={"s0": 1.25, "alpha": 0.1, "delta_bar": 0.2, "ddelta": 0.01},
+            replications=2, failures=((1, "ValueError: bad"),), rows=(first, last),
+        )
+        paths = write_outputs(table, str(tmp_path))
+        assert paths == (str(tmp_path / "replications.csv"),
+                         str(tmp_path / "mse_table.csv"))
+        assert (tmp_path / "replications.csv").read_bytes() == (
+            b"rep,seed,j,a_j,delta_bar,ddelta,s0_hat,alpha_hat,case\n"
+            b"0,5,1,8,0.10000000000000001,-0.0025000000000000001,1.25,"
+            b"0.33333333333333331,case2\n"
+            b"0,5,2,16,0.050000000000000003,,,,\n"
+        )
+        assert (tmp_path / "mse_table.csv").read_bytes() == (
+            b"j,a_j,n,mse_delta_bar,mse_ddelta,mse_s0_hat,mse_alpha_hat\n"
+            b"1,8,1,0.25,0.5,2,0.10000000000000001\n"
+            b"2,16,1,9.9999999999999995e-21,,,\n"
+        )
+        summary = (tmp_path / "summary.json").read_text()
+        assert summary == json.dumps(summary_json(table), indent=2, sort_keys=True) + "\n"
+        assert summary_json(table)["per_j"] == [
+            {"j": 1, "a_j": 8, "n": 1, "mse_delta_bar": 0.25, "mse_ddelta": 0.5,
+             "mse_s0_hat": 2.0, "mse_alpha_hat": 0.1},
+            {"j": 2, "a_j": 16.0, "n": 1, "mse_delta_bar": 1e-20,
+             "mse_ddelta": None, "mse_s0_hat": None, "mse_alpha_hat": None},
+        ]
+        assert summarize(table).splitlines()[3:] == [
+            "  j      a_j     n   mse(mean sq)      mse(diff)        mse(s0)     mse(alpha)",
+            "  1        8     1           0.25            0.5              2            0.1",
+            "  2       16     1          1e-20              -              -              -",
+        ]

@@ -23,6 +23,8 @@ from specpole.model import (
     model_from_json,
     model_to_json,
 )
+from specpole.mc import experiment_from_json
+from specpole.transform import schedule_from_json
 
 PI = math.pi
 
@@ -442,6 +444,14 @@ class TestJsonConfig:
         with pytest.raises(ConfigError) as err:
             model_from_json([1, 2])
         assert err.value.pointer == ""
+
+    @pytest.mark.parametrize(
+        "load", [model_from_json, filter_from_json, schedule_from_json,
+                 experiment_from_json])
+    def test_malformed_json_text_is_a_schema_error(self, load):
+        with pytest.raises(ConfigError, match="not valid JSON") as err:
+            load('{"family": ', "/section")
+        assert err.value.pointer == "/section"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):

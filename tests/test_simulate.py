@@ -208,6 +208,15 @@ class TestGegenbauerPath:
         short = gegenbauer_path(spec, 400, 250.0, 1.0, seed=7)
         np.testing.assert_array_equal(long.values[250:650], short.values)
 
+    def test_integer_step_takes_every_dt_th_lattice_point(self):
+        spec = GegenbauerSpec(d=0.1, u=0.3, truncation=40)
+        unit = gegenbauer_path(spec, 898, -7.0, 1.0, seed=7)
+        for dt in (2.0, 3.0):
+            n = 897 // int(dt) + 1
+            path = gegenbauer_path(spec, n, -7.0, dt, seed=7)
+            assert path.values.flags.c_contiguous
+            np.testing.assert_array_equal(path.values, unit.values[:: int(dt)])
+
     def test_fine_grid_interpolates_with_warning(self):
         spec = GegenbauerSpec(d=0.1, u=0.3, truncation=40)
         lattice = gegenbauer_path(spec, 11, 0.0, 1.0, seed=5)
