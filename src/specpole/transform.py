@@ -232,6 +232,11 @@ def _uncovered(path, filt, a, b_lo, b_hi):
     return (lo, hi) if path.t0 > lo + slack or path.t_end < hi - slack else None
 
 
+def _changes(key):
+    """Where a key changes between neighbouring entries."""
+    return key[1:] != key[:-1]
+
+
 def _transform_level(path, filt, a, shifts):
     """Riemann sums at every shift of one scale, in bounded blocks.
 
@@ -246,15 +251,18 @@ def _transform_level(path, filt, a, shifts):
     out = np.zeros(shifts.size)
     for first in range(0, shifts.size, _CHUNK):
         b = shifts[first : first + _CHUNK]
-        lo = np.ceil((b - radius - path.t0) / path.dt - 1e-12).astype(np.int64)
-        hi = np.floor((b + radius - path.t0) / path.dt + 1e-12).astype(np.int64)
-        i0, i1 = np.maximum(lo, 0), np.minimum(hi, path.values.size - 1)
+        i0 = np.ceil((b - radius - path.t0) / path.dt - 1e-12).astype(np.int64)
+        i1 = np.floor((b + radius - path.t0) / path.dt + 1e-12).astype(np.int64)
+        np.maximum(i0, 0, out=i0)
+        np.minimum(i1, path.values.size - 1, out=i1)
         offsets = np.rint((path.t0 + path.dt * i0 - b) / (_OFFSET_QUANTUM * path.dt))
-        # the block's cells by (offset, width), each group in block order
+        # the block's cells by (offset, width), each group in block order;
+        # a group starts where either key changes, one key reordered at a time
         widths = i1 - i0 + 1
         order = np.lexsort((widths, offsets))
-        key_o, key_w = offsets[order], widths[order]
-        starts = np.flatnonzero((key_o[1:] != key_o[:-1]) | (key_w[1:] != key_w[:-1])) + 1
+        edges = _changes(offsets[order])
+        edges |= _changes(widths[order])
+        starts = np.flatnonzero(edges) + 1
         for cells in np.split(order, starts):
             k = cells[0]
             width = widths[k]
