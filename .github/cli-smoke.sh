@@ -1,0 +1,20 @@
+#!/bin/sh
+# End-to-end run of the installed specpole console script, in cli-smoke/
+# under the current directory: simulate -> transform (from the path CSV)
+# -> estimate, on a path that covers the lattice window [-34, 51] of this
+# tiny schedule.  Then the transform's manifest config is fed back
+# through transform, which must write the same panel.csv byte for byte.
+#
+#     sh .github/cli-smoke.sh
+set -eu
+mkdir -p cli-smoke && cd cli-smoke
+echo '{"model": {"family": "gegenbauer", "d": 0.1, "u": 0.3}, "n_points": 120, "t0": -40.0, "dt": 1.0, "seed": 5}' > simulate.json
+echo '{"path_csv": "sim/path.csv", "seed": 5, "filter": {"name": "mexican-hat"}, "schedule": {"rule": "linear", "j_max": 4, "kappa": 2.0}}' > transform.json
+echo '{"panel_csv": "tr/panel.csv", "filter": {"name": "mexican-hat"}, "seed": 5}' > estimate.json
+specpole simulate --config simulate.json --out sim
+specpole transform --config transform.json --out tr
+specpole estimate --config estimate.json --out est
+test -s est/estimates.csv
+python -c 'import json, sys; json.dump(json.load(open("tr/manifest.json"))["config"], sys.stdout)' > replay.json
+specpole transform --config replay.json --out tr-replay
+cmp tr/panel.csv tr-replay/panel.csv

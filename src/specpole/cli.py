@@ -17,9 +17,9 @@ so ``"config error at /schedule/j_max: missing required key"`` points
 into the document.
 
 Every command that writes files also writes ``manifest.json`` next to
-them, capturing the artifact version, the fully resolved configuration
-(with flag overrides applied) and the seed, so any output can be
-reproduced exactly from its manifest alone.
+them, capturing the artifact version, the configuration the command read
+(defaults filled in, flag overrides applied) and the seed, so any output
+can be reproduced exactly from its manifest alone.
 """
 
 import argparse
@@ -42,7 +42,6 @@ from .mc import (
 )
 from .model import (
     ConfigError,
-    GegenbauerSpec,
     SpectralModel,
     _document,
     _field,
@@ -79,13 +78,47 @@ __all__ = ["ConfigError", "build_parser", "main"]
 
 
 def _load_config(path_str):
-    if path_str is None:
-        raise ConfigError("", "a config file is required (pass --config)")
     try:
         with open(path_str, "r", encoding="utf-8") as fh:
             return _document(fh.read(), "")
     except FileNotFoundError:
         raise ConfigError("", "config file %r does not exist" % path_str)
+
+
+# The default of a key the document must hold
+_REQUIRED = object()
+
+# Keys that hold a document: its loader and its writer
+_OBJECTS = {
+    "model": (model_from_json, model_to_json),
+    "filter": (filter_from_json, filter_to_json),
+    "schedule": (schedule_from_json, schedule_to_json),
+}
+
+
+def _read_config(doc, flags, *keys):
+    """Read keys, each (name, kind, default or _REQUIRED), from doc in
+    order; return their values, then the manifest's config of every key.
+
+    A flag in ``flags`` that is not None wins after the read, so a
+    required key stays required.  Numbers come out as floats.  A model,
+    filter or schedule is built by its *_from_json (pointer /name), and
+    the config holds it in its *_to_json form.
+    """
+    values, config = [], {}
+    for name, kind, default in keys:
+        value = _field(doc, "", name, kind, default is _REQUIRED, default)
+        if flags.get(name) is not None:
+            value = flags[name]
+        config[name] = value
+        if name in _OBJECTS:
+            load, dump = _OBJECTS[name]
+            value = load(value, "/" + name)
+            config[name] = dump(value)
+        elif kind == "number" and value is not None:
+            config[name] = value = float(value)
+        values.append(value)
+    return (*values, config)
 
 
 # ---------------------------------------------------------------------------
@@ -130,54 +163,40 @@ def cmd_constants(args):
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_model(args):
-    """Resolve the model and grid from --config or inline flags."""
+def _spectrum_doc(args):
+    """The --config document, or the one the inline model flags stand for."""
     if args.config is not None and args.family is not None:
         raise ConfigError("", "pass either --config or --family, not both")
-    lam_max, n_grid, cov_lags = args.lam_max, args.n_grid, args.cov_lags
     if args.config is not None:
-        doc = _load_config(args.config)
-        model = model_from_json(_field(doc, "", "model", "object"), "/model")
-        if lam_max is None:
-            lam_max = _field(doc, "", "lam_max", "number", required=False)
-        if n_grid is None:
-            n_grid = _field(doc, "", "n_grid", "integer", required=False)
-        if cov_lags is None:
-            cov_lags = _field(doc, "", "cov_lags", "integer", required=False)
-    elif args.family == "indicator":
-        if args.s0 is None or args.alpha is None or args.M is None:
-            raise ConfigError(
-                "", "--family indicator needs --s0, --alpha and --M"
-            )
-        model = model_from_json(
-            {"family": "indicator", "s0": args.s0, "alpha": args.alpha, "M": args.M}
-        )
+        return _load_config(args.config)
+    if args.family == "indicator":
+        model = {"s0": args.s0, "alpha": args.alpha, "M": args.M}
+        if None in model.values():
+            raise ConfigError("", "--family indicator needs --s0, --alpha and --M")
     elif args.family == "gegenbauer":
         if args.d is None or args.u is None:
             raise ConfigError("", "--family gegenbauer needs --d and --u")
-        doc = {"family": "gegenbauer", "d": args.d, "u": args.u}
-        if args.sigma_eps is not None:
-            doc["sigma_eps"] = args.sigma_eps
-        if args.truncation is not None:
-            doc["truncation"] = args.truncation
-        model = model_from_json(doc)
+        model = {"d": args.d, "u": args.u, "sigma_eps": args.sigma_eps,
+                 "truncation": args.truncation}
     else:
         raise ConfigError("", "spectrum needs --config or --family")
-    if n_grid is None:
-        n_grid = 401
-    if cov_lags is None:
-        cov_lags = 0
-    return model, lam_max, int(n_grid), int(cov_lags)
+    # an optional flag left out leaves its key out
+    model = {key: value for key, value in model.items() if value is not None}
+    return {"model": {"family": args.family, **model}}
 
 
 def cmd_spectrum(args):
-    model, lam_max, n_grid, cov_lags = _spectrum_model(args)
+    model, lam_max, n_grid, cov_lags, config = _read_config(
+        _spectrum_doc(args),
+        {"lam_max": args.lam_max, "n_grid": args.n_grid, "cov_lags": args.cov_lags},
+        ("model", "object", _REQUIRED), ("lam_max", "number", None),
+        ("n_grid", "integer", 401), ("cov_lags", "integer", 0),
+    )
     # Only the closed-form density has a pole on the real line and a band
     # edge; the moving average's density is smooth and 2*pi-periodic.
     pole = isinstance(model, SpectralModel)
     if lam_max is None:
-        lam_max = 1.5 * model.envelope if pole else math.pi
-    lam_max = float(lam_max)
+        lam_max = config["lam_max"] = 1.5 * model.envelope if pole else math.pi
     if not (lam_max > 0.0 and math.isfinite(lam_max)):
         raise ValueError("spectrum: lam-max must be a positive real")
     if n_grid < 2:
@@ -202,13 +221,6 @@ def cmd_spectrum(args):
         spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
         tables["covariance.csv"] = (
             ("r", "B"), zip(lags.tolist(), model.covariances(lags, spec).tolist()))
-
-    resolved = {
-        "model": model_to_json(model),
-        "lam_max": lam_max,
-        "n_grid": n_grid,
-        "cov_lags": cov_lags,
-    }
     if args.out is None:
         for header, rows in tables.values():
             _write_csv(sys.stdout, header, rows)
@@ -216,7 +228,7 @@ def cmd_spectrum(args):
     out_dir = _ensure_out(args.out)
     for name, (header, rows) in tables.items():
         _write_csv(os.path.join(out_dir, name), header, rows)
-    _write_manifest(out_dir, "spectrum", resolved, None, tables)
+    _write_manifest(out_dir, "spectrum", config, None, tables)
     print("wrote %s to %s" % (", ".join(sorted(tables)), out_dir))
     return 0
 
@@ -226,35 +238,16 @@ def cmd_spectrum(args):
 # ---------------------------------------------------------------------------
 
 
-def _require_ma_model(model, command):
-    if not isinstance(model, GegenbauerSpec):
-        raise TypeError(
-            "%s: a closed-form density carries no sampling recipe; "
-            "only the moving-average model can generate paths" % command
-        )
-
-
 def cmd_simulate(args):
-    doc = _load_config(args.config)
-    model = model_from_json(_field(doc, "", "model", "object"), "/model")
-    n_points = _field(doc, "", "n_points", "integer")
-    t0 = float(_field(doc, "", "t0", "number", required=False, default=0.0))
-    dt = float(_field(doc, "", "dt", "number", required=False, default=1.0))
-    seed = _field(doc, "", "seed", "integer")
-    if args.seed is not None:
-        seed = args.seed
-    _require_ma_model(model, "simulate")
+    model, n_points, t0, dt, seed, config = _read_config(
+        _load_config(args.config), {"seed": args.seed},
+        ("model", "object", _REQUIRED), ("n_points", "integer", _REQUIRED),
+        ("t0", "number", 0.0), ("dt", "number", 1.0), ("seed", "integer", _REQUIRED),
+    )
     path = gegenbauer_path(model, n_points, t0, dt, seed)
     out_dir = _ensure_out(args.out)
     path_to_csv(path, os.path.join(out_dir, "path.csv"))
-    resolved = {
-        "model": model_to_json(model),
-        "n_points": n_points,
-        "t0": t0,
-        "dt": dt,
-        "seed": seed,
-    }
-    _write_manifest(out_dir, "simulate", resolved, seed, ["path.csv"])
+    _write_manifest(out_dir, "simulate", config, seed, ["path.csv"])
     print("wrote path.csv (%d samples) to %s" % (n_points, out_dir))
     return 0
 
@@ -266,36 +259,26 @@ def cmd_simulate(args):
 
 def cmd_transform(args):
     doc = _load_config(args.config)
-    filt = filter_from_json(_field(doc, "", "filter", "object"), "/filter")
-    schedule = schedule_from_json(_field(doc, "", "schedule", "object"), "/schedule")
-    resolved = {
-        "filter": filter_to_json(filt),
-        "schedule": schedule_to_json(schedule),
-    }
-    if "path_csv" in doc:
-        src = _field(doc, "", "path_csv", "string")
-        seed = _field(doc, "", "seed", "integer", required=False, default=0)
-        if args.seed is not None:
-            seed = args.seed
-        path = path_from_csv(src, seed)
-        resolved["path_csv"] = src
+    # The path is read from path_csv, or simulated from the model
+    from_csv = "path_csv" in doc
+    if from_csv:
+        source = ("path_csv", "string", _REQUIRED), ("seed", "integer", 0)
     else:
-        model = model_from_json(_field(doc, "", "model", "object"), "/model")
-        _require_ma_model(model, "transform")
-        seed = _field(doc, "", "seed", "integer")
-        if args.seed is not None:
-            seed = args.seed
+        source = ("model", "object", _REQUIRED), ("seed", "integer", _REQUIRED)
+    filt, schedule, src, seed, config = _read_config(
+        doc, {"seed": args.seed},
+        ("filter", "object", _REQUIRED), ("schedule", "object", _REQUIRED), *source,
+    )
+    if from_csv:
+        path = path_from_csv(src, seed)
+    else:
         t_lo, t_hi = lattice_window(filt, schedule)
-        path = gegenbauer_path(model, t_hi - t_lo + 1, float(t_lo), 1.0, seed)
-        resolved["model"] = model_to_json(model)
-    resolved["seed"] = seed
+        path = gegenbauer_path(src, t_hi - t_lo + 1, float(t_lo), 1.0, seed)
     panel = panel_from_path(path, filt, schedule)
     out_dir = _ensure_out(args.out)
     panel_to_csv(panel, os.path.join(out_dir, "panel.csv"))
-    _write_manifest(out_dir, "transform", resolved, seed, ["panel.csv"])
-    print(
-        "wrote panel.csv (%d levels) to %s" % (len(panel.levels), out_dir)
-    )
+    _write_manifest(out_dir, "transform", config, seed, ["panel.csv"])
+    print("wrote panel.csv (%d levels) to %s" % (len(panel.levels), out_dir))
     return 0
 
 
@@ -306,27 +289,24 @@ def cmd_transform(args):
 
 def cmd_estimate(args):
     if args.config is not None:
+        if args.panel is not None or args.filter is not None:
+            raise ConfigError("", "pass either --config or --panel/--filter, not both")
         doc = _load_config(args.config)
-        panel_csv = _field(doc, "", "panel_csv", "string")
-        filt = filter_from_json(_field(doc, "", "filter", "object"), "/filter")
-        provenance = _field(
-            doc, "", "provenance", "string",
-            required=False, default="path-transform",
+    elif args.panel is None or args.filter is None:
+        raise ConfigError(
+            "", "estimate needs --config, or --panel together with --filter"
         )
-        if provenance not in PROVENANCES:
-            raise ConfigError(
-                "/provenance", "must be one of %s" % (sorted(PROVENANCES),)
-            )
-        seed = _field(doc, "", "seed", "integer", required=False, default=0)
     else:
-        if args.panel is None or args.filter is None:
-            raise ConfigError(
-                "", "estimate needs --config, or --panel together with --filter"
-            )
-        panel_csv = args.panel
-        filt = builtin_filter(args.filter, sigma=args.sigma)
-        provenance = "path-transform"
-        seed = 0
+        doc = {"panel_csv": args.panel, "filter": {"name": args.filter, "sigma": args.sigma}}
+    panel_csv, filt, provenance, seed, config = _read_config(
+        doc, {},
+        ("panel_csv", "string", _REQUIRED), ("filter", "object", _REQUIRED),
+        ("provenance", "string", "path-transform"), ("seed", "integer", 0),
+    )
+    if provenance not in PROVENANCES:
+        raise ConfigError(
+            "/provenance", "must be one of %s" % (sorted(PROVENANCES),)
+        )
     panel = panel_from_csv(panel_csv, provenance, seed)
     results = estimate(panel, filt)
     if not results:
@@ -336,13 +316,7 @@ def cmd_estimate(args):
         )
     out_dir = _ensure_out(args.out)
     results_to_csv(results, os.path.join(out_dir, "estimates.csv"))
-    resolved = {
-        "panel_csv": panel_csv,
-        "filter": filter_to_json(filt),
-        "provenance": provenance,
-        "seed": seed,
-    }
-    _write_manifest(out_dir, "estimate", resolved, seed, ["estimates.csv"])
+    _write_manifest(out_dir, "estimate", config, seed, ["estimates.csv"])
     for res in results:
         print(
             "level %d (a=%g): s0_hat=%.6f alpha_hat=%.6f (adjustment %s)"

@@ -331,6 +331,11 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
     are filled by linear interpolation between lattice samples, which is
     an approximation and is flagged with a warning.
     """
+    if isinstance(spec, SpectralModel):
+        raise TypeError(
+            "gegenbauer_path: a closed-form density carries no sampling "
+            "recipe; only the moving-average model can generate paths"
+        )
     n_points = int(n_points)
     if n_points < 2:
         raise ValueError("gegenbauer_path: need at least two samples")

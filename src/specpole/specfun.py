@@ -329,38 +329,26 @@ def integrate(f, lo, hi, spec=None, *, breakpoints=()):
                 "integrate: declared singularity %r outside [%r, %r]" % (s, lo, hi)
             )
 
-    improper = math.isinf(lo) or math.isinf(hi)
-    if improper:
-        tlo = -0.5 * math.pi if math.isinf(lo) else math.atan(lo)
-        thi = 0.5 * math.pi if math.isinf(hi) else math.atan(hi)
+    # Cut at the declared singularities (absorbed, not rejected, when the
+    # integrand is not finite there), the breakpoints and zero.
+    absorb = list(spec.singularities)
+    cuts = absorb + [float(p) for p in breakpoints if lo < float(p) < hi]
+    if lo < 0.0 < hi:
+        cuts.append(0.0)
+    # ctx maps a working coordinate back to x for error messages
+    fun, ctx, a, b = f, float, lo, hi
+    if math.isinf(lo) or math.isinf(hi):
+        # Work in theta = atan(x); atan(+-inf) is +-pi/2.
+        a, b = math.atan(lo), math.atan(hi)
+        absorb = [math.atan(s) for s in absorb]
+        cuts = [math.atan(c) for c in cuts]
 
-        def g(theta):
+        def fun(theta):
             lam = np.tan(theta)
             fv = _vector_call(f, lam)
             return np.where(fv == 0.0, 0.0, fv * (1.0 + lam * lam))
 
-        fun = g
-        a, b = tlo, thi
-        absorb = [math.atan(s) for s in spec.singularities]
-        cuts = list(absorb)
-        cuts += [math.atan(float(p)) for p in breakpoints if lo < float(p) < hi]
-        if lo < 0.0 < hi:
-            cuts.append(0.0)
-
-        def ctx(theta):
-            return math.tan(theta)
-
-    else:
-        fun = lambda x: _vector_call(f, x)
-        a, b = lo, hi
-        absorb = list(spec.singularities)
-        cuts = list(absorb)
-        cuts += [float(p) for p in breakpoints if lo < float(p) < hi]
-        if lo < 0.0 < hi:
-            cuts.append(0.0)
-
-        def ctx(x):
-            return x
+        ctx = math.tan
 
     # np.sort, not np.unique, which imports numpy.ma; equal edges go
     # with the near-duplicates below.

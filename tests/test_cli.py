@@ -538,6 +538,20 @@ class TestEstimate:
             os.path.join(out_b, "estimates.csv")
         )
 
+    @pytest.mark.parametrize("flag", [
+        ["--panel", "other_panel.csv"], ["--filter", "shannon-father"],
+    ], ids=["panel", "filter"])
+    def test_config_and_panel_flags_conflict(self, panel_dir, tmp_path, capsys, flag):
+        cfg = write_json(tmp_path / "est.json", {
+            "panel_csv": os.path.join(panel_dir, "panel.csv"),
+            "filter": {"name": "mexican-hat"},
+        })
+        out = tmp_path / "o"
+        rc = main(["estimate", "--config", cfg, *flag, "--out", str(out)])
+        assert rc == 2
+        assert "not both" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_config_or_panel(self, tmp_path, capsys):
         rc = main(["estimate", "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -586,6 +600,68 @@ class TestEstimate:
         rc = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "/provenance" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# manifest replay
+# ---------------------------------------------------------------------------
+
+
+def path_csv_transform_config(tmp_path):
+    """A transform config that reads a simulated path covering its window."""
+    sim_cfg = simulate_config(tmp_path, n_points=120, t0=-40, seed=5)
+    sim_out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", sim_cfg, "--out", sim_out]) == 0
+    doc = json.load(open(transform_config(
+        tmp_path, path_csv=os.path.join(sim_out, "path.csv"), seed=5,
+        schedule={"rule": "linear", "j_max": 4, "kappa": 2.0},
+    )))
+    del doc["model"]
+    return write_json(tmp_path / "tra_csv.json", doc)
+
+
+# Each case's command line but --out, from (tmp_path, panel_dir)
+REPLAY_CASES = {
+    "spectrum-config": lambda tmp, panel: [
+        "spectrum", "--config",
+        write_json(tmp / "spec.json", {"model": INDICATOR_MODEL, "cov_lags": 2}),
+        "--n-grid", "11",
+    ],
+    "spectrum-family": lambda tmp, panel: [
+        "spectrum", "--family", "gegenbauer", "--d", "0.1", "--u", "0.3",
+        "--truncation", "30", "--cov-lags", "3",
+    ],
+    "transform-model": lambda tmp, panel: [
+        "transform", "--config", transform_config(tmp), "--seed", "12",
+    ],
+    "transform-path-csv": lambda tmp, panel: [
+        "transform", "--config", path_csv_transform_config(tmp),
+    ],
+    "estimate-config": lambda tmp, panel: [
+        "estimate", "--config", write_json(tmp / "est.json", {
+            "panel_csv": os.path.join(panel, "panel.csv"),
+            "filter": {"name": "mexican-hat"},
+            "provenance": "exact-gaussian",
+        }),
+    ],
+    "estimate-panel": lambda tmp, panel: [
+        "estimate", "--panel", os.path.join(panel, "panel.csv"),
+        "--filter", "mexican-hat", "--sigma", "1.5",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_manifest_config_replays_outputs(case, panel_dir, tmp_path):
+    argv = REPLAY_CASES[case](tmp_path, panel_dir)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main([*argv, "--out", str(out_a)]) == 0
+    with open(out_a / "manifest.json") as fh:
+        manifest = json.load(fh)
+    replay = write_json(tmp_path / "replay.json", manifest["config"])
+    assert main([argv[0], "--config", replay, "--out", str(out_b)]) == 0
+    for name in [*manifest["outputs"], "manifest.json"]:
+        assert read_bytes(out_a / name) == read_bytes(out_b / name), name
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,10 @@ class TestGegenbauerPath:
         with pytest.raises(ValueError, match="dt"):
             gegenbauer_path(spec, 10, 0.0, 0.0, seed=0)
 
+    def test_density_model_has_no_sampling_recipe(self):
+        with pytest.raises(TypeError, match="sampling recipe"):
+            gegenbauer_path(indicator_model(2.0, 0.2, 4.0), 10, 0.0, 1.0, seed=0)
+
 
 class TestCoefficientCovariance:
     model = indicator_model(1.2661, 0.1, 3.0)
