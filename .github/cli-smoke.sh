@@ -4,6 +4,8 @@
 # -> estimate, on a path that covers the lattice window [-34, 51] of this
 # tiny schedule.  Then the transform's manifest config is fed back
 # through transform, which must write the same panel.csv byte for byte.
+# Last, a 2-replication montecarlo run is replayed from its manifest into
+# another directory, which must hold the same three tables.
 #
 #     sh .github/cli-smoke.sh
 set -eu
@@ -18,3 +20,8 @@ test -s est/estimates.csv
 python -c 'import json, sys; json.dump(json.load(open("tr/manifest.json"))["config"], sys.stdout)' > replay.json
 specpole transform --config replay.json --out tr-replay
 cmp tr/panel.csv tr-replay/panel.csv
+echo '{"model": {"family": "indicator", "s0": 1.2661, "alpha": 0.1, "M": 3.0}, "filter": {"name": "shannon-father"}, "schedule": {"rule": "geometric", "j_max": 2, "a0": 4.0, "rho": 2.0, "kappa": 2.0, "m_cap": 32}, "backend": "exact-gaussian", "replications": 2, "base_seed": 1}' > mc.json
+specpole montecarlo --config mc.json --out mc
+python -c 'import json, sys; json.dump(json.load(open("mc/manifest.json"))["config"], sys.stdout)' > mc-replay.json
+specpole montecarlo --config mc-replay.json --out mc-replay
+for f in replications.csv mse_table.csv summary.json; do cmp mc/$f mc-replay/$f; done

@@ -23,7 +23,6 @@ can be reproduced exactly from its manifest alone.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -33,25 +32,18 @@ import numpy as np
 
 from . import __version__
 from .estimator import estimate, results_to_csv
-from .mc import (
-    _OUTPUTS,
-    experiment_from_json,
-    experiment_to_json,
-    run_experiment,
-    summarize,
-)
+from .mc import _OUTPUTS, _read_experiment, run_experiment, summarize
 from .model import (
+    _FILTER,
+    _MODEL,
+    _REQUIRED,
     ConfigError,
     SpectralModel,
     _document,
-    _field,
+    _read_config,
     _write_csv,
     _write_json,
     builtin_filter,
-    filter_from_json,
-    filter_to_json,
-    model_from_json,
-    model_to_json,
 )
 from .simulate import (
     PROVENANCES,
@@ -62,12 +54,7 @@ from .simulate import (
     path_to_csv,
 )
 from .specfun import QuadratureSpec
-from .transform import (
-    lattice_window,
-    panel_from_path,
-    schedule_from_json,
-    schedule_to_json,
-)
+from .transform import _SCHEDULE, lattice_window, panel_from_path
 
 __all__ = ["ConfigError", "build_parser", "main"]
 
@@ -83,42 +70,6 @@ def _load_config(path_str):
             return _document(fh.read(), "")
     except FileNotFoundError:
         raise ConfigError("", "config file %r does not exist" % path_str)
-
-
-# The default of a key the document must hold
-_REQUIRED = object()
-
-# Keys that hold a document: its loader and its writer
-_OBJECTS = {
-    "model": (model_from_json, model_to_json),
-    "filter": (filter_from_json, filter_to_json),
-    "schedule": (schedule_from_json, schedule_to_json),
-}
-
-
-def _read_config(doc, flags, *keys):
-    """Read keys, each (name, kind, default or _REQUIRED), from doc in
-    order; return their values, then the manifest's config of every key.
-
-    A flag in ``flags`` that is not None wins after the read, so a
-    required key stays required.  Numbers come out as floats.  A model,
-    filter or schedule is built by its *_from_json (pointer /name), and
-    the config holds it in its *_to_json form.
-    """
-    values, config = [], {}
-    for name, kind, default in keys:
-        value = _field(doc, "", name, kind, default is _REQUIRED, default)
-        if flags.get(name) is not None:
-            value = flags[name]
-        config[name] = value
-        if name in _OBJECTS:
-            load, dump = _OBJECTS[name]
-            value = load(value, "/" + name)
-            config[name] = dump(value)
-        elif kind == "number" and value is not None:
-            config[name] = value = float(value)
-        values.append(value)
-    return (*values, config)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +138,9 @@ def _spectrum_doc(args):
 
 def cmd_spectrum(args):
     model, lam_max, n_grid, cov_lags, config = _read_config(
-        _spectrum_doc(args),
+        _spectrum_doc(args), "",
         {"lam_max": args.lam_max, "n_grid": args.n_grid, "cov_lags": args.cov_lags},
-        ("model", "object", _REQUIRED), ("lam_max", "number", None),
+        ("model", _MODEL, _REQUIRED), ("lam_max", "number", None),
         ("n_grid", "integer", 401), ("cov_lags", "integer", 0),
     )
     # Only the closed-form density has a pole on the real line and a band
@@ -240,8 +191,8 @@ def cmd_spectrum(args):
 
 def cmd_simulate(args):
     model, n_points, t0, dt, seed, config = _read_config(
-        _load_config(args.config), {"seed": args.seed},
-        ("model", "object", _REQUIRED), ("n_points", "integer", _REQUIRED),
+        _load_config(args.config), "", {"seed": args.seed},
+        ("model", _MODEL, _REQUIRED), ("n_points", "integer", _REQUIRED),
         ("t0", "number", 0.0), ("dt", "number", 1.0), ("seed", "integer", _REQUIRED),
     )
     path = gegenbauer_path(model, n_points, t0, dt, seed)
@@ -262,12 +213,15 @@ def cmd_transform(args):
     # The path is read from path_csv, or simulated from the model
     from_csv = "path_csv" in doc
     if from_csv:
+        if "model" in doc:
+            raise ConfigError("", "a transform config holds either path_csv or "
+                                  "model, not both")
         source = ("path_csv", "string", _REQUIRED), ("seed", "integer", 0)
     else:
-        source = ("model", "object", _REQUIRED), ("seed", "integer", _REQUIRED)
+        source = ("model", _MODEL, _REQUIRED), ("seed", "integer", _REQUIRED)
     filt, schedule, src, seed, config = _read_config(
-        doc, {"seed": args.seed},
-        ("filter", "object", _REQUIRED), ("schedule", "object", _REQUIRED), *source,
+        doc, "", {"seed": args.seed},
+        ("filter", _FILTER, _REQUIRED), ("schedule", _SCHEDULE, _REQUIRED), *source,
     )
     if from_csv:
         path = path_from_csv(src, seed)
@@ -289,18 +243,23 @@ def cmd_transform(args):
 
 def cmd_estimate(args):
     if args.config is not None:
-        if args.panel is not None or args.filter is not None:
-            raise ConfigError("", "pass either --config or --panel/--filter, not both")
+        if any(flag is not None for flag in (args.panel, args.filter, args.sigma)):
+            raise ConfigError(
+                "", "pass either --config or --panel/--filter/--sigma, not both"
+            )
         doc = _load_config(args.config)
     elif args.panel is None or args.filter is None:
         raise ConfigError(
             "", "estimate needs --config, or --panel together with --filter"
         )
     else:
-        doc = {"panel_csv": args.panel, "filter": {"name": args.filter, "sigma": args.sigma}}
+        doc = {"panel_csv": args.panel, "filter": {"name": args.filter}}
+        # --sigma left out leaves sigma to filter_from_json's default
+        if args.sigma is not None:
+            doc["filter"]["sigma"] = args.sigma
     panel_csv, filt, provenance, seed, config = _read_config(
-        doc, {},
-        ("panel_csv", "string", _REQUIRED), ("filter", "object", _REQUIRED),
+        doc, "", {},
+        ("panel_csv", "string", _REQUIRED), ("filter", _FILTER, _REQUIRED),
         ("provenance", "string", "path-transform"), ("seed", "integer", 0),
     )
     if provenance not in PROVENANCES:
@@ -332,26 +291,16 @@ def cmd_estimate(args):
 
 
 def cmd_montecarlo(args):
-    config = experiment_from_json(_load_config(args.config))
-    updates = {}
-    if args.seed is not None:
-        updates["base_seed"] = args.seed
-    out_dir = args.out if args.out is not None else config.out_dir
-    if out_dir is None:
+    config, read = _read_experiment(
+        _load_config(args.config), "", {"base_seed": args.seed, "out_dir": args.out}
+    )
+    if config.out_dir is None:
         raise ConfigError(
             "", "an output directory is required (set out_dir or pass --out)"
         )
     # run_experiment creates the directory once the config has passed
-    updates["out_dir"] = out_dir
-    config = dataclasses.replace(config, **updates)
     table = run_experiment(config)
-    _write_manifest(
-        out_dir,
-        "montecarlo",
-        experiment_to_json(config),
-        config.base_seed,
-        _OUTPUTS,
-    )
+    _write_manifest(config.out_dir, "montecarlo", read, config.base_seed, _OUTPUTS)
     print(summarize(table))
     return 0
 
@@ -440,8 +389,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--panel", help="panel CSV path (alternative to --config)")
     p.add_argument("--filter", help="filter name used to build the panel")
-    p.add_argument("--sigma", type=float, default=1.0,
-                   help="width parameter for the mexican-hat filter")
+    p.add_argument("--sigma", type=float,
+                   help="width parameter for the mexican-hat filter (default 1)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser(

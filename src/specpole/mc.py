@@ -24,17 +24,17 @@ import numpy as np
 
 from .estimator import estimate
 from .model import (
+    _FILTER,
+    _MODEL,
+    _REQUIRED,
     ConfigError,
+    FilterSpec,
     GegenbauerSpec,
     SpectralModel,
-    _document,
-    _field,
-    _filter_args,
+    _read_config,
     _write_csv,
     _write_json,
-    builtin_filter,
     filter_to_json,
-    model_from_json,
     model_to_json,
 )
 from .simulate import (
@@ -44,12 +44,7 @@ from .simulate import (
     exact_coefficient_sample,
     gegenbauer_path,
 )
-from .transform import (
-    lattice_window,
-    panel_from_path,
-    schedule_from_json,
-    schedule_to_json,
-)
+from .transform import _SCHEDULE, lattice_window, panel_from_path, schedule_to_json
 
 __all__ = [
     "ExperimentConfig",
@@ -73,16 +68,13 @@ class ExperimentConfig:
     """Full description of one replication experiment."""
 
     model: object
-    filter_name: str
+    # A built FilterSpec, passed to every step of the experiment
+    filt: object
     schedule: object
     backend: str
     replications: int
     base_seed: int
-    sigma: float = 1.0
     out_dir: str = None
-    # The filter of filter_name and sigma, built once here to validate it
-    # and passed to every step of the experiment.
-    filt: object = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.backend not in PROVENANCES:
@@ -96,8 +88,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         if self.replications < 1:
             raise ValueError("ExperimentConfig: replications must be >= 1")
-        filt = builtin_filter(self.filter_name, sigma=self.sigma)
-        object.__setattr__(self, "filt", filt)
+        if not isinstance(self.filt, FilterSpec):
+            raise TypeError(
+                "ExperimentConfig: filt must be a FilterSpec, such as "
+                "builtin_filter(name) gives"
+            )
         if self.backend == "exact-gaussian":
             if not isinstance(self.model, SpectralModel):
                 raise TypeError(
@@ -112,10 +107,10 @@ class ExperimentConfig:
                     "GegenbauerSpec recipe; use exact-gaussian for density "
                     "models"
                 )
-            if filt.psi is None:
+            if self.filt.psi is None:
                 raise ValueError(
                     "ExperimentConfig: filter %r has no time-domain form, "
-                    "so it cannot transform simulated paths" % self.filter_name
+                    "so it cannot transform simulated paths" % self.filt.name
                 )
 
     def targets(self):
@@ -135,31 +130,30 @@ class ExperimentConfig:
         }
 
 
-def experiment_from_json(doc, pointer=""):
-    """Build a config from its JSON document form."""
-    doc = _document(doc, pointer)
+# The keys of an experiment document, in the order of ExperimentConfig's
+# fields, as model._read_config reads them
+_KEYS = (
+    ("model", _MODEL, _REQUIRED), ("filter", _FILTER, _REQUIRED),
+    ("schedule", _SCHEDULE, _REQUIRED), ("backend", "string", _REQUIRED),
+    ("replications", "integer", _REQUIRED), ("base_seed", "integer", _REQUIRED),
+    ("out_dir", "string", None),
+)
 
-    def section(key):
-        return _field(doc, pointer, key, "object"), "%s/%s" % (pointer, key)
 
-    model = model_from_json(*section("model"))
-    name, sigma = _filter_args(*section("filter"))
-    schedule = schedule_from_json(*section("schedule"))
-    backend = _field(doc, pointer, "backend", "string")
-    if backend not in PROVENANCES:
+def _read_experiment(doc, pointer, flags):
+    """The config of doc, flags applied as model._read_config does, and
+    the manifest's form of what was read."""
+    *values, read = _read_config(doc, pointer, flags, *_KEYS)
+    if read["backend"] not in PROVENANCES:
         raise ConfigError(
             pointer + "/backend", "must be one of %s" % (sorted(PROVENANCES),)
         )
-    return ExperimentConfig(
-        model=model,
-        filter_name=name,
-        sigma=sigma,
-        schedule=schedule,
-        backend=backend,
-        replications=_field(doc, pointer, "replications", "integer"),
-        base_seed=_field(doc, pointer, "base_seed", "integer"),
-        out_dir=_field(doc, pointer, "out_dir", "string", required=False),
-    )
+    return ExperimentConfig(*values), read
+
+
+def experiment_from_json(doc, pointer=""):
+    """Build a config from its JSON document form; other keys are ignored."""
+    return _read_experiment(doc, pointer, {})[0]
 
 
 def experiment_to_json(config):

@@ -510,6 +510,39 @@ def _field(doc, pointer, key, kind, required=True, default=None):
     return value
 
 
+# The default of a key the document must hold
+_REQUIRED = object()
+
+
+def _read_config(doc, pointer, flags, *keys):
+    """Read keys, each (name, kind, default or _REQUIRED), from doc in
+    order; return their values, then the manifest's config of every key.
+
+    A flag in ``flags`` that is not None wins after the read, so a
+    required key stays required.  Numbers come out as floats.  The kind
+    of a key that holds a document is its (load, dump) pair, such as
+    _MODEL: the value is built by load at pointer/name, and the config
+    holds dump of it.
+    """
+    doc = _document(doc, pointer)
+    values, config = [], {}
+    for name, kind, default in keys:
+        codec = isinstance(kind, tuple)
+        value = _field(doc, pointer, name, "object" if codec else kind,
+                       default is _REQUIRED, default)
+        if flags.get(name) is not None:
+            value = flags[name]
+        config[name] = value
+        if codec:
+            load, dump = kind
+            value = load(value, "%s/%s" % (pointer, name))
+            config[name] = dump(value)
+        elif kind == "number" and value is not None:
+            config[name] = value = float(value)
+        values.append(value)
+    return (*values, config)
+
+
 def _document(doc, pointer):
     """A config mapping, parsed first when given as JSON text."""
     if isinstance(doc, str):
@@ -556,18 +589,12 @@ def model_to_json(model):
     }
 
 
-def _filter_args(doc, pointer):
-    """Checked (name, sigma) of a filter document."""
+def filter_from_json(doc, pointer=""):
+    """Build a built-in filter from {'name': ..., 'sigma': ...}."""
     doc = _document(doc, pointer)
     name = _field(doc, pointer, "name", "string")
     sigma = _field(doc, pointer, "sigma", "number", required=False, default=1.0)
-    return name, float(sigma)
-
-
-def filter_from_json(doc, pointer=""):
-    """Build a built-in filter from {'name': ..., 'sigma': ...}."""
-    name, sigma = _filter_args(doc, pointer)
-    return builtin_filter(name, sigma=sigma)
+    return builtin_filter(name, sigma=float(sigma))
 
 
 def filter_to_json(filt):
@@ -575,6 +602,11 @@ def filter_to_json(filt):
     if filt.sigma is not None:
         doc["sigma"] = filt.sigma
     return doc
+
+
+# The (load, dump) pairs of _read_config's model and filter keys
+_MODEL = (model_from_json, model_to_json)
+_FILTER = (filter_from_json, filter_to_json)
 
 
 # ---------------------------------------------------------------------------

@@ -904,6 +904,11 @@ def path_from_csv(path, seed):
         )
     t = arr[:, 0]
     dt = float(t[1] - t[0])
+    if not dt > 0.0:
+        raise ValueError(
+            "path_from_csv: %s has t[1] - t[0] = %g; the times must increase"
+            % (path, dt)
+        )
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
         raise ValueError(
             "path_from_csv: %s is not on a uniform time grid (steps differ "

@@ -202,6 +202,10 @@ def schedule_from_json(doc, pointer=""):
     )
 
 
+# The (load, dump) pair of model._read_config's schedule key
+_SCHEDULE = (schedule_from_json, schedule_to_json)
+
+
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------

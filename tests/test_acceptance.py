@@ -232,7 +232,7 @@ def test_criterion_6_end_to_end_estimation():
 
     config = specpole.ExperimentConfig(
         model=specpole.indicator_model(s0, alpha, 3.0),
-        filter_name="shannon-father",
+        filt=specpole.builtin_filter("shannon-father"),
         schedule=schedule,
         backend="exact-gaussian",
         replications=20,
@@ -272,7 +272,7 @@ def test_criterion_7_path_backend_smoke(tmp_path):
     for run_dir in (tmp_path / "a", tmp_path / "b"):
         config = specpole.ExperimentConfig(
             model=specpole.GegenbauerSpec(d=0.1, u=0.3, truncation=40),
-            filter_name="mexican-hat",
+            filt=specpole.builtin_filter("mexican-hat"),
             schedule=schedule,
             backend="path-transform",
             replications=1,

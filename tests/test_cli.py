@@ -439,6 +439,16 @@ class TestTransform:
         assert rc == 1
         assert "covers" in capsys.readouterr().err
 
+    def test_path_csv_and_model_conflict(self, tmp_path, capsys):
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text("t,x\n0,0.1\n1,0.2\n")
+        cfg = transform_config(tmp_path, path_csv=str(path_csv))
+        out = tmp_path / "o"
+        rc = main(["transform", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "either path_csv or model, not both" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_uniform_path_csv_is_domain_error(self, tmp_path, capsys):
         path_csv = tmp_path / "gappy.csv"
         path_csv.write_text("t,x\n0,0.1\n1,0.2\n5,0.3\n6,0.4\n")
@@ -540,7 +550,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("flag", [
         ["--panel", "other_panel.csv"], ["--filter", "shannon-father"],
-    ], ids=["panel", "filter"])
+        ["--sigma", "2.5"],
+    ], ids=["panel", "filter", "sigma"])
     def test_config_and_panel_flags_conflict(self, panel_dir, tmp_path, capsys, flag):
         cfg = write_json(tmp_path / "est.json", {
             "panel_csv": os.path.join(panel_dir, "panel.csv"),
@@ -648,6 +659,17 @@ REPLAY_CASES = {
         "estimate", "--panel", os.path.join(panel, "panel.csv"),
         "--filter", "mexican-hat", "--sigma", "1.5",
     ],
+    "montecarlo-path": lambda tmp, panel: [
+        "montecarlo", "--config", write_json(tmp / "mc.json", {
+            "model": GEGEN_MODEL,
+            "filter": {"name": "mexican-hat", "sigma": 1.5},
+            "schedule": {"rule": "linear", "j_max": 3, "kappa": 2.0},
+            "backend": "path-transform",
+            "replications": 2,
+            "base_seed": 3,
+        }),
+        "--seed", "41",
+    ],
 }
 
 
@@ -660,8 +682,12 @@ def test_manifest_config_replays_outputs(case, panel_dir, tmp_path):
         manifest = json.load(fh)
     replay = write_json(tmp_path / "replay.json", manifest["config"])
     assert main([argv[0], "--config", replay, "--out", str(out_b)]) == 0
-    for name in [*manifest["outputs"], "manifest.json"]:
+    for name in manifest["outputs"]:
         assert read_bytes(out_a / name) == read_bytes(out_b / name), name
+    # montecarlo's config records the output directory that --out moves
+    expected = read_bytes(out_a / "manifest.json").replace(
+        json.dumps(str(out_a)).encode(), json.dumps(str(out_b)).encode())
+    assert read_bytes(out_b / "manifest.json") == expected
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from specpole.mc import (
     write_outputs,
 )
 import specpole.mc
+import specpole.model
 from specpole import simulate
 from specpole.model import GegenbauerSpec, builtin_filter, indicator_model
 from specpole.specfun import QuadratureSpec
@@ -42,7 +43,7 @@ def small_schedule(sizes=((8.0, 32), (16.0, 64))):
 def exact_config(**overrides):
     base = dict(
         model=indicator_model(1.2661, 0.1, 3.0),
-        filter_name="shannon-father",
+        filt=builtin_filter("shannon-father"),
         schedule=small_schedule(),
         backend="exact-gaussian",
         replications=4,
@@ -55,7 +56,7 @@ def exact_config(**overrides):
 def path_config(**overrides):
     base = dict(
         model=GegenbauerSpec(d=0.1, u=0.3, truncation=40),
-        filter_name="mexican-hat",
+        filt=builtin_filter("mexican-hat"),
         schedule=linear_schedule(4, kappa=3.0),
         backend="path-transform",
         replications=3,
@@ -98,11 +99,15 @@ class TestConfig:
 
     def test_path_backend_needs_time_domain_filter(self):
         with pytest.raises(ValueError, match="time-domain"):
-            path_config(filter_name="meyer-father")
+            path_config(filt=builtin_filter("meyer-father"))
 
     def test_unknown_filter(self):
         with pytest.raises(ValueError, match="unknown filter"):
-            exact_config(filter_name="haar")
+            exact_config(filt=builtin_filter("haar"))
+
+    def test_filter_must_be_built(self):
+        with pytest.raises(TypeError, match="FilterSpec"):
+            exact_config(filt="shannon-father")
 
     def test_targets(self):
         t = path_config().targets()
@@ -139,21 +144,21 @@ class TestConfig:
         path_config,
     ], ids=["exact", "path"])
     def test_filter_is_built_once_per_config(self, make, monkeypatch):
+        doc = experiment_to_json(make(replications=2))
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return builtin_filter(*args, **kwargs)
 
-        monkeypatch.setattr(specpole.mc, "builtin_filter", counted)
-        cfg = make(replications=2)
+        monkeypatch.setattr(specpole.model, "builtin_filter", counted)
+        cfg = experiment_from_json(doc)
         assert len(calls) == 1
         run_experiment(cfg)
         cfg.targets()
         experiment_to_json(cfg)
-        assert len(calls) == 1
         dataclasses.replace(cfg, base_seed=5)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_leftover_workers_key_is_ignored(self, tmp_path):
         doc = experiment_to_json(path_config())

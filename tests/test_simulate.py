@@ -971,6 +971,13 @@ class TestSerialization:
             path_from_csv(target, seed=0)
         assert "gappy.csv" in str(err.value)
 
+    def test_path_csv_rejects_times_that_do_not_increase(self, tmp_path):
+        target = tmp_path / "backwards.csv"
+        target.write_text("t,x\n3,0.1\n2,0.2\n1,0.3\n")
+        with pytest.raises(ValueError, match="must increase") as err:
+            path_from_csv(target, seed=0)
+        assert "backwards.csv" in str(err.value) and "= -1" in str(err.value)
+
     def test_path_csv_rejects_single_row(self, tmp_path):
         target = tmp_path / "short.csv"
         target.write_text("t,x\n0,0.1\n")
