@@ -4,8 +4,10 @@
 # -> estimate, on a path that covers the lattice window [-34, 51] of this
 # tiny schedule.  Then the transform's manifest config is fed back
 # through transform, which must write the same panel.csv byte for byte.
-# Last, a 2-replication montecarlo run is replayed from its manifest into
-# another directory, which must hold the same three tables.
+# Then a 2-replication montecarlo run is replayed from its manifest into
+# another directory, which must hold the same three tables.  Last, the
+# indicator model's covariance at 2049 lags, one Filon column, is written
+# by spectrum and replayed from its manifest to the same covariance.csv.
 #
 #     sh .github/cli-smoke.sh
 set -eu
@@ -25,3 +27,7 @@ specpole montecarlo --config mc.json --out mc
 python -c 'import json, sys; json.dump(json.load(open("mc/manifest.json"))["config"], sys.stdout)' > mc-replay.json
 specpole montecarlo --config mc-replay.json --out mc-replay
 for f in replications.csv mse_table.csv summary.json; do cmp mc/$f mc-replay/$f; done
+specpole spectrum --family indicator --s0 1.2661 --alpha 0.1 --M 3 --cov-lags 2048 --out spec
+python -c 'import json, sys; json.dump(json.load(open("spec/manifest.json"))["config"], sys.stdout)' > spec-replay.json
+specpole spectrum --config spec-replay.json --out spec-replay
+cmp spec/covariance.csv spec-replay/covariance.csv

@@ -43,7 +43,7 @@ from .model import (
     _read_config,
     _write_csv,
     _write_json,
-    builtin_filter,
+    filter_from_json,
 )
 from .simulate import (
     PROVENANCES,
@@ -53,7 +53,6 @@ from .simulate import (
     path_from_csv,
     path_to_csv,
 )
-from .specfun import QuadratureSpec
 from .transform import _SCHEDULE, lattice_window, panel_from_path
 
 __all__ = ["ConfigError", "build_parser", "main"]
@@ -98,7 +97,7 @@ def _ensure_out(out_dir):
 
 
 def cmd_constants(args):
-    filt = builtin_filter(args.filter, sigma=args.sigma)
+    filt = filter_from_json({"name": args.filter, "sigma": args.sigma})
     doc = {
         "name": filt.name,
         "A_effective": filt.band_limit_A,
@@ -167,11 +166,8 @@ def cmd_spectrum(args):
     }
     if cov_lags > 0:
         lags = np.arange(cov_lags + 1, dtype=float)
-        # Plot-data tolerance; the default spec can stall in roundoff at
-        # the pole panel long before 1e-8 matters for a table.
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
         tables["covariance.csv"] = (
-            ("r", "B"), zip(lags.tolist(), model.covariances(lags, spec).tolist()))
+            ("r", "B"), zip(lags.tolist(), model.covariances(lags).tolist()))
     if args.out is None:
         for header, rows in tables.values():
             _write_csv(sys.stdout, header, rows)

@@ -24,11 +24,11 @@ be verified symbolically.
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .specfun import QuadratureSpec, gegenbauer_coeffs, integrate
+from .specfun import QuadratureSpec, _filon_column, gegenbauer_coeffs, integrate
 
 __all__ = [
     "ConfigError",
@@ -119,8 +119,14 @@ class SpectralModel:
         return hv / np.abs(lam * lam - self.s0**2) ** (2.0 * self.alpha)
 
     def covariances(self, lags, spec=None):
-        """Covariances B(r) at the given lags, one quadrature per lag."""
-        return np.array([covariance_eval(self, r, spec) for r in lags])
+        """Covariances B(r) at the given lags: with a finite envelope M,
+        lags 0, gamma, 2 gamma, ... are one column 2 int_0^M cos(k gamma
+        lam) f(lam) dlam (see _band_column); others take covariance_eval."""
+        lags = np.abs(np.asarray(lags, dtype=float))
+        gamma = lags[1] if lags.size > 1 else 0.0
+        if self.envelope is None or not np.allclose(lags, gamma * np.arange(lags.size), 1e-12, 0.0):
+            return np.array([covariance_eval(self, r, spec) for r in lags])
+        return _band_column(self, self.envelope, (), gamma, lags.size, spec, 2.0)
 
     def zero_limits(self):
         """(f(0), f''(0)/4), the limits of the two filter statistics.
@@ -158,31 +164,35 @@ def indicator_model(s0, alpha, M):
 def covariance_eval(model, r, spec=None):
     """Covariance B(r) = integral cos(r*lam) f(lam) dlam over the line.
 
-    Exploits the even symmetry of the density and integrates the half
-    line, splitting at the pole and pre-splitting at the cosine's sign
-    changes when r is large.
+    Twice the half line, by the even symmetry of the density: with a
+    finite envelope entry 1 of the column of lags 0, |r| (_band_column),
+    else by adaptive quadrature split at the pole and, for large r, at
+    the cosine's sign changes.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    r = float(r)
-    upper = model.envelope if model.envelope is not None else np.inf
-    sing = tuple(
-        s for s in set(spec.singularities) | {model.s0} if 0.0 < s <= upper
-    )
-    head = upper if math.isfinite(upper) else 10.0 * model.s0
-    n_osc = min(int(abs(r) * head / math.pi), 20000)
-    breaks = tuple((k + 1) * math.pi / abs(r) for k in range(n_osc)) if n_osc else ()
-    merged = QuadratureSpec(
-        abs_tol=spec.abs_tol,
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-        singularities=sing,
-    )
+    spec, r = spec or QuadratureSpec(), abs(float(r))
+    if model.envelope is not None:
+        return float(_band_column(model, model.envelope, (), r, 2, spec, 2.0)[1])
+    sing = tuple(s for s in set(spec.singularities) | {model.s0} if s > 0.0)
+    n_osc = min(int(r * (10.0 * model.s0) / math.pi), 20000)  # half-periods below 10 s0
+    breaks = tuple(np.arange(1, n_osc + 1) * math.pi / r) if n_osc else ()
+    return 2.0 * integrate(lambda lam: np.cos(r * lam) * model.pole_density(lam), 0.0, np.inf,
+                           replace(spec, singularities=sing), breakpoints=breaks)
 
-    def integrand(lam):
-        return np.cos(r * lam) * model.pole_density(lam)
 
-    return 2.0 * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
+def _band_column(model, upper, knots, gamma, m, spec, scale, window=lambda lam: 1.0):
+    """scale * int_0^upper cos(k gamma lam) window(lam) f(lam) dlam, k < m
+    (all lag 0 if gamma = 0), by specfun._filon_column; s0 in the band is
+    its pole (s0, 2 alpha) of window h |lam + s0|^(-2 alpha).  A declared
+    singularity in the band raises ValueError."""
+    spec = spec or QuadratureSpec()
+    for s in spec.singularities:
+        if 0.0 < s <= upper:
+            raise ValueError("covariance column: declared singularity %r lies in the band "
+                             "[0, %r], where only the pole at s0 is subtracted" % (s, upper))
+    pole = (model.s0, 2.0 * model.alpha) if model.s0 <= upper else None
+    f = model.pole_density if pole is None else (
+        lambda lam: np.asarray(model.h(lam), dtype=float) * (lam + model.s0) ** -pole[1])
+    return _filon_column(lambda lam: window(lam) * f(lam), upper, knots, pole, gamma, m, spec, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +362,24 @@ def _mexican_hat(sigma):
     return psi, psi_hat, A_eff, T, ()
 
 
+# The built-in filters that have no width, by name
+_WIDTHLESS = {"shannon-father": _shannon_father, "shannon-mother": _shannon_mother,
+              "meyer-father": _meyer_father, "meyer-mother": _meyer_mother}
+
+
 def builtin_filter(name, sigma=1.0):
     """Construct one of the built-in filters by name.
 
-    ``sigma`` is the width parameter of the mexican-hat filter and is
-    ignored by the others.  The moment constants c2 and c3 are computed
-    by quadrature here, never hard-coded.
+    ``sigma`` is the width of the mexican-hat filter; the others have none,
+    and ``filter_from_json`` rejects any sigma but 1.0 for them.  The
+    moment constants c2 and c3 are computed by quadrature, never hard-coded.
     """
-    if name == "shannon-father":
-        psi, psi_hat, A, T, breaks = _shannon_father()
-        used_sigma = None
-    elif name == "shannon-mother":
-        psi, psi_hat, A, T, breaks = _shannon_mother()
-        used_sigma = None
-    elif name == "meyer-father":
-        psi, psi_hat, A, T, breaks = _meyer_father()
-        used_sigma = None
-    elif name == "meyer-mother":
-        psi, psi_hat, A, T, breaks = _meyer_mother()
-        used_sigma = None
-    elif name == "mexican-hat":
-        psi, psi_hat, A, T, breaks = _mexican_hat(float(sigma))
+    if name == "mexican-hat":
         used_sigma = float(sigma)
+        psi, psi_hat, A, T, breaks = _mexican_hat(used_sigma)
+    elif name in _WIDTHLESS:
+        used_sigma = None
+        psi, psi_hat, A, T, breaks = _WIDTHLESS[name]()
     else:
         raise ValueError(
             "unknown filter %r; choose one of %s" % (name, ", ".join(BUILTIN_FILTER_NAMES))
@@ -594,6 +600,8 @@ def filter_from_json(doc, pointer=""):
     doc = _document(doc, pointer)
     name = _field(doc, pointer, "name", "string")
     sigma = _field(doc, pointer, "sigma", "number", required=False, default=1.0)
+    if sigma != 1.0 and name in _WIDTHLESS:
+        raise ConfigError(pointer + "/sigma", "filter %r has no width; leave sigma at 1.0" % name)
     return builtin_filter(name, sigma=float(sigma))
 
 

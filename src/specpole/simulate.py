@@ -23,20 +23,19 @@ sharing is deliberate: difference statistics of panel averages then see
 positively coupled noise, which cancels in across-scale differences the
 same way it would along one long realization.
 
-The normal quantile, the covariance column's Filon rule (one DCT-I for
-all lags, near and far), its Toeplitz matrix and its Schur factor are
-NumPy code; the package needs no SciPy.
+The normal quantile, the covariance column (by specfun's Filon rule),
+its Toeplitz matrix and its Schur factor are NumPy code; the package
+needs no SciPy.
 """
 
 import math
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FilterSpec, SpectralModel
-from .specfun import QuadratureConvergenceError, QuadratureSpec, integrate
+from .model import FilterSpec, SpectralModel, _band_column
 
 __all__ = [
     "PROVENANCES",
@@ -370,157 +369,6 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
 # ---------------------------------------------------------------------------
 
 
-# Above this many half-periods inside the band, breakpoint-guided
-# adaptive quadrature is hopeless and _entry_integral raises.
-_OSC_SWITCH = 20000
-
-
-def _band(model, filt, a, spec):
-    """Top of the frequency band at scale a, with the singularities in
-    (0, upper] and the filter breakpoints in (0, upper)."""
-    upper = filt.band_limit_A / a
-    if model.envelope is not None:
-        upper = min(upper, model.envelope)
-    sing = tuple(s for s in set(spec.singularities) | {model.s0} if 0.0 < s <= upper)
-    breaks = [x / a for x in filt.breakpoints if 0.0 < x / a < upper]
-    return upper, sing, breaks
-
-
-def _entry_integral(model, filt, a, delta_b, spec):
-    """One covariance entry a * int cos(delta_b lam)|psi_hat(a lam)|^2 f,
-    with its separation named on non-convergence."""
-    upper, sing, breaks = _band(model, filt, a, spec)
-    try:
-        if delta_b != 0.0:
-            half_period = math.pi / abs(delta_b)
-            n_osc = int(upper / half_period)
-            if n_osc > _OSC_SWITCH:
-                raise QuadratureConvergenceError(
-                    "the band [0, %r] holds the singularity %r and %d half-periods, more "
-                    "than adaptive quadrature takes" % (upper, min(sing), n_osc), math.nan, math.inf)
-            breaks.extend(half_period * np.arange(1, n_osc + 1))
-        merged = replace(spec, singularities=sing)
-
-        def integrand(lam):
-            win = np.abs(np.asarray(filt.psi_hat(a * lam))) ** 2
-            return np.cos(delta_b * lam) * win * model.pole_density(lam)
-
-        return 2.0 * a * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
-    except QuadratureConvergenceError as exc:
-        raise QuadratureConvergenceError(
-            "coefficient_covariance: entry at shift separation %r did not converge: %s"
-            % (delta_b, exc), exc.estimate, exc.error_bound) from exc
-
-
-# Cells of the band in a column's first Filon rule, and of [0, top] in its
-# last; a band that gets fewer within the cap is left to per-lag quadrature.
-_DCT_MIN_NODES = 1 << 14
-_DCT_MAX_NODES = 1 << 18
-
-
-def _dct1(g):
-    """Unnormalised DCT-I of g: the real FFT of its even extension."""
-    return np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real
-
-
-def _filon_cells(w, x0, x1, g0, g1):
-    """int_x0^x1 cos(w lam) L(lam) dlam, L the line from (x0, g0) to
-    (x1, g1), in closed form: frequencies w along rows, cells down
-    columns."""
-    c, u = 0.5 * (x0 + x1) * w, 0.5 * (x1 - x0) * w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(u == 0.0, 0.0, (np.sin(u) - u * np.cos(u)) / (u * u))
-    return (x1 - x0) * (0.5 * (g0 + g1) * np.cos(c) * np.sinc(u / math.pi)
-                        - 0.5 * (g1 - g0) * np.sin(c) * slope)
-
-
-def _dct_column(model, filt, a, gamma, m, spec):
-    """Entries at lags k * gamma, k < m and gamma > 0, by one Filon rule
-    for all lags; NaN at the lags it leaves to per-lag quadrature.
-
-    The band [0, upper] is padded with zeros to top = P pi / gamma,
-    P = ceil(gamma upper / pi) (top = upper if that is an integer within
-    1e-12).  On n cells of [0, top], cos(k gamma lam) at node i is
-    cos(pi k P i / n), so the trapezoid sums of all lags are the entries
-    k P mod 2n, reflected into [0, n], of one DCT-I.  Times
-    sinc^2(k gamma h / 2), h = top / n, each is the Filon rule: the
-    linear interpolant integrated against the cosine in closed form
-    (Filon 1928; Iserles & Norsett 2005).  At a jump (Shannon mother's
-    pi/a, a padded band's top) closed-form cells on its one-sided limits
-    end at the jump.  A continuous breakpoint (a Meyer kink) gets none.
-
-    The FFT on n cells also gives the rules S on n/2, n/4 and n/8, and
-    the column is R_n = (4 S_n - S_n/2) / 3.  max(|R_n - R_n/2|,
-    |R_n/2 - R_n/4| / 4) bounds its error with a margin of 3 while the
-    error of R shrinks 4x or more per doubling, as it does at a kink.  n
-    starts where the band holds _DCT_MIN_NODES cells and doubles until
-    every lag meets the tolerance.  A singular or too narrow band leaves
-    all lags NaN, and _DCT_MAX_NODES the lags that miss, but one with
-    over _OSC_SWITCH half-periods in the band raises.
-    """
-    upper, sing, breaks = _band(model, filt, a, spec)
-    p = gamma * upper / math.pi
-    steps, top = round(p), upper
-    if steps < 1 or abs(p - steps) > 1e-12 * p:
-        steps = math.ceil(p)
-        top, breaks = steps * math.pi / gamma, breaks + [upper]
-    n = 1 << math.ceil(math.log2(_DCT_MIN_NODES * top / upper))
-    if sing or n > _DCT_MAX_NODES:
-        return np.full(m, np.nan)
-    halves = steps * np.arange(m)  # half-periods of lag k on [0, top]
-
-    def values(lam):
-        inside = lam[lam <= upper]  # lam ascends; zero above the band
-        # a * upper may round past the band edge A; keep the edge node inside
-        win = np.abs(filt.psi_hat(np.minimum(a * inside, filt.band_limit_A))) ** 2
-        return np.pad(win * model.pole_density(inside), (0, lam.size - inside.size))
-
-    def filon_sum(g, dct):  # the rule on the cells between the nodes g
-        n = g.size - 1
-        h, j = top / n, halves % (2 * n)
-        total = 0.5 * h * np.sinc(halves / (2 * n)) ** 2 * dct[np.minimum(j, 2 * n - j)]
-        if not knots.size:
-            return total
-        # swap the two cells around the node nearest each jump for the
-        # two that end at the jump
-        i = np.clip(np.rint(knots / h), 1, n - 1).astype(int)
-        if np.any(np.diff(i) < 2):
-            return np.full(m, np.nan)  # two jumps share a cell: refine
-        lo, mid, hi = (i - 1) * h, i * h, (i + 1) * h
-        cells = (np.concatenate(v)[:, None] for v in (
-            (lo, knots, lo, mid), (knots, hi, mid, hi),
-            (g[i - 1], right, g[i - 1], g[i]), (left, g[i + 1], g[i], g[i + 1])))
-        w = math.pi / top * halves
-        return total + np.repeat([1.0, 1.0, -1.0, -1.0], i.size) @ _filon_cells(w, *cells)
-
-    knots = np.array(sorted(breaks))
-    left, right = values(knots * (1 - 1e-13)), values(knots * (1 + 1e-13))
-    jumps = np.abs(left - right) > 1e-10 * values(np.linspace(0.0, upper, 257)).max()
-    knots, left, right = knots[jumps], left[jumps], right[jumps]
-    while True:
-        g = values(np.linspace(0.0, top, n + 1))
-        dct, sums = _dct1(g), []
-        for _ in range(4):
-            sums.append(filon_sum(g, dct))
-            # the DCT-I of g[::2] at j is (dct[j] + dct[-1 - j]) / 2
-            half = dct.size // 2
-            g, dct = g[::2], 0.5 * (dct[:half + 1] + dct[half:][::-1])
-        r = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(sums, sums[1:])]
-        col, error = r[0], np.maximum(np.abs(r[0] - r[1]), np.abs(r[1] - r[2]) / 4.0)
-        missed = ~(error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(col)))
-        if not missed.any() or n >= _DCT_MAX_NODES:
-            break
-        n *= 2
-    far = np.flatnonzero(missed & (np.arange(m) * p > _OSC_SWITCH))
-    if far.size:  # beyond per-lag quadrature too
-        k = int(far[-1])
-        raise QuadratureConvergenceError(
-            "coefficient_covariance: entry at shift separation %r did not converge: Filon "
-            "rules on up to %d cells leave %.3g" % (k * gamma, n, 2.0 * a * error[k]),
-            2.0 * a * col[k], 2.0 * a * error[k])
-    return 2.0 * a * np.where(missed, np.nan, col)
-
-
 def _symmetric_toeplitz(col):
     """The m x m matrix with entries col[|i - j|].
 
@@ -532,14 +380,10 @@ def _symmetric_toeplitz(col):
 
 
 def _covariance_column(model, filt, a_j, shifts, spec):
-    """Checked inputs, then the Toeplitz column of one level.
-
-    The shifts must form an arithmetic grid, and a single shift counts
-    as one.  The column holds the entries at lags k * gamma, k < m: by one
-    Filon rule for all lags (see _dct_column), but by one adaptive
-    quadrature per lag for a single shift, a singular band, a band too
-    narrow for the rule and the lags it leaves at its cap.
-    """
+    """Checked inputs, then the Toeplitz column of one level: its lags
+    k gamma, k < m, on an arithmetic grid (a single shift counts as one)
+    by one Filon rule on [0, min(A / a_j, envelope)], window
+    |psi_hat(a_j lam)|^2 and factor 2 a_j (see model._band_column)."""
     if not isinstance(model, SpectralModel):
         raise TypeError(
             "coefficient_covariance: need a SpectralModel with an explicit "
@@ -563,10 +407,13 @@ def _covariance_column(model, filt, a_j, shifts, spec):
             "bounds assume scales at least twice the band limit"
             % (a_j / (2.0 * filt.band_limit_A))
         )
-    col = _dct_column(model, filt, a_j, abs(gamma), m, spec) if gamma else np.full(m, np.nan)
-    for k in np.flatnonzero(np.isnan(col)).tolist():  # the lags the Filon rule left
-        col[k] = _entry_integral(model, filt, a_j, k * gamma, spec)
-    return col
+    upper = filt.band_limit_A / a_j
+    if model.envelope is not None:
+        upper = min(upper, model.envelope)
+    knots = [x / a_j for x in filt.breakpoints if 0.0 < x / a_j < upper]
+    # a_j * upper may round past the band edge A; keep it inside
+    window = lambda lam: np.abs(filt.psi_hat(np.minimum(a_j * lam, filt.band_limit_A))) ** 2
+    return _band_column(model, upper, knots, abs(gamma), m, spec, 2.0 * a_j, window)
 
 
 def coefficient_covariance(model, filt, a_j, shifts, spec=None):
@@ -575,17 +422,14 @@ def coefficient_covariance(model, filt, a_j, shifts, spec=None):
     The shifts must form an arithmetic grid (a single shift counts as
     one), the only grid a ScaleSchedule admits; any other grid raises
     ValueError.  The matrix is then Toeplitz, the symmetric extension of
-    its first column, which one Filon rule gives for every lag unless the
-    band holds a singularity or spans less than 1/16 of the half-period
-    pi / gamma of the first lag (see _covariance_column).  Sampling factors
-    that column directly (see _schur_factor) and never builds this
-    matrix, nor any other m x m array.
+    its first column, which one Filon rule gives for every lag, a pole in
+    the band subtracted in closed form (see _covariance_column).  Sampling
+    factors that column directly (see _schur_factor) and never builds
+    this matrix, nor any other m x m array.
     The recommended regime is a_j >= 2 * band limit; below that the
     across-scale decorrelation bounds stop applying and a warning is
     emitted.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     shifts = np.asarray(shifts, dtype=float)
     return _symmetric_toeplitz(_covariance_column(model, filt, a_j, shifts, spec))
 
@@ -596,8 +440,6 @@ def scale_second_moment(model, filt, a, spec=None):
     Entry 0 of the single-shift column, with the checks and the warning
     of coefficient_covariance.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     return float(_covariance_column(model, filt, a, np.zeros(1), spec)[0])
 
 
@@ -721,9 +563,8 @@ def _panel_factors(model, filt, schedule):
     with _FACTOR_LOCK:
         if _FACTORS[0] != key:
             _FACTORS = (None, None)
-            spec = QuadratureSpec()
             _FACTORS = (key, tuple(
-                _schur_factor(_covariance_column(model, filt, lv.a_j, lv.shifts(), spec),
+                _schur_factor(_covariance_column(model, filt, lv.a_j, lv.shifts(), None),
                               lv.a_j)
                 for lv in schedule.levels))
         return _FACTORS[1]

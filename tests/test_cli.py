@@ -140,6 +140,11 @@ class TestConstants:
             two["A_effective"], one["A_effective"] / 2.0, rtol=1e-12
         )
 
+    def test_sigma_of_a_filter_without_width_is_config_error(self, capsys):
+        rc = main(["constants", "--filter", "shannon-father", "--sigma", "3"])
+        assert rc == 2
+        assert "config error at /sigma" in capsys.readouterr().err
+
     def test_unknown_filter_is_domain_error(self, capsys):
         rc = main(["constants", "--filter", "haar"])
         assert rc == 1

@@ -405,8 +405,8 @@ class TestExactMse:
         target = filt.c2 * model.zero_limits()[0]
         mse = []
         for lv in schedule.levels:
-            col = simulate._dct_column(
-                model, filt, lv.a_j, lv.gamma_j, lv.m_j, QuadratureSpec()
+            col = simulate._covariance_column(
+                model, filt, lv.a_j, lv.shifts(), QuadratureSpec()
             )
             m = lv.m_j
             frobenius_sq = m * col[0] ** 2 + 2.0 * np.sum(

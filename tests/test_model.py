@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from specpole.model import (
     model_to_json,
 )
 from specpole.mc import experiment_from_json
+from specpole.specfun import QuadratureSpec
 from specpole.transform import schedule_from_json
 
 PI = math.pi
@@ -50,6 +52,17 @@ def midpoint_rule(f, lo, hi, n, chunks=20):
         mids = a + h * (np.arange(k) + 0.5)
         total += h * float(np.sum(f(mids)))
     return total
+
+
+def pole_quadrature(g, lo, hi, s0, p):
+    """int_lo^hi g(lam) |lam - s0|^-p dlam, lo < s0 < hi, g smooth on each
+    side: QUADPACK's QAWS on [lo, s0] and [s0, hi], whose algebraic weight
+    takes the pole exactly.  SciPy is fetched with importorskip."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # QAWS doubts its last digits
+        return sum(quad(g, a, b, weight="alg", wvar=w, limit=2000, epsabs=1e-14, epsrel=1e-13)[0]
+                   for a, b, w in ((lo, s0, (0.0, -p)), (s0, hi, (-p, 0.0))))
 
 
 def fourier_inverse(psi_hat, t, lo, hi, n=200_001):
@@ -344,6 +357,41 @@ class TestSpectralModel:
         oracle = (ratio * fine - coarse) / (ratio - 1.0)
         np.testing.assert_allclose(covariance_eval(model, 25.0), oracle, atol=1e-9)
 
+    def test_covariance_near_lag_zero(self):
+        # 0 <= B(0) - B(r) = 2 int (1 - cos r lam) f <= (r M)^2 B(0) / 2, and
+        # the drop is r^2 times one constant while r M is small.  Down to
+        # r = 1e-9 the band [0, M] is a tiny part of the half-period pi / r
+        # and takes nodes of its own.
+        model = indicator_model(1.2661, 0.1, 3.0)
+        b0 = covariance_eval(model, 0.0)
+        drop = {r: b0 - covariance_eval(model, r) for r in (1e-9, 1e-6, 1e-4, 1e-3)}
+        for r, d in drop.items():
+            assert -1e-14 * b0 <= d <= ((3.0 * r) ** 2 / 2.0 + 1e-14) * b0
+        assert drop[1e-4] / 1e-8 == pytest.approx(drop[1e-3] / 1e-6, rel=1e-5)
+        assert drop[1e-6] / 1e-12 == pytest.approx(drop[1e-3] / 1e-6, rel=1e-2)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 7.0, 100.0])
+    def test_covariance_at_large_alpha(self, r):
+        # alpha = 0.45: what the two subtracted terms of the pole leave has
+        # a |x|^1.1 cusp at s0, at the edge of the rule's error bound
+        model = indicator_model(1.5, 0.45, 3.0)
+        g = lambda lam: math.cos(r * lam) * (lam + 1.5) ** -0.9
+        oracle = 2.0 * pole_quadrature(g, 0.0, 3.0, 1.5, 0.9)
+        assert abs(covariance_eval(model, r) - oracle) <= 1e-11 * covariance_eval(model, 0.0)
+
+    @pytest.mark.parametrize("r", [0.0, 50.0, 2000.0])
+    def test_covariance_of_unbounded_envelope(self, r):
+        # h = exp(-lam^2) has no envelope: adaptive quadrature, split at
+        # s0, at the half-periods below 10 s0 and at declared singularities
+        # on the half line (one at 0 or below is dropped).  The oracle stops
+        # at 7, past which the density is below exp(-49); the adaptive
+        # error estimate is no strict bound, hence 3x its abs_tol.
+        model = SpectralModel(1.5, 0.2, lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2))
+        g = lambda lam: math.cos(r * lam) * math.exp(-lam * lam) * (lam + 1.5) ** -0.4
+        value = covariance_eval(model, r)
+        assert value == pytest.approx(2.0 * pole_quadrature(g, 0.0, 7.0, 1.5, 0.4), abs=3e-10)
+        assert covariance_eval(model, r, QuadratureSpec(singularities=(-1.0, 0.0))) == value
+
 
 class TestGegenbauerSpec:
     def test_singularity_location(self):
@@ -444,6 +492,14 @@ class TestJsonConfig:
         with pytest.raises(ConfigError) as err:
             model_from_json([1, 2])
         assert err.value.pointer == ""
+
+    @pytest.mark.parametrize("name", [n for n in BUILTIN_FILTER_NAMES if n != "mexican-hat"])
+    def test_sigma_of_a_filter_without_width_is_rejected(self, name):
+        with pytest.raises(ConfigError, match="has no width") as err:
+            filter_from_json({"name": name, "sigma": 2.5}, "/filter")
+        assert err.value.pointer == "/filter/sigma"
+        # the default says nothing, and is no part of the filter
+        assert filter_from_json({"name": name, "sigma": 1.0}).sigma is None
 
     @pytest.mark.parametrize(
         "load", [model_from_json, filter_from_json, schedule_from_json,

@@ -1,6 +1,7 @@
 """Tests for path simulation and exact coefficient sampling."""
 
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -10,12 +11,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from specpole import simulate
+from specpole import model as model_module
+from specpole import simulate, specfun
 from specpole.model import (
     BUILTIN_FILTER_NAMES,
     GegenbauerSpec,
     SpectralModel,
     builtin_filter,
+    covariance_eval,
     indicator_model,
 )
 from specpole.simulate import (
@@ -36,6 +39,7 @@ from specpole.specfun import (
     QuadratureConvergenceError,
     QuadratureSpec,
     gegenbauer_coeffs,
+    integrate,
 )
 from specpole.transform import (
     ScaleSchedule,
@@ -43,6 +47,7 @@ from specpole.transform import (
     geometric_schedule,
     linear_schedule,
 )
+from test_model import pole_quadrature
 from test_sampling import dense_factor
 
 # SciPy serves only as an oracle here; the tests that need it fetch it
@@ -66,6 +71,31 @@ def midpoint_rule(f, lo, hi, n, chunks=20):
         mids = a + h * (np.arange(k) + 0.5)
         total += h * float(np.sum(f(mids)))
     return total
+
+
+def band(model, filt, a):
+    """Top of the band at scale a and the filter breakpoints inside it."""
+    upper = min(filt.band_limit_A / a, model.envelope or math.inf)
+    return upper, [x / a for x in filt.breakpoints if 0.0 < x / a < upper]
+
+
+def entry_integral(model, filt, a, delta_b, spec=QuadratureSpec()):
+    """The per-lag oracle of a covariance entry,
+    2a int_0^U cos(delta_b lam) |psi_hat(a lam)|^2 f(lam) dlam by adaptive
+    Gauss-Kronrod quadrature, split at s0 when the band holds it, at the
+    filter breakpoints and at every half-period of the cosine."""
+    upper, breaks = band(model, filt, a)
+    if delta_b != 0.0:
+        half_period = math.pi / abs(delta_b)
+        breaks = breaks + list(half_period * np.arange(1, int(upper / half_period) + 1))
+    sing = (model.s0,) if model.s0 <= upper else ()
+
+    def integrand(lam):
+        win = np.abs(np.asarray(filt.psi_hat(a * lam))) ** 2
+        return np.cos(delta_b * lam) * win * model.pole_density(lam)
+
+    merged = QuadratureSpec(spec.abs_tol, spec.rel_tol, spec.max_subdivisions, sing)
+    return 2.0 * a * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
 
 
 class TestGaussianStream:
@@ -371,12 +401,15 @@ class TestCoefficientCovariance:
             scale_second_moment(GegenbauerSpec(d=0.1, u=0.3), self.filt, 8.0)
 
     def test_nonconvergence_names_entry(self):
-        starved = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2)
+        # a = 0.5 and shifts 1e-5 apart: the band [0, 3], which holds s0,
+        # takes nodes of its own, and a tolerance below rounding is out of
+        # their reach at the cap
+        spec = QuadratureSpec(abs_tol=1e-17, rel_tol=1e-17)
         with pytest.warns(UserWarning, match="band limit"):
-            with pytest.raises(QuadratureConvergenceError, match="shift separation"):
-                coefficient_covariance(
-                    self.model, self.filt, 0.5, [0.0, 1.0], starved
-                )
+            with pytest.raises(QuadratureConvergenceError, match="shift separation 1e-05") as info:
+                coefficient_covariance(self.model, self.filt, 0.5, [0.0, 1e-5], spec)
+        oracle = entry_integral(self.model, self.filt, 0.5, 1e-5)
+        assert abs(info.value.estimate - oracle) <= 1e-10 * oracle
 
 
 class TestExactSample:
@@ -470,15 +503,17 @@ class TestDctColumn:
     filt = builtin_filter("shannon-father")
     spec = QuadratureSpec()
 
-    def assert_matches_per_lag(self, name, a, gamma, m, lags):
+    def column(self, filt, a, gamma, m, spec=spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # levels below 2A
+            return simulate._covariance_column(self.model, filt, a, gamma * np.arange(m), spec)
+
+    def assert_matches_per_lag(self, name, a, gamma, m, lags, tol=1e-12):
         filt = builtin_filter(name)
-        col = simulate._dct_column(self.model, filt, a, gamma, m, self.spec)
+        col = self.column(filt, a, gamma, m)
         assert col.shape == (m,)
-        oracle = np.array([
-            simulate._entry_integral(self.model, filt, a, k * gamma, self.spec)
-            for k in lags
-        ])
-        assert np.max(np.abs(col[lags] - oracle)) <= 1e-12 * oracle[0], (name, a)
+        oracle = np.array([entry_integral(self.model, filt, a, k * gamma) for k in lags])
+        assert np.max(np.abs(col[lags] - oracle)) <= tol * oracle[0], (name, a)
 
     def test_matches_quadrature_on_exact_c6_levels(self):
         # The benchmark's exact-c6 ladder: a = 8..64 with m capped at 768.
@@ -511,106 +546,149 @@ class TestDctColumn:
         m = int(a) ** 3
         self.assert_matches_per_lag(name, a, 1.0, m, np.arange(m))
 
-    @pytest.mark.parametrize("case", ["pole in band", "non-arithmetic", "tolerance missed"])
-    def test_per_lag_fallback_is_bit_identical(self, case, monkeypatch):
-        a, filt, spec = 8.0, self.filt, self.spec
-        shifts = a * np.arange(1, 7)
-        if case == "pole in band":
-            a = 2.0  # upper = pi/2 > s0
-            shifts = a * np.arange(1, 7)
-        elif case == "tolerance missed":
-            # the band ends 0.0095 below s0: at 1e-11 the Filon rule on
-            # _DCT_MAX_NODES cells still misses at some lags
-            filt, a, shifts = builtin_filter("shannon-mother"), 5.0, np.arange(8.0)
-            spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-        else:
-            shifts = np.array([8.0, 24.0, 56.0, 64.0])
-        results = []
-        real = simulate._dct_column
-
-        def spy(*args):
-            col = real(*args)
-            results.append(col.copy())
-            return col
-
-        monkeypatch.setattr(simulate, "_dct_column", spy)
-        if case == "non-arithmetic":
-            with pytest.raises(ValueError, match="arithmetic grid"):
-                coefficient_covariance(self.model, filt, a, shifts, spec)
-            assert results == []  # raised before asking for a column
-            return
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a = 2 and 5 are below 2A
-            cov = coefficient_covariance(self.model, filt, a, shifts, spec)
-            seps = np.abs(shifts[:, None] - shifts[None, :])
-            oracle = np.vectorize(
-                lambda d: simulate._entry_integral(self.model, filt, a, d, spec)
-            )(seps)
-        [col] = results
-        missed = np.isnan(col)  # the lags left to per-lag quadrature
-        if case == "tolerance missed":
-            assert 0 < missed.sum() < shifts.size
-            np.testing.assert_array_equal(cov[0, ~missed], col[~missed])
-            np.testing.assert_array_equal(cov[0, missed], oracle[0, missed])
-            assert np.max(np.abs(cov - oracle)) <= 1e-12 * oracle[0, 0]
-        else:
-            assert missed.all()
-            np.testing.assert_array_equal(cov, oracle)
-
-    @pytest.mark.parametrize("name", ["shannon-father", "shannon-mother"])
-    @pytest.mark.parametrize("a, p", [(16.0, 2.0**-10), (8.0, 1e-4 / 8.0)])
-    def test_narrow_band_takes_per_lag_quadrature(self, name, a, p):
-        # P < 1/16: within the cap the band would get fewer than
-        # _DCT_MIN_NODES cells (256 at P = 2^-10, about 3 at 1.25e-5), so
-        # per-lag quadrature takes the grid.
+    @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
+    def test_pole_in_band_matches_quadrature(self, name):
+        # Every linear level a = 1..6 whose band holds s0, at m = a^3, and
+        # a = 2 at m = 4096: the first, the last and sampled lags.
         filt = builtin_filter(name)
-        upper = simulate._band(self.model, filt, a, self.spec)[0]
-        gamma = p * math.pi / upper
-        assert np.isnan(simulate._dct_column(self.model, filt, a, gamma, 8, self.spec)).all()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a = 8 is below 2A for Shannon mother
-            col = coefficient_covariance(self.model, filt, a, gamma * np.arange(8))[0]
-        oracle = [simulate._entry_integral(self.model, filt, a, k * gamma, self.spec)
-                  for k in range(8)]
-        np.testing.assert_array_equal(col, oracle)
+        rng = np.random.default_rng(21)
+        for a, m in [(a, a**3) for a in range(1, 7)] + [(2, 4096)]:
+            if band(self.model, filt, a)[0] >= self.model.s0:
+                lags = np.unique(np.r_[0, m - 1, rng.integers(m)])
+                self.assert_matches_per_lag(name, float(a), 1.0, m, lags, tol=1e-11)
 
     @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
-    def test_schedules_take_per_lag_quadrature_only_where_it_is_needed(
-            self, name, monkeypatch):
-        # Per-lag quadrature serves a single shift and a band that holds
-        # the pole, nothing else: not the exact-c6 ladder, nor a linear
-        # ladder's levels (P < 1) with the pole above their band.
+    def test_narrow_levels_match_quadrature(self, name):
+        # Linear kappa = 2 levels a = 17..90, sampled: P = A / (pi a) falls
+        # below 1/16, where the rule starts at its cap, above a = 16
+        # (Shannon father) to 42 (Meyer mother).
+        for a in (17, 31, 58, 90):
+            m = a * a
+            self.assert_matches_per_lag(name, float(a), 1.0, m, np.r_[0, 1, m // 3, m - 1],
+                                        tol=2e-11)
+
+    @pytest.mark.parametrize("name, a", [
+        ("shannon-father", 2.0), ("shannon-mother", 3.0), ("meyer-father", 2.0),
+        ("meyer-mother", 2.0), ("mexican-hat", 2.0)])
+    def test_pole_in_band_at_large_alpha(self, name, a):
+        # alpha = 0.45, the largest tested: what the two subtracted terms
+        # leave has a |x|^1.1 cusp at s0, at the edge of the error bound's
+        # 4x per doubling.  Oracle: QAWS across the pole (the per-lag
+        # oracle's adaptive rule does not converge at this pole).
+        model, filt = indicator_model(1.5, 0.45, 3.0), builtin_filter(name)
+        lo, upper = (math.pi / a if name == "shannon-mother" else 0.0), band(model, filt, a)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a < 2A
+            col = simulate._covariance_column(model, filt, a, np.arange(256.0), self.spec)
+        for k in (0, 1, 31, 255):
+            g = lambda lam: math.cos(k * lam) * abs(filt.psi_hat(a * lam)) ** 2 * (lam + 1.5) ** -0.9
+            oracle = 2.0 * a * pole_quadrature(g, lo, upper, 1.5, 0.9)
+            assert abs(col[k] - oracle) <= 1e-11 * col[0], k
+
+    @pytest.mark.parametrize("case", ["pole in band", "non-arithmetic", "tolerance missed"])
+    def test_column_is_filon_or_raises(self, case, monkeypatch):
+        # No case leaves the Filon rule: a band that holds s0 gets the
+        # pole subtracted, a grid that is not arithmetic raises before
+        # asking for a column, and a lag that misses the tolerance at the
+        # node cap raises with its estimate and bound.
+        poles = []
+        real = model_module._filon_column
+
+        def spy(f, upper, knots, pole, *args):
+            poles.append(pole)
+            return real(f, upper, knots, pole, *args)
+
+        monkeypatch.setattr(model_module, "_filon_column", spy)
+        if case == "non-arithmetic":
+            with pytest.raises(ValueError, match="arithmetic grid"):
+                coefficient_covariance(self.model, self.filt, 8.0, [8.0, 24.0, 56.0, 64.0])
+            assert poles == []
+        elif case == "pole in band":
+            a = 2.0  # upper = pi/2 > s0
+            col = self.column(self.filt, a, a, 6)
+            assert poles == [(self.model.s0, 2 * self.model.alpha)]
+            oracle = [entry_integral(self.model, self.filt, a, k * a) for k in range(6)]
+            assert np.max(np.abs(col - oracle)) <= 1e-11 * oracle[0]
+        else:
+            # the band ends 0.0095 below s0: at 1e-11 the Filon rule on
+            # _DCT_MAX_NODES cells still misses at some lags
+            filt = builtin_filter("shannon-mother")
+            spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+            with pytest.raises(QuadratureConvergenceError, match="on up to %d cells"
+                               % specfun._DCT_MAX_NODES) as info:
+                self.column(filt, 5.0, 1.0, 8, spec)
+            assert poles == [None]
+            k = float(re.search(r"separation (\S+) ", str(info.value)).group(1))
+            oracle = entry_integral(self.model, filt, 5.0, k)
+            assert 0.0 < info.value.error_bound < 1e-8
+            assert abs(info.value.estimate - oracle) <= info.value.error_bound
+
+    @pytest.mark.parametrize("name", ["shannon-father", "shannon-mother"])
+    @pytest.mark.parametrize("a, p", [(16.0, 2.0**-6), (16.0, 2.0**-10), (8.0, 1e-4 / 8.0),
+                                      (8.0, 1e-7), (0.5, 1e-7)])
+    def test_narrow_band_matches_oracle(self, name, a, p, monkeypatch):
+        # P < 1/16: the padded grid at the cap gives the band 4096 cells at
+        # P = 2^-6; below P = 2^-8 it would give fewer than 2^10, down to
+        # none, so the band takes nodes of its own and sums the cosines
+        # directly.  a = 0.5 puts s0 in the band.
+        direct = []
+        real = specfun._cosine_sums
+        monkeypatch.setattr(specfun, "_cosine_sums", lambda *args: direct.append(1) or real(*args))
         filt = builtin_filter(name)
-        seps = []
-        real = simulate._entry_integral
+        upper = band(self.model, filt, a)[0]
+        gamma = p * math.pi / upper
+        lags = np.r_[0:8, 255]
+        col = self.column(filt, a, gamma, 256)[lags]
+        assert bool(direct) == (p < 2.0**-8)
+        if name == "shannon-mother" and a < 1.0:
+            assert not np.any(col)  # the band [2 pi, 4 pi] lies above M = 3
+            return
+        oracle = [entry_integral(self.model, filt, a, k * gamma) for k in lags]
+        assert np.max(np.abs(col - oracle)) <= 2e-11 * oracle[0]
 
-        def spy(model, filt, a, delta_b, spec):
-            seps.append(delta_b)
-            return real(model, filt, a, delta_b, spec)
+    @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
+    def test_no_column_reaches_integrate(self, name, monkeypatch):
+        # Adaptive quadrature is left for the filter constants and the
+        # covariance of an unbounded envelope: no level of the exact-c6,
+        # criterion-6 or linear kappa = 2 and 3 ladders (pole-in-band,
+        # regular and narrow bands alike), no J(a) and no covariance of a
+        # finite envelope calls it.
+        filt = builtin_filter(name)  # its constants come from integrate
+        calls = []
 
-        monkeypatch.setattr(simulate, "_entry_integral", spy)
+        def spy(*args, **kwargs):
+            calls.append(args[1:3])
+            return integrate(*args, **kwargs)
+
+        assert not hasattr(simulate, "integrate")
+        monkeypatch.setattr(specfun, "integrate", spy)
+        monkeypatch.setattr(model_module, "integrate", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # kappa <= 5 and a_j < 2A
             levels = (geometric_schedule(4, 4.0, 2.0, 3.0, m_cap=768).levels
-                      + linear_schedule(7, kappa=2.0).levels)
+                      + geometric_schedule(4, 4.0, 2.0, 3.0, m_cap=4096).levels
+                      + linear_schedule(44, kappa=2.0).levels
+                      + linear_schedule(8, kappa=3.0).levels)
             for lv in levels:
-                seps.clear()
-                coefficient_covariance(self.model, filt, lv.a_j, lv.shifts())
-                per_lag = lv.m_j == 1 or filt.band_limit_A / lv.a_j >= self.model.s0
-                assert seps == (list(lv.gamma_j * np.arange(lv.m_j)) if per_lag else []), lv
+                simulate._covariance_column(self.model, filt, lv.a_j, lv.shifts(), self.spec)
+                scale_second_moment(self.model, filt, lv.a_j)
+            coefficient_covariance(self.model, filt, 8.0, 8.0 * np.arange(16))
+        self.model.covariances(np.arange(64.0))
+        covariance_eval(self.model, 2.5)
+        assert calls == []
 
     @pytest.mark.parametrize("n", [2, 3, 8, 1025, 8193])
     def test_dct1_matches_scipy(self, n):
         dct = pytest.importorskip("scipy.fft").dct
         g = np.random.default_rng(n).standard_normal(n)
         ref = dct(g, type=1)
-        np.testing.assert_allclose(simulate._dct1(g), ref, rtol=0.0,
+        np.testing.assert_allclose(specfun._dct1(g), ref, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(ref)))
 
 
 class TestFarLags:
-    """Two-shift entries past _OSC_SWITCH half-periods of the band, where
-    the column's Filon rule reads each lag from one aliased DCT entry."""
+    """Two-shift entries past 20000 half-periods of the band, where the
+    column's Filon rule reads each lag from one aliased DCT entry."""
 
     model = indicator_model(1.2661, 0.1, 3.0)
     spec = QuadratureSpec()
@@ -640,7 +718,7 @@ class TestFarLags:
         the Meyer and Mexican-hat windows are continuous, so QUADPACK's
         QAWO on each piece between breakpoints reads them correctly.
         """
-        upper, _, breaks = simulate._band(self.model, filt, a, self.spec)
+        upper, breaks = band(self.model, filt, a)
         if filt.name == "shannon-father":
             return 2 * a * self.by_parts(0.0, upper, delta)
         if filt.name == "shannon-mother":
@@ -661,8 +739,7 @@ class TestFarLags:
     @pytest.mark.parametrize("a", [8.0, 64.0])
     def test_entries_match_oracle(self, name, a):
         filt = builtin_filter(name)
-        upper = simulate._band(self.model, filt, a, self.spec)[0]
-        switch = simulate._OSC_SWITCH * math.pi / upper
+        switch = 20000 * math.pi / band(self.model, filt, a)[0]
         for factor in (1.0001, 50.0, 5000.0):
             delta = factor * switch + 0.37
             with warnings.catch_warnings():
@@ -681,21 +758,47 @@ class TestFarLags:
         assert oracle == pytest.approx(3.0576727e-7, rel=1e-7)
         assert abs(cov[0, 1] - oracle) <= 2 * a * self.spec.abs_tol
 
+    def pole_terms(self, delta, terms=6):
+        """The pole's share of int_0^U cos(delta lam) f(lam) dlam to 40
+        digits, f = G(lam) |lam - s0|^beta with G = |lam + s0|^beta and
+        beta = -2 alpha: Re e^(i delta s0) sum_k G^(k)(s0) / k! I_k, with
+        I_k = int x^k |x|^beta e^(i delta x) dx over the line
+        = 2 cos(pi s / 2) Gamma(s + k) i^k delta^(-s-k), s = beta + 1
+        (Erdelyi 1955; the endpoints add by_parts)."""
+        with mpmath.workdps(40):
+            s0 = mpmath.mpf(self.model.s0)
+            beta = -2 * mpmath.mpf(self.model.alpha)
+            s, d = beta + 1, mpmath.mpf(delta)
+            taylor = mpmath.taylor(lambda lam: (lam + s0) ** beta, s0, terms)
+            series = sum(c * mpmath.gamma(s + k) * (1j) ** k * d ** (-s - k)
+                         for k, c in enumerate(taylor))
+            return float(mpmath.re(mpmath.expj(d * s0) * 2 * mpmath.cos(mpmath.pi * s / 2)
+                                   * series))
+
     @pytest.mark.parametrize("tol", [None, 1e-5, 1e-6])
-    def test_pole_in_band_raises(self, tol):
+    def test_pole_in_band_far_lag_matches_oracle(self, tol):
+        # a = 2: the Shannon father's band [0, pi/2] holds s0, and 1e5 is
+        # 5e4 half-periods of it; the oracle is the asymptotic series of
+        # the endpoints and the pole.
         spec = QuadratureSpec() if tol is None else QuadratureSpec(abs_tol=tol, rel_tol=tol)
         filt = builtin_filter("shannon-father")
+        a, delta = 2.0, 1e5
         with pytest.warns(UserWarning, match="band limit"):  # a = 2 < 2A
-            with pytest.raises(QuadratureConvergenceError,
-                               match=r"separation 100000\.0 .*singularity 1\.2661"):
-                coefficient_covariance(self.model, filt, 2.0, [0.0, 1e5], spec)
+            got = coefficient_covariance(self.model, filt, a, [0.0, delta], spec)[0, 1]
+        oracle = 2 * a * (self.by_parts(0.0, math.pi / a, delta) + self.pole_terms(delta))
+        assert abs(oracle) > 1e-4
+        assert abs(got - oracle) <= 2 * a * spec.abs_tol + spec.rel_tol * abs(oracle)
 
     def test_declared_singularity_in_band_raises(self):
         spec = QuadratureSpec(singularities=(0.2,))
         filt = builtin_filter("shannon-father")
-        with pytest.raises(QuadratureConvergenceError,
-                           match=r"separation 8000000\.0 .*singularity 0\.2"):
+        with pytest.raises(ValueError, match=r"declared singularity 0\.2 lies in the band"):
             coefficient_covariance(self.model, filt, 8.0, [0.0, 8e6], spec)
+        # one outside the band is no concern of the column's
+        outside = QuadratureSpec(singularities=(0.5,))
+        np.testing.assert_array_equal(
+            coefficient_covariance(self.model, filt, 8.0, [0.0, 8.0], outside),
+            coefficient_covariance(self.model, filt, 8.0, [0.0, 8.0]))
 
     def test_node_cap_miss_reports_estimate_and_bound(self):
         # The far entry is about 2.5e-14, so no rounded sum meets a 1e-12
@@ -705,7 +808,7 @@ class TestFarLags:
         a, delta = 8.0, 8e6
         starved = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-12)
         with pytest.raises(QuadratureConvergenceError, match=r"separation 8000000\.0 .*"
-                           r"on up to %d cells" % simulate._DCT_MAX_NODES) as info:
+                           r"on up to %d cells" % specfun._DCT_MAX_NODES) as info:
             coefficient_covariance(self.model, filt, a, [0.0, delta], starved)
         oracle = 2 * a * self.by_parts(0.0, math.pi / a, delta)
         assert abs(info.value.estimate - oracle) <= 2 * a * self.spec.abs_tol
@@ -725,10 +828,9 @@ class TestLevelFactor:
         moved = simulate._panel_factors(self.model, self.filt, single_level_schedule(8.0, 7))
         assert moved is not base
         assert simulate._FACTORS[1] is moved  # one entry, the last shape
-        # a singularity in the band forces the per-lag column
-        per_lag = coefficient_covariance(self.model, self.filt, 8.0, 8.0 * np.arange(1, 7),
-                                         QuadratureSpec(singularities=(0.2,)))
-        np.testing.assert_allclose(dense_factor(simulate._schur_factor(per_lag[:, 0].copy(), 8.0)),
+        # the factor of the per-lag oracle's column
+        per_lag = np.array([entry_integral(self.model, self.filt, 8.0, 8.0 * k) for k in range(6)])
+        np.testing.assert_allclose(dense_factor(simulate._schur_factor(per_lag, 8.0)),
                                    dense_factor(base[0]), rtol=1e-12)
 
     def test_jitter_is_reported(self):

@@ -2,8 +2,9 @@
 
 The derived expectations are checked against independent oracles: a
 bisection solver and mpmath for Lambert W, the log-gamma direct sum for
-Gegenbauer polynomials and brute-force midpoint rules for the integrals.
-The SciPy oracles are fetched with pytest.importorskip, so the rest of
+Gegenbauer polynomials, brute-force midpoint rules for the integrals and
+mpmath's incomplete gamma function and quadrature for the closed-form
+pole transforms of the covariance column.  The SciPy oracles are fetched with pytest.importorskip, so the rest of
 the file runs where SciPy is not installed.
 """
 
@@ -13,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from specpole import specfun
 from specpole.specfun import (
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -267,6 +269,50 @@ class TestQuadrature:
             f, 0.0, 10.0, spec, breakpoints=tuple(np.linspace(0.25, 9.75, 39))
         )
         assert hinted == pytest.approx(plain, rel=1e-9, abs=1e-12)
+
+
+class TestPoleTransforms:
+    """The transforms a covariance column adds back in closed form for
+    the two leading terms of a pole in its band, at beta = -2 alpha and
+    1 - 2 alpha.  Lengths and s0 are dyadic, so each w L is exact."""
+
+    ws = np.array([0.0, 1e-3, 0.5, 3.9, 4.0, 7.5, 64.0, 1e3, 3.2e4, 1e6])
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.45])
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_half_line_matches_incomplete_gamma(self, alpha, shift):
+        # int_0^L x^beta e^(i w x) dx = (-i w)^-s gamma(s, -i w L), s = beta + 1
+        beta = shift - 2.0 * alpha
+        for length in (0.25, 2.0):
+            got = specfun._power_exp(beta, self.ws, length)
+            with mpmath.workdps(40):
+                s = mpmath.mpf(beta) + 1
+                for w, value in zip(self.ws, got):
+                    z = -1j * mpmath.mpf(w)
+                    ref = complex(length**s / s if w == 0.0
+                                  else z**-s * mpmath.gammainc(s, 0, z * length))
+                    assert abs(value - ref) <= 1e-13 * abs(ref), (w, length)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.45])
+    def test_band_transforms_match_quadrature(self, alpha):
+        # int_0^U cos(w lam) |lam - s0|^-p dlam and the same of
+        # (lam - s0) |lam - s0|^-p, by mpmath's quadrature split at the
+        # pole: on each side x = |lam - s0| = u^(1/s), s = beta + 1, turns
+        # x^beta dx into du / s.  Within 1e-13 of the L1 norm
+        # ((U - s0)^s + s0^s) / s of the power.
+        p, s0, upper = 2.0 * alpha, 1.25, 2.0
+        ws = np.array([0.0, 0.5, 7.5, 64.0])
+        even, odd = specfun._pole_transforms(p, ws, s0, upper)
+        with mpmath.workdps(20):
+            x0, top = mpmath.mpf(s0), mpmath.mpf(upper)
+            for w, got_even, got_odd in zip(ws, even, odd):
+                for got, s, sign in ((got_even, 1 - mpmath.mpf(p), 1), (got_odd, 2 - mpmath.mpf(p), -1)):
+                    ref = sum(side * mpmath.quad(
+                        lambda u: mpmath.cos(w * (x0 + direction * u ** (1 / s))),
+                        mpmath.linspace(0, length**s, 9))
+                        for side, direction, length in ((1, 1, top - x0), (sign, -1, x0))) / s
+                    norm = ((top - x0) ** s + x0**s) / s
+                    assert abs(got - float(ref)) <= 1e-13 * float(norm), (w, s)
 
 
 class TestEnvironmentInequality:
