@@ -16,6 +16,7 @@ step is BLAS or numpy, which already uses the cores.
 """
 
 import numbers
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -344,6 +345,11 @@ _ROW_FIELDS = (
     "rep", "seed", "j", "a_j", "delta_bar", "ddelta", "s0_hat", "alpha_hat", "case",
 )
 
+# A replications.csv row as one %-format of model._cell's fields (a call
+# per field took 0.145 s for 40,000 rows); the last level has five.
+_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+_LAST_ROW = "%d,%d,%d,%.17g,%.17g,,,,\n"
+
 # The per-level fields of an MseTable: the column of mse_table.csv and
 # summary.json's per_j, the MseTable attribute, and the heading, width
 # and conversion of summarize's table.
@@ -370,8 +376,10 @@ def write_outputs(table, out_dir):
     """Write replications.csv, mse_table.csv and summary.json."""
     os.makedirs(out_dir, exist_ok=True)
     rep_path, mse_path, summary_path = (os.path.join(out_dir, name) for name in _OUTPUTS)
-    _write_csv(rep_path, _ROW_FIELDS,
-               ([row[name] for name in _ROW_FIELDS] for row in table.rows))
+    with open(rep_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(_ROW_FIELDS) + "\n")
+        fh.writelines(_ROW % v if v[5] is not None else _LAST_ROW % v[:5]
+                      for v in map(operator.itemgetter(*_ROW_FIELDS), table.rows))
     _write_csv(mse_path, [f[0] for f in _LEVEL_FIELDS],
                (level.values() for level in _per_level(table)))
     _write_json(summary_path, summary_json(table))

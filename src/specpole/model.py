@@ -9,16 +9,21 @@ moment constants
     c2 = integral |psi_hat(lam)|^2 dlam
     c3 = 2 integral lam^2 |psi_hat(lam)|^2 dlam
 
-which normalize the transform statistics.  Constants are recomputed by
-quadrature at construction rather than copied from tables, so the
-estimator stays self-consistent with whatever ``psi_hat`` is actually in
-use.  The Fourier convention is fixed package-wide to
+which normalize the transform statistics.  A ``FilterSpec`` computes
+them from its own ``psi_hat`` by quadrature, never takes them, so the
+estimator stays self-consistent with whatever ``psi_hat`` is in use.
+The Fourier convention is fixed package-wide to
 
     psi_hat(lam) = integral exp(-i*lam*t) psi(t) dt.
 
 Sampled assumptions on ``h`` (evenness, positivity, unit value at zero)
 are reported as warnings, not errors, since a black-box function cannot
 be verified symbolically.
+
+The builders ``indicator_model``, ``builtin_filter`` and the schedules'
+attach the document they build from as ``doc``, which no constructor
+takes (None if built by hand; a ``GegenbauerSpec``'s is its fields): the
+``*_to_json`` calls return it and the exact backend's factor cache keys on it.
 """
 
 import json
@@ -47,6 +52,24 @@ __all__ = [
 
 _CONSTANT_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
+# SpectralModel.covariances reads lags k g from one column while max(k)
+# is under this many per lag: on the indicator model (M = 3, g = 1) a
+# column of K lags took about 5 ms + 4 us K and each lag alone 4 ms.
+_COLUMN_SPAN = 64
+
+
+def _attach(obj, doc):
+    """obj, holding ``doc`` as the document a builder made it from."""
+    object.__setattr__(obj, "doc", doc)
+    return obj
+
+
+def _document_of(obj, who, what):
+    """A copy of obj.doc, or ValueError if obj was built by hand."""
+    if obj.doc is None:
+        raise ValueError("%s: only %s serialize; got one built by hand" % (who, what))
+    return dict(obj.doc)
+
 
 # ---------------------------------------------------------------------------
 # Spectral models
@@ -59,14 +82,15 @@ class SpectralModel:
 
     ``envelope`` declares the integrability envelope of ``h``: a finite
     value means h vanishes outside [-envelope, envelope], ``None`` means
-    unbounded support with integrable decay.
+    unbounded support with integrable decay.  ``doc`` is
+    ``indicator_model``'s document, None for a model built here.
     """
 
     s0: float
     alpha: float
     h: object
     envelope: float = None
-    family: str = "custom"
+    doc = None
 
     def __post_init__(self):
         if not (self.s0 > 1.0 and math.isfinite(self.s0)):
@@ -120,13 +144,18 @@ class SpectralModel:
 
     def covariances(self, lags, spec=None):
         """Covariances B(r) at the given lags: with a finite envelope M,
-        lags 0, gamma, 2 gamma, ... are one column 2 int_0^M cos(k gamma
-        lam) f(lam) dlam (see _band_column); others take covariance_eval."""
+        multiples k g of the least positive lag g are one column 2 int_0^M
+        cos(k g lam) f(lam) dlam (see _band_column) while max(k) is under
+        _COLUMN_SPAN per lag; other lags take covariance_eval."""
         lags = np.abs(np.asarray(lags, dtype=float))
-        gamma = lags[1] if lags.size > 1 else 0.0
-        if self.envelope is None or not np.allclose(lags, gamma * np.arange(lags.size), 1e-12, 0.0):
+        pos = lags > 0
+        step = lags[pos].min() if pos.any() else 0.0
+        k = np.rint(np.divide(lags, step, out=np.zeros(lags.shape), where=pos))
+        if (self.envelope is None or not np.all(k < _COLUMN_SPAN * lags.size)
+                or not np.allclose(lags, step * k, 1e-12, 0.0)):
             return np.array([covariance_eval(self, r, spec) for r in lags])
-        return _band_column(self, self.envelope, (), gamma, lags.size, spec, 2.0)
+        k = k.astype(int)
+        return _band_column(self, self.envelope, (), step, k.max(initial=0) + 1, spec, 2.0)[k]
 
     def zero_limits(self):
         """(f(0), f''(0)/4), the limits of the two filter statistics.
@@ -145,12 +174,6 @@ class SpectralModel:
                   + 0.25 * h2 * base),
         )
 
-    def cache_key(self):
-        """Hashable identity for caching; a black-box h is keyed by the model."""
-        if self.family == "indicator":
-            return ("indicator", self.s0, self.alpha, self.envelope)
-        return self
-
 
 def indicator_model(s0, alpha, M):
     """Model with h = 1 on [-M, M] and 0 beyond (the simplest example)."""
@@ -158,7 +181,8 @@ def indicator_model(s0, alpha, M):
     if not (M > 0.0 and math.isfinite(M)):
         raise ValueError("indicator_model: M must be a positive real")
     h = lambda lam: np.where(np.abs(lam) <= M, 1.0, 0.0)
-    return SpectralModel(float(s0), float(alpha), h, envelope=M, family="indicator")
+    model = SpectralModel(float(s0), float(alpha), h, envelope=M)
+    return _attach(model, {"family": "indicator", "s0": model.s0, "alpha": model.alpha, "M": M})
 
 
 def covariance_eval(model, r, spec=None):
@@ -204,6 +228,9 @@ def _band_column(model, upper, knots, gamma, m, spec, scale, window=lambda lam: 
 class FilterSpec:
     """A filter with frequency form psi_hat and moments c2, c3.
 
+    c2 and c3 are not arguments: construction computes them from
+    ``psi_hat`` and raises ValueError unless both are positive.  ``doc``
+    is ``builtin_filter``'s document, None for a filter built here.
     ``psi`` may be None when only frequency-domain work is needed (the
     Meyer pair ships without a time form).  ``band_limit_A`` bounds the
     support of psi_hat; where that support is unbounded (the Mexican
@@ -218,30 +245,31 @@ class FilterSpec:
     psi: object
     psi_hat: object
     band_limit_A: float
-    c2: float
-    c3: float
     time_support: float = None
     sigma: float = None
     breakpoints: tuple = ()
+    c2: float = field(init=False)
+    c3: float = field(init=False)
+    doc = None
 
     def __post_init__(self):
-        if not (self.band_limit_A > 0.0 and math.isfinite(self.band_limit_A)):
+        A = self.band_limit_A
+        if not (A > 0.0 and math.isfinite(A)):
             raise ValueError("FilterSpec: band limit must be a positive real")
+        sq = lambda lam: np.abs(np.asarray(self.psi_hat(lam))) ** 2
+        moment = lambda g: integrate(g, -A, A, _CONSTANT_SPEC, breakpoints=self.breakpoints)
+        object.__setattr__(self, "c2", moment(sq))
+        object.__setattr__(self, "c3", 2.0 * moment(lambda lam: lam * lam * sq(lam)))
         if not (self.c2 > 0.0 and self.c3 > 0.0):
             raise ValueError("FilterSpec: moments c2 and c3 must be positive")
-        probe = np.linspace(1.02 * self.band_limit_A, 3.0 * self.band_limit_A, 64)
-        inside = np.linspace(0.0, self.band_limit_A, 128)
         with np.errstate(all="ignore"):
-            out_sq = np.abs(np.asarray(self.psi_hat(probe))) ** 2
-            peak = float(np.max(np.abs(np.asarray(self.psi_hat(inside))) ** 2))
+            out_sq = sq(np.linspace(1.02 * A, 3.0 * A, 64))
+            peak = float(np.max(sq(np.linspace(0.0, A, 128))))
         if peak > 0.0 and np.any(out_sq > 1e-12 * peak):
             warnings.warn(
                 "FilterSpec %r: |psi_hat|^2 exceeds 1e-12 of its peak outside "
                 "the declared band" % self.name
             )
-
-    def cache_key(self):
-        return (self.name, self.sigma)
 
 
 BUILTIN_FILTER_NAMES = (
@@ -264,15 +292,6 @@ _MEXICAN_TIME_THRESHOLD = 1e-10
 # gives them; tests/test_model.py checks both against it.
 _MEXICAN_W_BAND = -17.68842079085992
 _MEXICAN_W_TIME = -26.495991570563227
-
-
-def _moments(psi_hat, A, breakpoints):
-    sq = lambda lam: np.abs(np.asarray(psi_hat(lam))) ** 2
-    c2 = integrate(sq, -A, A, _CONSTANT_SPEC, breakpoints=breakpoints)
-    c3 = 2.0 * integrate(
-        lambda lam: lam * lam * sq(lam), -A, A, _CONSTANT_SPEC, breakpoints=breakpoints
-    )
-    return c2, c3
 
 
 def _shannon_father():
@@ -372,30 +391,21 @@ def builtin_filter(name, sigma=1.0):
 
     ``sigma`` is the width of the mexican-hat filter; the others have none,
     and ``filter_from_json`` rejects any sigma but 1.0 for them.  The
-    moment constants c2 and c3 are computed by quadrature, never hard-coded.
+    filter's ``doc`` is {"name": name}, with "sigma" for the mexican hat.
     """
     if name == "mexican-hat":
-        used_sigma = float(sigma)
-        psi, psi_hat, A, T, breaks = _mexican_hat(used_sigma)
+        doc = {"name": name, "sigma": float(sigma)}
+        psi, psi_hat, A, T, breaks = _mexican_hat(doc["sigma"])
     elif name in _WIDTHLESS:
-        used_sigma = None
+        doc = {"name": name}
         psi, psi_hat, A, T, breaks = _WIDTHLESS[name]()
     else:
         raise ValueError(
             "unknown filter %r; choose one of %s" % (name, ", ".join(BUILTIN_FILTER_NAMES))
         )
-    c2, c3 = _moments(psi_hat, A, breaks)
-    return FilterSpec(
-        name=name,
-        psi=psi,
-        psi_hat=psi_hat,
-        band_limit_A=A,
-        c2=c2,
-        c3=c3,
-        time_support=T,
-        sigma=used_sigma,
-        breakpoints=breaks,
-    )
+    filt = FilterSpec(name=name, psi=psi, psi_hat=psi_hat, band_limit_A=A,
+                      time_support=T, sigma=doc.get("sigma"), breakpoints=breaks)
+    return _attach(filt, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +421,9 @@ class GegenbauerSpec:
     exponent ``alpha = d``.  ``sigma_eps = 0`` is allowed and produces
     the degenerate all-zero path.  The density and covariances are those
     of the truncated moving average X_t = sum_{n < truncation} C_n eps_{t-n}
-    that ``gegenbauer_path`` simulates.
+    that ``gegenbauer_path`` simulates.  Its ``doc`` is its fields under
+    "family": "gegenbauer".
     """
-
-    family = "gegenbauer"
 
     d: float
     u: float
@@ -431,6 +440,11 @@ class GegenbauerSpec:
         if int(self.truncation) < 1:
             raise ValueError("GegenbauerSpec: truncation must be >= 1")
         object.__setattr__(self, "truncation", int(self.truncation))
+
+    @property
+    def doc(self):
+        """The document ``model_from_json`` builds this spec from."""
+        return {"family": "gegenbauer", **asdict(self)}
 
     @property
     def s0(self):
@@ -580,19 +594,8 @@ def model_from_json(doc, pointer=""):
 
 
 def model_to_json(model):
-    """Serialize an indicator model or Gegenbauer spec to a plain dict."""
-    if model.family == "gegenbauer":
-        return {"family": "gegenbauer", **asdict(model)}
-    if model.family != "indicator":
-        raise ValueError(
-            "model_to_json: only indicator models serialize; got %r" % model.family
-        )
-    return {
-        "family": "indicator",
-        "s0": model.s0,
-        "alpha": model.alpha,
-        "M": model.envelope,
-    }
+    """The document of an indicator model or a Gegenbauer spec."""
+    return _document_of(model, "model_to_json", "indicator models and Gegenbauer specs")
 
 
 def filter_from_json(doc, pointer=""):
@@ -606,10 +609,8 @@ def filter_from_json(doc, pointer=""):
 
 
 def filter_to_json(filt):
-    doc = {"name": filt.name}
-    if filt.sigma is not None:
-        doc["sigma"] = filt.sigma
-    return doc
+    """The document of a built-in filter."""
+    return _document_of(filt, "filter_to_json", "built-in filters")
 
 
 # The (load, dump) pairs of _read_config's model and filter keys

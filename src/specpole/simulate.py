@@ -556,9 +556,10 @@ _FACTOR_LOCK = threading.Lock()
 
 
 def _panel_factors(model, filt, schedule):
-    """Upper Schur factor of every level's covariance, cached per panel shape."""
+    """Upper Schur factor of every level's covariance, cached per panel
+    shape: model and filter documents (else objects) and level grids."""
     global _FACTORS
-    key = (model.cache_key(), filt.cache_key(),
+    key = (model.doc or model, filt.doc or filt,
            tuple((lv.a_j, lv.gamma_j, lv.m_j) for lv in schedule.levels))
     with _FACTOR_LOCK:
         if _FACTORS[0] != key:

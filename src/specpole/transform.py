@@ -9,7 +9,8 @@ summation is deliberate: paths are only known at grid points and are
 rough, so higher-order rules would not buy accuracy.
 
 A scale schedule fixes the ladder {a_j} together with per-scale shift
-spacings gamma_j, coefficient counts m_j and block radii r_j.  Shifts
+spacings gamma_j and coefficient counts m_j; each level's block radius
+r_j = a_j^(-5/2) follows from its scale.  Shifts
 follow the arithmetic rule b_jk = k * gamma_j, k = 1..m_j, which meets
 the required separation |b_jk1 - b_jk2| >= |k1 - k2| * gamma_j with
 equality.
@@ -17,11 +18,11 @@ equality.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, _document, _field
+from .model import ConfigError, _attach, _document, _document_of, _field
 from .simulate import CoefficientPanel, PanelLevel
 
 # Width, in filter time units, of the linear taper that closes the
@@ -65,13 +66,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScheduleLevel:
-    """One rung of the scale ladder."""
+    """One rung of the scale ladder; its block radius r_j is a_j^(-5/2)."""
 
     j: int
     a_j: float
     gamma_j: float
     m_j: int
-    r_j: float
+
+    @property
+    def r_j(self):
+        return self.a_j**-2.5
 
     def shifts(self):
         return self.gamma_j * np.arange(1, self.m_j + 1)
@@ -79,21 +83,19 @@ class ScheduleLevel:
 
 @dataclass(frozen=True, eq=False)
 class ScaleSchedule:
-    """Strictly increasing scales with per-scale shift grids."""
+    """Strictly increasing scales with per-scale shift grids; ``doc`` is
+    the builder's rule document, None for a schedule built here."""
 
     levels: tuple
-    rule_doc: dict = field(default=None, compare=False)
+    doc = None
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("ScaleSchedule: need at least one level")
         a = np.array([lv.a_j for lv in self.levels], dtype=float)
-        r = np.array([lv.r_j for lv in self.levels], dtype=float)
         if not np.all(a > 0) or not np.all(np.diff(a) > 0):
             raise ValueError("ScaleSchedule: scales must be positive and strictly increasing")
-        if not np.all(r > 0) or (r.size > 1 and not np.all(np.diff(r) < 0)):
-            raise ValueError("ScaleSchedule: block radii must be positive and strictly decreasing")
         for lv in self.levels:
             if lv.m_j < 1:
                 raise ValueError("ScaleSchedule: m_j must be >= 1 at level %d" % lv.j)
@@ -112,18 +114,10 @@ def linear_schedule(j_max, kappa=3.0):
     if j_max < 2:
         raise ValueError("linear_schedule: j_max must be >= 2")
     kappa = float(kappa)
-    levels = tuple(
-        ScheduleLevel(
-            j=j,
-            a_j=float(j),
-            gamma_j=1.0,
-            m_j=int(math.ceil(j**kappa)),
-            r_j=float(j) ** -2.5,
-        )
-        for j in range(1, j_max + 1)
-    )
+    levels = tuple(ScheduleLevel(j=j, a_j=float(j), gamma_j=1.0, m_j=int(math.ceil(j**kappa)))
+                   for j in range(1, j_max + 1))
     doc = {"rule": "linear", "j_max": j_max, "kappa": kappa, "gamma_mode": "unit"}
-    return ScaleSchedule(levels=levels, rule_doc=doc)
+    return _attach(ScaleSchedule(levels), doc)
 
 
 def geometric_schedule(j_max, a0, rho, kappa, m_cap=None):
@@ -157,9 +151,7 @@ def geometric_schedule(j_max, a0, rho, kappa, m_cap=None):
         m_j = int(math.ceil(a_j**kappa))
         if m_cap is not None:
             m_j = min(m_j, int(m_cap))
-        levels.append(
-            ScheduleLevel(j=j, a_j=a_j, gamma_j=a_j, m_j=m_j, r_j=a_j**-2.5)
-        )
+        levels.append(ScheduleLevel(j=j, a_j=a_j, gamma_j=a_j, m_j=m_j))
     doc = {
         "rule": "geometric",
         "j_max": j_max,
@@ -170,17 +162,13 @@ def geometric_schedule(j_max, a0, rho, kappa, m_cap=None):
     }
     if m_cap is not None:
         doc["m_cap"] = int(m_cap)
-    return ScaleSchedule(levels=tuple(levels), rule_doc=doc)
+    return _attach(ScaleSchedule(levels), doc)
 
 
 def schedule_to_json(schedule):
-    """Serialize a rule-built schedule to its constructor document."""
-    if schedule.rule_doc is None:
-        raise ValueError(
-            "schedule_to_json: only schedules built by linear_schedule or "
-            "geometric_schedule carry a serializable rule"
-        )
-    return dict(schedule.rule_doc)
+    """The rule document of a schedule built by a rule."""
+    return _document_of(schedule, "schedule_to_json",
+                        "rule-built schedules (linear_schedule, geometric_schedule)")
 
 
 def schedule_from_json(doc, pointer=""):

@@ -32,7 +32,7 @@ def read_bytes(path):
 def single_level_schedule(a, m=1):
     return specpole.ScaleSchedule(
         levels=(
-            specpole.ScheduleLevel(j=1, a_j=float(a), gamma_j=1.0, m_j=m, r_j=1.0),
+            specpole.ScheduleLevel(j=1, a_j=float(a), gamma_j=1.0, m_j=m),
         )
     )
 

@@ -364,7 +364,7 @@ class TestEstimate:
     def exact_panel(self, seed, sizes=((8.0, 512), (16.0, 2048), (32.0, 2048))):
         sched = ScaleSchedule(
             levels=tuple(
-                ScheduleLevel(j=i + 1, a_j=a, gamma_j=a, m_j=m, r_j=a**-2.5)
+                ScheduleLevel(j=i + 1, a_j=a, gamma_j=a, m_j=m)
                 for i, (a, m) in enumerate(sizes)
             )
         )
@@ -458,8 +458,8 @@ class TestEstimate:
             estimate(panel, self.filt)
 
     def test_scale_equivariance_of_constants(self):
-        # Scaling the filter constants and the mean squares by one
-        # power of two leaves every estimate bit-identical.
+        # Doubling psi_hat multiplies c2 and c3 by exactly 4; with the
+        # coefficients doubled too, every estimate is bit-identical.
         panel = self.exact_panel(11, sizes=((8.0, 32), (16.0, 32)))
         scaled_levels = tuple(
             PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts, coeffs=2.0 * lv.coeffs)
@@ -469,8 +469,9 @@ class TestEstimate:
             levels=scaled_levels, provenance=panel.provenance, seed=panel.seed
         )
         scaled_filt = dataclasses.replace(
-            self.filt, c2=4.0 * self.filt.c2, c3=4.0 * self.filt.c3
+            self.filt, psi_hat=lambda lam: 2.0 * self.filt.psi_hat(lam)
         )
+        assert (scaled_filt.c2, scaled_filt.c3) == (4.0 * self.filt.c2, 4.0 * self.filt.c3)
         base = estimate(panel, self.filt)
         scaled = estimate(scaled_panel, scaled_filt)
         for r1, r2 in zip(base, scaled):
@@ -508,8 +509,8 @@ class TestSerialization:
         model = indicator_model(1.5, 0.2, 3.0)
         sched = ScaleSchedule(
             levels=(
-                ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=16, r_j=8.0**-2.5),
-                ScheduleLevel(j=2, a_j=16.0, gamma_j=16.0, m_j=16, r_j=16.0**-2.5),
+                ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=16),
+                ScheduleLevel(j=2, a_j=16.0, gamma_j=16.0, m_j=16),
             )
         )
         panel = exact_coefficient_sample(model, filt, sched, 6)

@@ -34,7 +34,7 @@ from specpole.transform import (
 def small_schedule(sizes=((8.0, 32), (16.0, 64))):
     return ScaleSchedule(
         levels=tuple(
-            ScheduleLevel(j=i + 1, a_j=a, gamma_j=a, m_j=m, r_j=a**-2.5)
+            ScheduleLevel(j=i + 1, a_j=a, gamma_j=a, m_j=m)
             for i, (a, m) in enumerate(sizes)
         )
     )
@@ -233,8 +233,8 @@ class TestRunExact:
     def test_total_failure_aborts(self):
         sched = ScaleSchedule(
             levels=(
-                ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=8200, r_j=0.5),
-                ScheduleLevel(j=2, a_j=16.0, gamma_j=16.0, m_j=8201, r_j=0.25),
+                ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=8200),
+                ScheduleLevel(j=2, a_j=16.0, gamma_j=16.0, m_j=8201),
             )
         )
         cfg = exact_config(schedule=sched, replications=2)

@@ -1,5 +1,6 @@
 """Tests for spectral models and filter specifications."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -218,20 +219,41 @@ class TestFilterShapes:
     def test_direct_construction_warns_on_band_violation(self):
         wide = lambda lam: np.exp(-0.5 * np.asarray(lam, dtype=float) ** 2)
         with pytest.warns(UserWarning, match="outside"):
-            FilterSpec(
-                name="leaky",
-                psi=None,
-                psi_hat=wide,
-                band_limit_A=2.0,
-                c2=1.0,
-                c3=1.0,
-            )
+            filt = FilterSpec(name="leaky", psi=None, psi_hat=wide, band_limit_A=2.0)
+        # the constants are the in-band moments of the psi_hat given
+        c2 = math.sqrt(PI) * math.erf(2.0)
+        np.testing.assert_allclose(filt.c2, c2, rtol=1e-10)
+        np.testing.assert_allclose(
+            filt.c3, c2 - 4.0 * math.exp(-4.0), rtol=1e-10)
+        assert filt.doc is None
 
-    def test_cache_key_distinguishes_sigma(self):
+    def test_document_distinguishes_sigma(self):
         a = builtin_filter("mexican-hat", sigma=1.0)
         b = builtin_filter("mexican-hat", sigma=2.0)
-        assert a.cache_key() != b.cache_key()
-        assert a.cache_key() == builtin_filter("mexican-hat", sigma=1.0).cache_key()
+        assert a.doc == {"name": "mexican-hat", "sigma": 1.0}
+        assert b.doc == {"name": "mexican-hat", "sigma": 2.0}
+        assert a.doc == builtin_filter("mexican-hat", sigma=1.0).doc
+        assert builtin_filter("meyer-father").doc == {"name": "meyer-father"}
+
+    def test_constants_are_not_arguments(self):
+        filt = builtin_filter("shannon-father")
+        with pytest.raises(TypeError):
+            FilterSpec(name="x", psi=None, psi_hat=filt.psi_hat,
+                       band_limit_A=filt.band_limit_A, c2=1.0, c3=1.0)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(filt, c2=1.0)
+        with pytest.raises(ValueError, match="positive"):
+            FilterSpec(name="zero", psi=None, psi_hat=lambda lam: 0.0 * lam,
+                       band_limit_A=1.0)
+
+    @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
+    def test_hand_built_filter_has_the_builtin_constants(self, name):
+        filt = builtin_filter(name)
+        again = FilterSpec(name=name, psi=filt.psi, psi_hat=filt.psi_hat,
+                           band_limit_A=filt.band_limit_A,
+                           breakpoints=filt.breakpoints)
+        assert (again.c2, again.c3) == (filt.c2, filt.c3)
+        assert again.doc is None
 
 
 # (sigma, band_limit_A, time_support, c2, c3) of the mexican-hat filter,
@@ -392,6 +414,25 @@ class TestSpectralModel:
         assert value == pytest.approx(2.0 * pole_quadrature(g, 0.0, 7.0, 1.5, 0.4), abs=3e-10)
         assert covariance_eval(model, r, QuadratureSpec(singularities=(-1.0, 0.0))) == value
 
+    def test_multiples_of_the_smallest_lag_share_one_column(self, monkeypatch):
+        model = indicator_model(1.2661, 0.1, 3.0)
+        full = model.covariances(np.arange(0, 257.0))
+        evens = model.covariances(np.arange(0, 8.0, 2.0))
+        far = [covariance_eval(model, r) for r in (1.0, 1000.0)]
+        uneven = [covariance_eval(model, r) for r in (1.0, 1.5)]
+
+        def per_lag(*args):
+            raise AssertionError("covariance_eval called")
+
+        monkeypatch.setattr("specpole.model.covariance_eval", per_lag)
+        np.testing.assert_array_equal(model.covariances(np.arange(1, 257.0)), full[1:])
+        np.testing.assert_array_equal(model.covariances([6.0, -2.0, 0.0, 4.0]),
+                                      evens[[3, 1, 0, 2]])
+        monkeypatch.undo()
+        # a column of 1001 lags for 2, and lags off the multiples, go lag by lag
+        assert model.covariances([1.0, 1000.0]).tolist() == far
+        assert model.covariances([1.0, 1.5]).tolist() == uneven
+
 
 class TestGegenbauerSpec:
     def test_singularity_location(self):
@@ -467,7 +508,8 @@ class TestJsonConfig:
     def test_from_json_text(self):
         text = json.dumps({"family": "indicator", "s0": 1.5, "alpha": 0.1, "M": 3})
         model = model_from_json(text)
-        assert model.family == "indicator"
+        assert model.doc == {"family": "indicator", "s0": 1.5, "alpha": 0.1, "M": 3.0}
+        assert model_to_json(model) == model.doc
 
     def test_defaults_fill_in(self):
         spec = model_from_json({"family": "gegenbauer", "d": 0.2, "u": -0.4})
@@ -518,13 +560,29 @@ class TestJsonConfig:
         model = SpectralModel(1.5, 0.2, h)
         with pytest.raises(ValueError, match="indicator"):
             model_to_json(model)
+        # nor can a family label make it pass for the indicator
+        with pytest.raises(TypeError):
+            SpectralModel(1.5, 0.2, h, envelope=3.0, family="indicator")
 
     def test_filter_round_trip(self):
         filt = builtin_filter("mexican-hat", sigma=1.5)
         doc = filter_to_json(filt)
         assert doc == {"name": "mexican-hat", "sigma": 1.5}
         back = filter_from_json(doc)
-        assert back.cache_key() == filt.cache_key()
+        assert back.doc == filt.doc
+        assert (back.c2, back.c3) == (filt.c2, filt.c3)
         plain = filter_to_json(builtin_filter("shannon-father"))
         assert plain == {"name": "shannon-father"}
         assert filter_from_json(plain).name == "shannon-father"
+        # the document returned is a copy
+        plain["sigma"] = 2.0
+        assert filter_to_json(builtin_filter("shannon-father")) == {"name": "shannon-father"}
+
+    def test_custom_filter_not_serializable(self):
+        # named like a built-in, it must not replay as that built-in
+        meyer = builtin_filter("meyer-father")
+        custom = FilterSpec(name="shannon-father", psi=None, psi_hat=meyer.psi_hat,
+                            band_limit_A=meyer.band_limit_A,
+                            breakpoints=meyer.breakpoints)
+        with pytest.raises(ValueError, match="built-in filters"):
+            filter_to_json(custom)

@@ -114,7 +114,7 @@ def exact_c6_schedule():
 
 
 def one_level(m):
-    return ScaleSchedule(levels=(ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=m, r_j=0.5),))
+    return ScaleSchedule(levels=(ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=m),))
 
 
 def dense_factor(blocks):

@@ -15,6 +15,7 @@ from specpole import model as model_module
 from specpole import simulate, specfun
 from specpole.model import (
     BUILTIN_FILTER_NAMES,
+    FilterSpec,
     GegenbauerSpec,
     SpectralModel,
     builtin_filter,
@@ -57,7 +58,7 @@ from test_sampling import dense_factor
 def single_level_schedule(a, m, gamma=None):
     gamma = a if gamma is None else gamma
     return ScaleSchedule(
-        levels=(ScheduleLevel(j=1, a_j=a, gamma_j=gamma, m_j=m, r_j=a**-2.5),)
+        levels=(ScheduleLevel(j=1, a_j=a, gamma_j=gamma, m_j=m),)
     )
 
 
@@ -915,7 +916,7 @@ class TestLevelFactor:
 
 def ladder(scales, m=8):
     return ScaleSchedule(levels=tuple(
-        ScheduleLevel(j=i + 1, a_j=a, gamma_j=a, m_j=m, r_j=a**-2.5)
+        ScheduleLevel(j=i + 1, a_j=a, gamma_j=a, m_j=m)
         for i, a in enumerate(scales)
     ))
 
@@ -969,6 +970,39 @@ class TestPanelFactors:
         same = exact_coefficient_sample(self.model, self.filt, sched, 2)
         for lv, ref in zip(panels[-1].levels, same.levels):
             np.testing.assert_array_equal(lv.coeffs, ref.coeffs)
+
+    def test_lookalike_model_does_not_take_indicator_factors(self, builds):
+        # a model takes no family label, so one whose h differs from the
+        # indicator's inside the band is keyed on itself, not on the
+        # indicator_model document
+        h = lambda lam: np.where(np.abs(lam) <= 3.0, 1.0 - 0.01 * np.asarray(lam) ** 2, 0.0)
+        with pytest.raises(TypeError):
+            SpectralModel(1.2661036727794992, 0.1, h, envelope=3.0, family="indicator")
+        lookalike = SpectralModel(1.2661036727794992, 0.1, h, envelope=3.0)
+        sched = ladder((8.0, 16.0))
+        base = exact_coefficient_sample(self.model, self.filt, sched, 7)
+        again = indicator_model(1.2661036727794992, 0.1, 3.0)
+        exact_coefficient_sample(again, builtin_filter("shannon-father"), sched, 7)
+        assert builds == [8.0, 16.0]  # a rebuilt indicator shares its document
+        other = exact_coefficient_sample(lookalike, self.filt, sched, 7)
+        assert builds == [8.0, 16.0, 8.0, 16.0]
+        assert not np.array_equal(other.levels[0].coeffs, base.levels[0].coeffs)
+
+    def test_renamed_custom_filter_does_not_take_builtin_factors(self, builds):
+        # a hand-built filter named "shannon-father" that holds Meyer
+        # father's psi_hat samples as Meyer father, not as the built-in
+        meyer = builtin_filter("meyer-father")
+        custom = FilterSpec(name="shannon-father", psi=None, psi_hat=meyer.psi_hat,
+                            band_limit_A=meyer.band_limit_A,
+                            breakpoints=meyer.breakpoints)
+        sched = ladder((16.0, 32.0))
+        shannon = exact_coefficient_sample(self.model, self.filt, sched, 7)
+        got = exact_coefficient_sample(self.model, custom, sched, 7)
+        want = exact_coefficient_sample(self.model, meyer, sched, 7)
+        assert builds == [16.0, 32.0] * 3
+        for lv, ref, sh in zip(got.levels, want.levels, shannon.levels):
+            np.testing.assert_array_equal(lv.coeffs, ref.coeffs)
+            assert not np.array_equal(lv.coeffs, sh.coeffs)
 
 
 class TestBatchedSample:
@@ -1041,8 +1075,8 @@ class TestSerialization:
         filt = builtin_filter("shannon-father")
         sched = ScaleSchedule(
             levels=(
-                ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=3, r_j=8.0**-2.5),
-                ScheduleLevel(j=2, a_j=16.0, gamma_j=16.0, m_j=2, r_j=16.0**-2.5),
+                ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=3),
+                ScheduleLevel(j=2, a_j=16.0, gamma_j=16.0, m_j=2),
             )
         )
         panel = exact_coefficient_sample(model, filt, sched, 123)

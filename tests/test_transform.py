@@ -104,32 +104,25 @@ class TestSchedules:
             geometric_schedule(3, -1.0, 2.0, 6.0)
 
     def test_schedule_invariants_enforced(self):
-        good = ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=4, r_j=0.5)
+        good = ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=4)
         with pytest.raises(ValueError, match="strictly increasing"):
             ScaleSchedule(
                 levels=(
                     good,
-                    ScheduleLevel(j=2, a_j=2.0, gamma_j=1.0, m_j=4, r_j=0.25),
-                )
-            )
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            ScaleSchedule(
-                levels=(
-                    good,
-                    ScheduleLevel(j=2, a_j=4.0, gamma_j=1.0, m_j=4, r_j=0.5),
+                    ScheduleLevel(j=2, a_j=2.0, gamma_j=1.0, m_j=4),
                 )
             )
         with pytest.raises(ValueError, match="m_j"):
             ScaleSchedule(
-                levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=0, r_j=0.5),)
+                levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=0),)
             )
         with pytest.raises(ValueError, match="gamma"):
             ScaleSchedule(
-                levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=0.0, m_j=4, r_j=0.5),)
+                levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=0.0, m_j=4),)
             )
 
     def test_shifts_are_arithmetic(self):
-        lv = ScheduleLevel(j=2, a_j=4.0, gamma_j=3.0, m_j=5, r_j=0.1)
+        lv = ScheduleLevel(j=2, a_j=4.0, gamma_j=3.0, m_j=5)
         np.testing.assert_array_equal(lv.shifts(), [3.0, 6.0, 9.0, 12.0, 15.0])
 
     def test_schedule_json_round_trip(self):
@@ -149,12 +142,33 @@ class TestSchedules:
 
     def test_schedule_json_errors(self):
         hand_built = ScaleSchedule(
-            levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=4, r_j=0.5),)
+            levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=4),)
         )
         with pytest.raises(ValueError, match="rule"):
             schedule_to_json(hand_built)
         with pytest.raises(ValueError, match="unknown rule"):
             schedule_from_json({"rule": "fibonacci", "j_max": 3})
+
+    def test_document_comes_from_the_builder(self):
+        # a schedule holds its builder's rule and cannot be given another
+        linear = linear_schedule(3)
+        with pytest.warns(UserWarning, match="divergent"):
+            geo = geometric_schedule(3, 4.0, 2.0, 2.0)
+        with pytest.raises(TypeError):
+            ScaleSchedule(levels=geo.levels, rule_doc=schedule_to_json(linear))
+        with pytest.raises(ValueError, match="rule"):
+            schedule_to_json(ScaleSchedule(levels=geo.levels))
+        assert schedule_to_json(geo)["rule"] == "geometric"
+        assert linear.doc == {"rule": "linear", "j_max": 3, "kappa": 3.0,
+                              "gamma_mode": "unit"}
+
+    def test_block_radius_follows_the_scale(self):
+        with pytest.raises(TypeError):
+            ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=4, r_j=0.5)
+        with pytest.warns(UserWarning, match="divergent"):
+            geo = geometric_schedule(3, 4.0, 2.0, 2.0)
+        for lv in linear_schedule(3).levels + geo.levels:
+            assert lv.r_j == lv.a_j**-2.5
 
 
 class TestFilterTransform:
@@ -239,7 +253,7 @@ class TestPanelFromPath:
         filt = builtin_filter("mexican-hat")
         path = cosine_path(0.5, -40.0, 60.0, 0.05, seed=21)
         sched = ScaleSchedule(
-            levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=10.0, m_j=1, r_j=0.1),)
+            levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=10.0, m_j=1),)
         )
         panel = panel_from_path(path, filt, sched)
         assert panel.provenance == "path-transform"
@@ -253,8 +267,8 @@ class TestPanelFromPath:
         path = gegenbauer_path(spec, 200, -60.0, 1.0, seed=8)
         sched = ScaleSchedule(
             levels=(
-                ScheduleLevel(j=1, a_j=2.0, gamma_j=2.0, m_j=8, r_j=2.0**-2.5),
-                ScheduleLevel(j=2, a_j=4.0, gamma_j=4.0, m_j=4, r_j=4.0**-2.5),
+                ScheduleLevel(j=1, a_j=2.0, gamma_j=2.0, m_j=8),
+                ScheduleLevel(j=2, a_j=4.0, gamma_j=4.0, m_j=4),
             )
         )
         one = panel_from_path(path, filt, sched)
@@ -275,7 +289,7 @@ class TestPanelFromPath:
         filt = builtin_filter("mexican-hat")
         sched = ScaleSchedule(
             levels=tuple(
-                ScheduleLevel(j=j, a_j=a, gamma_j=g, m_j=m, r_j=a**-2.5)
+                ScheduleLevel(j=j, a_j=a, gamma_j=g, m_j=m)
                 for j, (a, g, m) in enumerate(levels, start=1)
             )
         )
@@ -299,7 +313,7 @@ class TestPanelFromPath:
 
         counting = dataclasses.replace(filt, psi=psi)
         sched = ScaleSchedule(
-            levels=(ScheduleLevel(j=1, a_j=1.5, gamma_j=0.37, m_j=25, r_j=0.5),)
+            levels=(ScheduleLevel(j=1, a_j=1.5, gamma_j=0.37, m_j=25),)
         )
         path = noise_path(-40.0, 60.0, 0.05, seed=3)
         panel = panel_from_path(path, counting, sched)
@@ -312,7 +326,7 @@ class TestPanelFromPath:
         a, gamma, m = 2.0, 1.0, 40
         radius = a * (filt.time_support + 0.5)
         sched = ScaleSchedule(
-            levels=(ScheduleLevel(j=1, a_j=a, gamma_j=gamma, m_j=m, r_j=0.5),)
+            levels=(ScheduleLevel(j=1, a_j=a, gamma_j=gamma, m_j=m),)
         )
         clean = noise_path(-20.0, 62.0, 1.0, seed=4)
         t_bad = 30.0
@@ -351,8 +365,8 @@ class TestPanelFromPath:
         path = constant_path(1.0, -30.0, 30.0, 0.5)
         sched = ScaleSchedule(
             levels=(
-                ScheduleLevel(j=1, a_j=2.0, gamma_j=2.0, m_j=2, r_j=0.5),
-                ScheduleLevel(j=2, a_j=16.0, gamma_j=16.0, m_j=2, r_j=0.25),
+                ScheduleLevel(j=1, a_j=2.0, gamma_j=2.0, m_j=2),
+                ScheduleLevel(j=2, a_j=16.0, gamma_j=16.0, m_j=2),
             )
         )
         with pytest.raises(ValueError, match="level 2"):
@@ -371,7 +385,7 @@ class TestPanelFromPath:
         n = int(math.ceil(gamma * m + radius) - lo) + 3
         path = gegenbauer_path(spec, n, lo, 1.0, seed=99)
         sched = ScaleSchedule(
-            levels=(ScheduleLevel(j=1, a_j=a, gamma_j=gamma, m_j=m, r_j=a**-2.5),)
+            levels=(ScheduleLevel(j=1, a_j=a, gamma_j=gamma, m_j=m),)
         )
         panel = panel_from_path(path, filt, sched)
         empirical = float(np.mean(panel.levels[0].coeffs ** 2))
