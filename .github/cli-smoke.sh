@@ -3,7 +3,8 @@
 # under the current directory: simulate -> transform (from the path CSV)
 # -> estimate, on a path that covers the lattice window [-34, 51] of this
 # tiny schedule.  Then a 2-replication montecarlo run, and the indicator
-# model's covariance at 2049 lags (one Filon column) written by spectrum.
+# model's density and its covariance at 2049 lags (one Filon column)
+# written by spectrum.
 # Each run's manifest config is fed back through its subcommand into
 # another directory, which must hold the same outputs byte for byte.
 #
@@ -36,4 +37,4 @@ echo '{"model": {"family": "indicator", "s0": 1.2661, "alpha": 0.1, "M": 3.0}, "
 specpole montecarlo --config mc.json --out mc
 replay mc montecarlo replications.csv mse_table.csv summary.json
 specpole spectrum --family indicator --s0 1.2661 --alpha 0.1 --M 3 --cov-lags 2048 --out spec
-replay spec spectrum covariance.csv
+replay spec spectrum spectrum.csv covariance.csv

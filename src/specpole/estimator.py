@@ -20,14 +20,13 @@ replications gives each statistic and estimate as an array over them,
 and a scalar is the one-element case of the same code.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _cell
+from .model import _write_csv
 from .specfun import lambert_w0
 
 __all__ = [
@@ -350,8 +349,5 @@ def results_to_json(results):
 
 def results_to_csv(results, path):
     """Write one CSV row per estimate, floats at full precision."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
-        writer.writerows([_cell(record[name]) for name in _CSV_COLUMNS]
-                         for record in map(_result_record, results))
+    _write_csv(path, _CSV_COLUMNS, ([record[name] for name in _CSV_COLUMNS]
+                                    for record in map(_result_record, results)))

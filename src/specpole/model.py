@@ -2,7 +2,8 @@
 
 A model is the density ``f(lam) = h(lam) / |lam^2 - s0^2|**(2*alpha)``
 with a pole pair at ``+-s0``, where ``h`` is an even non-negative
-bounded factor with ``h(0) = 1``.  A filter is a band-limited (exactly
+bounded factor with ``h(0) = 1`` that vanishes, or is taken to, beyond
+a finite envelope.  A filter is a band-limited (exactly
 or effectively) function ``psi`` with frequency form ``psi_hat`` and the
 moment constants
 
@@ -29,7 +30,7 @@ takes (None if built by hand; a ``GegenbauerSpec``'s is its fields): the
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,16 +81,16 @@ def _document_of(obj, who, what):
 class SpectralModel:
     """Density f(lam) = h(lam) / |lam^2 - s0^2|**(2*alpha).
 
-    ``envelope`` declares the integrability envelope of ``h``: a finite
-    value means h vanishes outside [-envelope, envelope], ``None`` means
-    unbounded support with integrable decay.  ``doc`` is
+    ``envelope`` is the positive finite M beyond which h is taken to
+    vanish: every covariance integrates over [-M, M] (a smooth h needs an
+    M where it is negligible, such as 7 for exp(-lam^2)).  ``doc`` is
     ``indicator_model``'s document, None for a model built here.
     """
 
     s0: float
     alpha: float
     h: object
-    envelope: float = None
+    envelope: float
     doc = None
 
     def __post_init__(self):
@@ -97,15 +98,12 @@ class SpectralModel:
             raise ValueError("SpectralModel: s0 must be a finite real > 1")
         if not (0.0 < self.alpha < 0.5):
             raise ValueError("SpectralModel: alpha must lie in (0, 1/2)")
-        if self.envelope is not None and not (
-            self.envelope > 0.0 and math.isfinite(self.envelope)
-        ):
-            raise ValueError("SpectralModel: envelope must be positive or None")
+        if not (self.envelope > 0.0 and math.isfinite(self.envelope)):
+            raise ValueError("SpectralModel: envelope must be a positive real")
         self._sampled_checks()
 
     def _sampled_checks(self):
-        top = self.envelope if self.envelope is not None else 5.0 * self.s0
-        grid = np.linspace(0.0, max(2.0 * self.s0, top), 201)
+        grid = np.linspace(0.0, max(2.0 * self.s0, self.envelope), 201)
         with np.errstate(all="ignore"):
             h_pos = np.asarray(self.h(grid), dtype=float)
             h_neg = np.asarray(self.h(-grid), dtype=float)
@@ -137,21 +135,21 @@ class SpectralModel:
         return float(out[0]) if np.ndim(lam) == 0 else out
 
     def pole_density(self, lam):
-        """h(lam) / |lam^2 - s0^2|^(2 alpha) unchecked, for integrators
-        whose nodes can round onto s0 (they absorb the value there)."""
+        """h(lam) / |lam^2 - s0^2|^(2 alpha) unchecked: infinite at
+        +-s0, which quadrature nodes must avoid."""
         hv = np.asarray(self.h(lam), dtype=float)
         return hv / np.abs(lam * lam - self.s0**2) ** (2.0 * self.alpha)
 
     def covariances(self, lags, spec=None):
-        """Covariances B(r) at the given lags: with a finite envelope M,
-        multiples k g of the least positive lag g are one column 2 int_0^M
-        cos(k g lam) f(lam) dlam (see _band_column) while max(k) is under
+        """Covariances B(r) at the given lags: multiples k g of the least
+        positive lag g are one column 2 int_0^M cos(k g lam) f(lam) dlam,
+        M the envelope (see _band_column), while max(k) is under
         _COLUMN_SPAN per lag; other lags take covariance_eval."""
         lags = np.abs(np.asarray(lags, dtype=float))
         pos = lags > 0
         step = lags[pos].min() if pos.any() else 0.0
         k = np.rint(np.divide(lags, step, out=np.zeros(lags.shape), where=pos))
-        if (self.envelope is None or not np.all(k < _COLUMN_SPAN * lags.size)
+        if (not np.all(k < _COLUMN_SPAN * lags.size)
                 or not np.allclose(lags, step * k, 1e-12, 0.0)):
             return np.array([covariance_eval(self, r, spec) for r in lags])
         k = k.astype(int)
@@ -186,33 +184,17 @@ def indicator_model(s0, alpha, M):
 
 
 def covariance_eval(model, r, spec=None):
-    """Covariance B(r) = integral cos(r*lam) f(lam) dlam over the line.
-
-    Twice the half line, by the even symmetry of the density: with a
-    finite envelope entry 1 of the column of lags 0, |r| (_band_column),
-    else by adaptive quadrature split at the pole and, for large r, at
-    the cosine's sign changes.
-    """
-    spec, r = spec or QuadratureSpec(), abs(float(r))
-    if model.envelope is not None:
-        return float(_band_column(model, model.envelope, (), r, 2, spec, 2.0)[1])
-    sing = tuple(s for s in set(spec.singularities) | {model.s0} if s > 0.0)
-    n_osc = min(int(r * (10.0 * model.s0) / math.pi), 20000)  # half-periods below 10 s0
-    breaks = tuple(np.arange(1, n_osc + 1) * math.pi / r) if n_osc else ()
-    return 2.0 * integrate(lambda lam: np.cos(r * lam) * model.pole_density(lam), 0.0, np.inf,
-                           replace(spec, singularities=sing), breakpoints=breaks)
+    """Covariance B(r) = integral cos(r*lam) f(lam) dlam over the
+    envelope [-M, M]: twice the half band, by the even symmetry of the
+    density, as entry 1 of the column of lags 0, |r| (_band_column)."""
+    return float(_band_column(model, model.envelope, (), abs(float(r)), 2, spec, 2.0)[1])
 
 
 def _band_column(model, upper, knots, gamma, m, spec, scale, window=lambda lam: 1.0):
     """scale * int_0^upper cos(k gamma lam) window(lam) f(lam) dlam, k < m
     (all lag 0 if gamma = 0), by specfun._filon_column; s0 in the band is
-    its pole (s0, 2 alpha) of window h |lam + s0|^(-2 alpha).  A declared
-    singularity in the band raises ValueError."""
+    its pole (s0, 2 alpha) of window h |lam + s0|^(-2 alpha)."""
     spec = spec or QuadratureSpec()
-    for s in spec.singularities:
-        if 0.0 < s <= upper:
-            raise ValueError("covariance column: declared singularity %r lies in the band "
-                             "[0, %r], where only the pole at s0 is subtracted" % (s, upper))
     pole = (model.s0, 2.0 * model.alpha) if model.s0 <= upper else None
     f = model.pole_density if pole is None else (
         lambda lam: np.asarray(model.h(lam), dtype=float) * (lam + model.s0) ** -pole[1])
@@ -246,7 +228,6 @@ class FilterSpec:
     psi_hat: object
     band_limit_A: float
     time_support: float = None
-    sigma: float = None
     breakpoints: tuple = ()
     c2: float = field(init=False)
     c3: float = field(init=False)
@@ -404,7 +385,7 @@ def builtin_filter(name, sigma=1.0):
             "unknown filter %r; choose one of %s" % (name, ", ".join(BUILTIN_FILTER_NAMES))
         )
     filt = FilterSpec(name=name, psi=psi, psi_hat=psi_hat, band_limit_A=A,
-                      time_support=T, sigma=doc.get("sigma"), breakpoints=breaks)
+                      time_support=T, breakpoints=breaks)
     return _attach(filt, doc)
 
 

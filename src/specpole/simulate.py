@@ -407,9 +407,7 @@ def _covariance_column(model, filt, a_j, shifts, spec):
             "bounds assume scales at least twice the band limit"
             % (a_j / (2.0 * filt.band_limit_A))
         )
-    upper = filt.band_limit_A / a_j
-    if model.envelope is not None:
-        upper = min(upper, model.envelope)
+    upper = min(filt.band_limit_A / a_j, model.envelope)
     knots = [x / a_j for x in filt.breakpoints if 0.0 < x / a_j < upper]
     # a_j * upper may round past the band edge A; keep it inside
     window = lambda lam: np.abs(filt.psi_hat(np.minimum(a_j * lam, filt.band_limit_A))) ** 2

@@ -1,4 +1,4 @@
-"""Special functions and adaptive quadrature shared by the whole package.
+"""Special functions and quadrature shared by the whole package.
 
 Four small tools live here because every other module needs at least one
 of them:
@@ -12,11 +12,11 @@ of them:
   values evaluated through the stable three-term recurrence.  The
   textbook ratio-of-gamma sum overflows for moderate orders, so it is
   kept only as a test oracle.
-* ``integrate``: a global-adaptive Gauss-Kronrod integrator that handles
-  integrable algebraic singularities such as ``|x - s|**(-p)`` with
-  ``p < 1``.  Declared singular points become panel endpoints, and the
-  worst-panel bisection then halves geometrically toward them.  Infinite
-  ranges are mapped to finite ones with the tangent substitution.
+* ``integrate``: a global-adaptive Gauss-Kronrod integrator on a finite
+  range, which computes the filter constants.  Its nodes are interior,
+  so an integrable singularity such as ``|x - s|**(-p)``, ``p < 1``, at
+  a breakpoint ``s`` converges as the worst-panel bisection halves
+  geometrically toward it.
 * ``_filon_column``: every covariance on a finite band, at all lags by
   one Filon rule, with a pole subtracted in closed form.
 
@@ -153,17 +153,12 @@ def gegenbauer_coeff(n, d, u):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy and refinement budget for :func:`integrate`.
-
-    ``singularities`` lists abscissae where the integrand is allowed to
-    blow up integrably; the interval is split there so that no quadrature
-    node ever lands on them.  A covariance column rejects one in its band.
-    """
+    """Accuracy and refinement budget for :func:`integrate` and the
+    covariance columns."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 10_000
-    singularities: tuple = ()
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
@@ -173,10 +168,6 @@ class QuadratureSpec:
         if int(self.max_subdivisions) < 1:
             raise ValueError("QuadratureSpec: max_subdivisions must be >= 1")
         object.__setattr__(self, "max_subdivisions", int(self.max_subdivisions))
-        pts = tuple(float(s) for s in self.singularities)
-        if any(not math.isfinite(s) for s in pts):
-            raise ValueError("QuadratureSpec: singularities must be finite reals")
-        object.__setattr__(self, "singularities", pts)
 
 
 class QuadratureConvergenceError(ArithmeticError):
@@ -233,47 +224,19 @@ _G_WEIGHTS = np.concatenate([_G7_POS_WEIGHTS[:-1], _G7_POS_WEIGHTS[::-1]])
 _EPS50 = 50.0 * np.finfo(float).eps
 
 
-def _vector_call(f, x):
-    """Evaluate f on a 1-d array, falling back to elementwise calls."""
-    with np.errstate(all="ignore"):
-        try:
-            y = np.asarray(f(x), dtype=float)
-            if y.shape == x.shape:
-                return y
-        except (TypeError, ValueError):
-            pass
-        return np.fromiter(
-            (float(f(float(v))) for v in x), dtype=float, count=x.size
-        )
-
-
-def _eval_panels(f, lo, hi, ctx, absorb):
-    """Kronrod value and QUADPACK-style error estimate per panel.
-
-    ``absorb`` lists declared singular abscissae (working coordinates):
-    a non-finite integrand value within a few ulps of one of them is
-    replaced by zero, since the caller asserted integrability there and
-    panels this narrow carry negligible mass.  Non-finite values anywhere
-    else are an error.
-    """
+def _eval_panels(f, lo, hi):
+    """Kronrod value and QUADPACK-style error estimate per panel, from
+    one call of f on all their nodes; a non-finite value is an error."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = center[:, None] + half[:, None] * _NODES
-    fv = _vector_call(f, pts.ravel()).reshape(pts.shape)
+    pts = (center[:, None] + half[:, None] * _NODES).ravel()
+    with np.errstate(all="ignore"):
+        fv = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
     bad = ~np.isfinite(fv)
     if bad.any():
-        pos = pts[bad]
-        near_declared = np.zeros(pos.shape, dtype=bool)
-        for s in absorb:
-            near_declared |= np.abs(pos - s) <= 1e-14 * max(1.0, abs(s))
-        if not near_declared.all():
-            offender = pos[~near_declared][0]
-            raise ValueError(
-                "integrate: non-finite integrand value near %r; declare "
-                "singular points in QuadratureSpec.singularities"
-                % ctx(float(offender))
-            )
-        fv[bad] = 0.0
+        raise ValueError("integrate: non-finite integrand value near %r; split the range "
+                         "at an integrable singularity with breakpoints" % float(pts[bad][0]))
+    fv = fv.reshape(lo.size, _NODES.size)
     resk = fv @ _K_WEIGHTS
     resg = fv[:, 1::2] @ _G_WEIGHTS
     value = half * resk
@@ -289,17 +252,15 @@ def _eval_panels(f, lo, hi, ctx, absorb):
 
 
 def integrate(f, lo, hi, spec=None, *, breakpoints=()):
-    """Adaptively integrate ``f`` over ``(lo, hi)``.
+    """Adaptively integrate ``f`` over the finite range ``(lo, hi)``.
 
-    The interval is first split at every declared singularity, at zero
-    and at any extra ``breakpoints`` (a pure performance hint, useful for
-    oscillatory integrands).  Panels are then refined by bisecting the
-    ones with the largest error estimates, which converges for smooth
-    integrands as well as for integrable endpoint singularities.
-
-    Infinite bounds are folded to a finite range with ``x = tan(theta)``;
-    band-limited integrands should instead be integrated over their
-    support directly.
+    The interval is first split at zero and at the ``breakpoints`` inside
+    it: at a kink, a jump or an integrable singularity of ``f``, which
+    its interior nodes never reach.  Panels are then refined by bisecting
+    the ones with the largest error estimates, which converges for smooth
+    integrands as well as for an integrable singularity at a panel end.
+    ``f`` is called on arrays of nodes; a result that broadcasts to their
+    shape, such as a constant, is accepted.
 
     Returns the integral estimate as a float.
 
@@ -310,63 +271,36 @@ def integrate(f, lo, hi, spec=None, *, breakpoints=()):
         ``max(abs_tol, rel_tol * |value|)``; the exception carries the
         best estimate and its error bound.
     ValueError
-        For invalid bounds, singularities outside the interval, or
-        non-finite integrand values at quadrature nodes.
+        For infinite or NaN bounds, or non-finite integrand values at
+        quadrature nodes.
     """
     if spec is None:
         spec = QuadratureSpec()
     lo = float(lo)
     hi = float(hi)
-    if math.isnan(lo) or math.isnan(hi):
-        raise ValueError("integrate: NaN bound")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("integrate: bounds must be finite, got (%r, %r)" % (lo, hi))
     if lo == hi:
         return 0.0
     sign = 1.0
     if lo > hi:
         lo, hi, sign = hi, lo, -1.0
 
-    for s in spec.singularities:
-        if not (lo <= s <= hi):
-            raise ValueError(
-                "integrate: declared singularity %r outside [%r, %r]" % (s, lo, hi)
-            )
-
-    # Cut at the declared singularities (absorbed, not rejected, when the
-    # integrand is not finite there), the breakpoints and zero.
-    absorb = list(spec.singularities)
-    cuts = absorb + [float(p) for p in breakpoints if lo < float(p) < hi]
+    cuts = [float(p) for p in breakpoints if lo < float(p) < hi]
     if lo < 0.0 < hi:
         cuts.append(0.0)
-    # ctx maps a working coordinate back to x for error messages
-    fun, ctx, a, b = f, float, lo, hi
-    if math.isinf(lo) or math.isinf(hi):
-        # Work in theta = atan(x); atan(+-inf) is +-pi/2.
-        a, b = math.atan(lo), math.atan(hi)
-        absorb = [math.atan(s) for s in absorb]
-        cuts = [math.atan(c) for c in cuts]
-
-        def fun(theta):
-            lam = np.tan(theta)
-            fv = _vector_call(f, lam)
-            return np.where(fv == 0.0, 0.0, fv * (1.0 + lam * lam))
-
-        ctx = math.tan
-
     # np.sort, not np.unique, which imports numpy.ma; equal edges go
     # with the near-duplicates below.
-    edges = np.sort(np.concatenate([[a, b], np.asarray(cuts, dtype=float)]))
-    edges = edges[(edges >= a) & (edges <= b)]
+    edges = np.sort(np.concatenate([[lo, hi], np.asarray(cuts, dtype=float)]))
     # Drop near-duplicate edges that would create empty panels.
-    keep = np.concatenate([[True], np.diff(edges) > 1e-15 * max(1.0, abs(b - a))])
+    keep = np.concatenate([[True], np.diff(edges) > 1e-15 * max(1.0, hi - lo)])
     edges = edges[keep]
-    if edges[0] != a:
-        edges[0] = a
-    if edges[-1] != b:
-        edges = np.append(edges, b)
+    if edges[-1] != hi:
+        edges = np.append(edges, hi)
 
     los = edges[:-1].copy()
     his = edges[1:].copy()
-    vals, errs = _eval_panels(fun, los, his, ctx, absorb)
+    vals, errs = _eval_panels(f, los, his)
 
     used = 0
     while True:
@@ -406,7 +340,7 @@ def integrate(f, lo, hi, spec=None, *, breakpoints=()):
         mid = mid[~stuck]
         new_los = np.concatenate([los[worst], mid])
         new_his = np.concatenate([mid, his[worst]])
-        new_vals, new_errs = _eval_panels(fun, new_los, new_his, ctx, absorb)
+        new_vals, new_errs = _eval_panels(f, new_los, new_his)
         keep_mask = np.ones(len(los), dtype=bool)
         keep_mask[worst] = False
         los = np.concatenate([los[keep_mask], new_los])

@@ -83,8 +83,9 @@ class ScheduleLevel:
 
 @dataclass(frozen=True, eq=False)
 class ScaleSchedule:
-    """Strictly increasing scales with per-scale shift grids; ``doc`` is
-    the builder's rule document, None for a schedule built here."""
+    """Strictly increasing scales with per-scale shift grids, one level
+    per integer index j; ``doc`` is the builder's rule document, None for
+    a schedule built here."""
 
     levels: tuple
     doc = None
@@ -96,7 +97,13 @@ class ScaleSchedule:
         a = np.array([lv.a_j for lv in self.levels], dtype=float)
         if not np.all(a > 0) or not np.all(np.diff(a) > 0):
             raise ValueError("ScaleSchedule: scales must be positive and strictly increasing")
+        seen = set()
         for lv in self.levels:
+            if isinstance(lv.j, bool) or not isinstance(lv.j, (int, np.integer)):
+                raise ValueError("ScaleSchedule: level index j = %r is not an integer" % (lv.j,))
+            if lv.j in seen:
+                raise ValueError("ScaleSchedule: level index j = %d repeats" % lv.j)
+            seen.add(lv.j)
             if lv.m_j < 1:
                 raise ValueError("ScaleSchedule: m_j must be >= 1 at level %d" % lv.j)
             if not (lv.gamma_j > 0):

@@ -546,10 +546,10 @@ class TestSerialization:
         row = lines[1].split(",")
         assert float(row[9]) == results[0].s0_hat
         assert float(row[10]) == results[0].alpha_hat
-        # csv.writer ends every line with CRLF; the fields are %d for j,
-        # the case name as it is and %.17g for every float
+        # every line ends with LF alone, as in every other artifact; the
+        # fields are %d for j, the case name as it is and %.17g for every float
         raw = target.read_bytes()
-        assert raw.count(b"\r\n") == len(lines) and raw.endswith(b"\r\n")
+        assert b"\r" not in raw and raw.endswith(b"\n")
         assert raw.count(b"\n") == len(lines)
         res = results[0]
         assert lines[1] == ",".join(

@@ -26,7 +26,6 @@ from specpole.model import (
     model_to_json,
 )
 from specpole.mc import experiment_from_json
-from specpole.specfun import QuadratureSpec
 from specpole.transform import schedule_from_json
 
 PI = math.pi
@@ -402,17 +401,20 @@ class TestSpectralModel:
         assert abs(covariance_eval(model, r) - oracle) <= 1e-11 * covariance_eval(model, 0.0)
 
     @pytest.mark.parametrize("r", [0.0, 50.0, 2000.0])
-    def test_covariance_of_unbounded_envelope(self, r):
-        # h = exp(-lam^2) has no envelope: adaptive quadrature, split at
-        # s0, at the half-periods below 10 s0 and at declared singularities
-        # on the half line (one at 0 or below is dropped).  The oracle stops
-        # at 7, past which the density is below exp(-49); the adaptive
-        # error estimate is no strict bound, hence 3x its abs_tol.
-        model = SpectralModel(1.5, 0.2, lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2))
+    def test_covariance_of_smooth_h_on_its_envelope(self, r):
+        # h = exp(-lam^2) is below exp(-49) past the declared envelope 7,
+        # where the oracle stops too; the Filon column meets its abs_tol
+        # (measured within 7e-12)
+        h = lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2)
+        model = SpectralModel(1.5, 0.2, h, envelope=7.0)
         g = lambda lam: math.cos(r * lam) * math.exp(-lam * lam) * (lam + 1.5) ** -0.4
         value = covariance_eval(model, r)
-        assert value == pytest.approx(2.0 * pole_quadrature(g, 0.0, 7.0, 1.5, 0.4), abs=3e-10)
-        assert covariance_eval(model, r, QuadratureSpec(singularities=(-1.0, 0.0))) == value
+        assert value == pytest.approx(2.0 * pole_quadrature(g, 0.0, 7.0, 1.5, 0.4), abs=1e-10)
+
+    def test_model_needs_an_envelope(self):
+        h = lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2)
+        with pytest.raises(TypeError):
+            SpectralModel(1.5, 0.2, h)
 
     def test_multiples_of_the_smallest_lag_share_one_column(self, monkeypatch):
         model = indicator_model(1.2661, 0.1, 3.0)
@@ -485,7 +487,7 @@ class TestZeroLimits:
     def test_smooth_envelope_adds_its_curvature(self):
         # h = exp(-lam^2): h(0) = 1, h''(0) = -2.
         h = lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2)
-        model = SpectralModel(1.5, 0.2, h)
+        model = SpectralModel(1.5, 0.2, h, envelope=7.0)
         f0, f2 = model.zero_limits()
         np.testing.assert_allclose(f0, model.density(0.0), rtol=1e-14)
         expect = 0.2 * 1.5 ** (-2.8) - 0.5 * 1.5 ** (-0.8)
@@ -541,7 +543,7 @@ class TestJsonConfig:
             filter_from_json({"name": name, "sigma": 2.5}, "/filter")
         assert err.value.pointer == "/filter/sigma"
         # the default says nothing, and is no part of the filter
-        assert filter_from_json({"name": name, "sigma": 1.0}).sigma is None
+        assert filter_from_json({"name": name, "sigma": 1.0}).doc == {"name": name}
 
     @pytest.mark.parametrize(
         "load", [model_from_json, filter_from_json, schedule_from_json,
@@ -557,7 +559,7 @@ class TestJsonConfig:
 
     def test_custom_model_not_serializable(self):
         h = lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2)
-        model = SpectralModel(1.5, 0.2, h)
+        model = SpectralModel(1.5, 0.2, h, envelope=7.0)
         with pytest.raises(ValueError, match="indicator"):
             model_to_json(model)
         # nor can a family label make it pass for the indicator

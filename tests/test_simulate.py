@@ -76,7 +76,7 @@ def midpoint_rule(f, lo, hi, n, chunks=20):
 
 def band(model, filt, a):
     """Top of the band at scale a and the filter breakpoints inside it."""
-    upper = min(filt.band_limit_A / a, model.envelope or math.inf)
+    upper = min(filt.band_limit_A / a, model.envelope)
     return upper, [x / a for x in filt.breakpoints if 0.0 < x / a < upper]
 
 
@@ -89,14 +89,14 @@ def entry_integral(model, filt, a, delta_b, spec=QuadratureSpec()):
     if delta_b != 0.0:
         half_period = math.pi / abs(delta_b)
         breaks = breaks + list(half_period * np.arange(1, int(upper / half_period) + 1))
-    sing = (model.s0,) if model.s0 <= upper else ()
+    if model.s0 <= upper:
+        breaks = breaks + [model.s0]
 
     def integrand(lam):
         win = np.abs(np.asarray(filt.psi_hat(a * lam))) ** 2
         return np.cos(delta_b * lam) * win * model.pole_density(lam)
 
-    merged = QuadratureSpec(spec.abs_tol, spec.rel_tol, spec.max_subdivisions, sing)
-    return 2.0 * a * integrate(integrand, 0.0, upper, merged, breakpoints=breaks)
+    return 2.0 * a * integrate(integrand, 0.0, upper, spec, breakpoints=breaks)
 
 
 class TestGaussianStream:
@@ -649,11 +649,10 @@ class TestDctColumn:
 
     @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
     def test_no_column_reaches_integrate(self, name, monkeypatch):
-        # Adaptive quadrature is left for the filter constants and the
-        # covariance of an unbounded envelope: no level of the exact-c6,
-        # criterion-6 or linear kappa = 2 and 3 ladders (pole-in-band,
-        # regular and narrow bands alike), no J(a) and no covariance of a
-        # finite envelope calls it.
+        # Adaptive quadrature is left for the filter constants alone: no
+        # level of the exact-c6, criterion-6 or linear kappa = 2 and 3
+        # ladders (pole-in-band, regular and narrow bands alike), no J(a)
+        # and no model covariance calls it.
         filt = builtin_filter(name)  # its constants come from integrate
         calls = []
 
@@ -789,17 +788,6 @@ class TestFarLags:
         oracle = 2 * a * (self.by_parts(0.0, math.pi / a, delta) + self.pole_terms(delta))
         assert abs(oracle) > 1e-4
         assert abs(got - oracle) <= 2 * a * spec.abs_tol + spec.rel_tol * abs(oracle)
-
-    def test_declared_singularity_in_band_raises(self):
-        spec = QuadratureSpec(singularities=(0.2,))
-        filt = builtin_filter("shannon-father")
-        with pytest.raises(ValueError, match=r"declared singularity 0\.2 lies in the band"):
-            coefficient_covariance(self.model, filt, 8.0, [0.0, 8e6], spec)
-        # one outside the band is no concern of the column's
-        outside = QuadratureSpec(singularities=(0.5,))
-        np.testing.assert_array_equal(
-            coefficient_covariance(self.model, filt, 8.0, [0.0, 8.0], outside),
-            coefficient_covariance(self.model, filt, 8.0, [0.0, 8.0]))
 
     def test_node_cap_miss_reports_estimate_and_bound(self):
         # The far entry is about 2.5e-14, so no rounded sum meets a 1e-12

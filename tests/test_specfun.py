@@ -188,19 +188,16 @@ class TestGegenbauer:
 
 
 class TestQuadrature:
-    def test_indicator_over_real_line(self):
-        f = lambda lam: np.where(np.abs(lam) <= math.pi, 1.0, 0.0)
-        value = integrate(f, -np.inf, np.inf)
-        assert value == pytest.approx(2.0 * math.pi, rel=1e-9)
-
-    def test_gaussian_over_real_line(self):
-        value = integrate(lambda lam: np.exp(-lam * lam), -np.inf, np.inf)
-        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0),
+                                        (0.0, np.nan)])
+    def test_infinite_and_nan_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(lambda lam: np.exp(-lam * lam), lo, hi)
 
     def test_algebraic_singularity_vs_midpoint_oracle(self):
         f = lambda lam: np.abs(lam * lam - 1.0) ** -0.25
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, singularities=(1.0,))
-        value = integrate(f, 0.0, 2.0, spec)
+        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+        value = integrate(f, 0.0, 2.0, spec, breakpoints=(1.0,))
         # The raw 1e7-point midpoint rule carries an O(h^(3/4)) error from
         # the cells abutting the singularity (measured 1.1e-6 relative),
         # so the raw comparison uses that floor while the tight check
@@ -220,24 +217,14 @@ class TestQuadrature:
         parts = 2.0 * integrate(f, -4.0, 5.0, spec) + 3.0 * integrate(g, -4.0, 5.0, spec)
         assert combined == pytest.approx(parts, rel=1e-10)
 
-    def test_semi_infinite_range(self):
-        value = integrate(lambda x: np.exp(-x), 0.0, np.inf)
-        assert value == pytest.approx(1.0, rel=1e-10)
-
     def test_reversed_and_empty_bounds(self):
         f = lambda x: x * x
         assert integrate(f, 2.0, 2.0) == 0.0
         forward = integrate(f, 0.0, 2.0)
         assert integrate(f, 2.0, 0.0) == pytest.approx(-forward, rel=1e-12)
 
-    def test_scalar_only_integrand_supported(self):
-        value = integrate(lambda x: math.exp(-x * x), -8.0, 8.0)
-        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
-
-    def test_singularity_outside_interval_rejected(self):
-        spec = QuadratureSpec(singularities=(3.0,))
-        with pytest.raises(ValueError, match="outside"):
-            integrate(lambda x: x, 0.0, 1.0, spec)
+    def test_constant_integrand_broadcasts(self):
+        assert integrate(lambda x: 2.0, 0.0, 3.0) == pytest.approx(6.0, rel=1e-14)
 
     def test_nonconvergence_carries_estimate(self):
         f = lambda lam: np.abs(lam - 0.3) ** -0.5
@@ -258,8 +245,11 @@ class TestQuadrature:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError, match="max_subdivisions"):
             QuadratureSpec(max_subdivisions=0)
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureSpec(singularities=(np.inf,))
+
+    def test_spec_takes_no_singularities(self):
+        # a split point is a breakpoint of integrate
+        with pytest.raises(TypeError):
+            QuadratureSpec(singularities=(1.0,))
 
     def test_breakpoints_do_not_change_value(self):
         f = lambda x: np.cos(40.0 * x) * np.exp(-0.1 * x)

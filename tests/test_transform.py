@@ -121,6 +121,20 @@ class TestSchedules:
                 levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=0.0, m_j=4),)
             )
 
+    @pytest.mark.parametrize("j", [1.5, 1.0, True, "1", None])
+    def test_level_index_must_be_an_integer(self, j):
+        # panel_to_csv writes j with %d, so 1.5 would come back as 1
+        with pytest.raises(ValueError, match="level index j = %r is not an integer" % (j,)):
+            ScaleSchedule(levels=(ScheduleLevel(j=j, a_j=2.0, gamma_j=1.0, m_j=4),))
+
+    def test_level_index_must_not_repeat(self):
+        # panel_from_csv cannot tell two levels with one j apart
+        with pytest.raises(ValueError, match="level index j = 1 repeats"):
+            ScaleSchedule(levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=4),
+                                  ScheduleLevel(j=1, a_j=4.0, gamma_j=1.0, m_j=4)))
+        ScaleSchedule(levels=(ScheduleLevel(j=np.int64(1), a_j=2.0, gamma_j=1.0, m_j=4),
+                              ScheduleLevel(j=3, a_j=4.0, gamma_j=1.0, m_j=4)))
+
     def test_shifts_are_arithmetic(self):
         lv = ScheduleLevel(j=2, a_j=4.0, gamma_j=3.0, m_j=5)
         np.testing.assert_array_equal(lv.shifts(), [3.0, 6.0, 9.0, 12.0, 15.0])
