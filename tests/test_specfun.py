@@ -194,6 +194,19 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="finite"):
             integrate(lambda lam: np.exp(-lam * lam), lo, hi)
 
+    def test_indicator_over_real_line(self):
+        # A real-line integral is taken over the integrand's support, with
+        # its jumps as breakpoints.
+        f = lambda lam: np.where(np.abs(lam) <= math.pi, 1.0, 0.0)
+        value = integrate(f, -4.0, 4.0, breakpoints=(-math.pi, math.pi))
+        assert value == pytest.approx(2.0 * math.pi, rel=1e-9)
+
+    def test_gaussian_over_real_line(self):
+        # Past |lam| = 7, exp(-lam^2) is below e^-49: the envelope a
+        # smooth-h SpectralModel declares.
+        value = integrate(lambda lam: np.exp(-lam * lam), -7.0, 7.0)
+        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+
     def test_algebraic_singularity_vs_midpoint_oracle(self):
         f = lambda lam: np.abs(lam * lam - 1.0) ** -0.25
         spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
