@@ -2,9 +2,9 @@
 # End-to-end run of the installed specpole console script, in cli-smoke/
 # under the current directory: simulate -> transform (from the path CSV)
 # -> estimate, on a path that covers the lattice window [-34, 51] of this
-# tiny schedule.  Then a 2-replication montecarlo run, and the indicator
-# model's density and its covariance at 2049 lags (one Filon column)
-# written by spectrum.
+# tiny schedule.  Then a 2-replication montecarlo run, and the density
+# and covariances written by spectrum: the indicator model's at 2049 lags
+# (one Filon column) and the Gegenbauer moving average's at 65.
 # Each run's manifest config is fed back through its subcommand into
 # another directory, which must hold the same outputs byte for byte.
 #
@@ -38,3 +38,5 @@ specpole montecarlo --config mc.json --out mc
 replay mc montecarlo replications.csv mse_table.csv summary.json
 specpole spectrum --family indicator --s0 1.2661 --alpha 0.1 --M 3 --cov-lags 2048 --out spec
 replay spec spectrum spectrum.csv covariance.csv
+specpole spectrum --family gegenbauer --d 0.1 --u 0.3 --cov-lags 64 --out spec-ma
+replay spec-ma spectrum spectrum.csv covariance.csv

@@ -42,7 +42,6 @@ __all__ = [
     "FilterSpec",
     "GegenbauerSpec",
     "indicator_model",
-    "covariance_eval",
     "builtin_filter",
     "BUILTIN_FILTER_NAMES",
     "model_from_json",
@@ -57,6 +56,28 @@ _CONSTANT_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 # is under this many per lag: on the indicator model (M = 3, g = 1) a
 # column of K lags took about 5 ms + 4 us K and each lag alone 4 ms.
 _COLUMN_SPAN = 64
+
+
+def _checked_lags(lags, integer=False):
+    """lags as floats, or ValueError naming the first that is not finite
+    (with ``integer``, not a finite whole number)."""
+    lags = np.asarray(lags, dtype=float)
+    bad = ~np.isfinite(lags)
+    if integer:
+        bad |= lags != np.rint(lags)
+    if bad.any():
+        raise ValueError("covariances: lag %r is not a finite %s"
+                         % (float(lags[bad][0]), "integer" if integer else "number"))
+    return lags
+
+
+def _spills(g, band):
+    """Whether sampled |g| on (band, 3 band] exceeds 1e-12 of its peak
+    on [0, band]."""
+    with np.errstate(all="ignore"):
+        outside = np.abs(g(np.linspace(1.02 * band, 3.0 * band, 64)))
+        peak = float(np.max(np.abs(g(np.linspace(0.0, band, 128)))))
+    return peak > 0.0 and bool(np.any(outside > 1e-12 * peak))
 
 
 def _attach(obj, doc):
@@ -83,7 +104,8 @@ class SpectralModel:
 
     ``envelope`` is the positive finite M beyond which h is taken to
     vanish: every covariance integrates over [-M, M] (a smooth h needs an
-    M where it is negligible, such as 7 for exp(-lam^2)).  ``doc`` is
+    M where it is negligible, such as 7 for exp(-lam^2)); a warning says
+    when |h| on (M, 3M] exceeds 1e-12 of its peak on [0, M].  ``doc`` is
     ``indicator_model``'s document, None for a model built here.
     """
 
@@ -116,6 +138,11 @@ class SpectralModel:
             warnings.warn("SpectralModel: h is not even on the sampled grid")
         if np.any(h_pos < -1e-12):
             warnings.warn("SpectralModel: h takes negative sampled values")
+        if _spills(self.h, self.envelope):
+            warnings.warn(
+                "SpectralModel: |h| exceeds 1e-12 of its peak beyond the "
+                "envelope %r, where every covariance truncates it" % self.envelope
+            )
         safe = np.abs(grid - self.s0) > 1e-9 * self.s0
         dens = h_pos[safe] / np.abs(grid[safe] ** 2 - self.s0**2) ** (2 * self.alpha)
         if not np.all(np.isfinite(dens)):
@@ -140,20 +167,21 @@ class SpectralModel:
         hv = np.asarray(self.h(lam), dtype=float)
         return hv / np.abs(lam * lam - self.s0**2) ** (2.0 * self.alpha)
 
-    def covariances(self, lags, spec=None):
-        """Covariances B(r) at the given lags: multiples k g of the least
-        positive lag g are one column 2 int_0^M cos(k g lam) f(lam) dlam,
-        M the envelope (see _band_column), while max(k) is under
-        _COLUMN_SPAN per lag; other lags take covariance_eval."""
-        lags = np.abs(np.asarray(lags, dtype=float))
+    def covariances(self, lags):
+        """Covariances B(r) = 2 int_0^M cos(r lam) f(lam) dlam, M the
+        envelope, at the given finite lags (ValueError names the first
+        other): multiples k g of the least positive lag g are one column
+        (see _band_column) while max(k) is under _COLUMN_SPAN per lag,
+        and any other lag is entry 1 of the column of lags 0, |r|."""
+        lags = np.abs(_checked_lags(lags))
         pos = lags > 0
         step = lags[pos].min() if pos.any() else 0.0
         k = np.rint(np.divide(lags, step, out=np.zeros(lags.shape), where=pos))
         if (not np.all(k < _COLUMN_SPAN * lags.size)
                 or not np.allclose(lags, step * k, 1e-12, 0.0)):
-            return np.array([covariance_eval(self, r, spec) for r in lags])
+            return np.array([_band_column(self, self.envelope, (), r, 2, 2.0)[1] for r in lags])
         k = k.astype(int)
-        return _band_column(self, self.envelope, (), step, k.max(initial=0) + 1, spec, 2.0)[k]
+        return _band_column(self, self.envelope, (), step, k.max(initial=0) + 1, 2.0)[k]
 
     def zero_limits(self):
         """(f(0), f''(0)/4), the limits of the two filter statistics.
@@ -183,22 +211,14 @@ def indicator_model(s0, alpha, M):
     return _attach(model, {"family": "indicator", "s0": model.s0, "alpha": model.alpha, "M": M})
 
 
-def covariance_eval(model, r, spec=None):
-    """Covariance B(r) = integral cos(r*lam) f(lam) dlam over the
-    envelope [-M, M]: twice the half band, by the even symmetry of the
-    density, as entry 1 of the column of lags 0, |r| (_band_column)."""
-    return float(_band_column(model, model.envelope, (), abs(float(r)), 2, spec, 2.0)[1])
-
-
-def _band_column(model, upper, knots, gamma, m, spec, scale, window=lambda lam: 1.0):
+def _band_column(model, upper, knots, gamma, m, scale, window=lambda lam: 1.0):
     """scale * int_0^upper cos(k gamma lam) window(lam) f(lam) dlam, k < m
     (all lag 0 if gamma = 0), by specfun._filon_column; s0 in the band is
     its pole (s0, 2 alpha) of window h |lam + s0|^(-2 alpha)."""
-    spec = spec or QuadratureSpec()
     pole = (model.s0, 2.0 * model.alpha) if model.s0 <= upper else None
     f = model.pole_density if pole is None else (
         lambda lam: np.asarray(model.h(lam), dtype=float) * (lam + model.s0) ** -pole[1])
-    return _filon_column(lambda lam: window(lam) * f(lam), upper, knots, pole, gamma, m, spec, scale)
+    return _filon_column(lambda lam: window(lam) * f(lam), upper, knots, pole, gamma, m, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +263,7 @@ class FilterSpec:
         object.__setattr__(self, "c3", 2.0 * moment(lambda lam: lam * lam * sq(lam)))
         if not (self.c2 > 0.0 and self.c3 > 0.0):
             raise ValueError("FilterSpec: moments c2 and c3 must be positive")
-        with np.errstate(all="ignore"):
-            out_sq = sq(np.linspace(1.02 * A, 3.0 * A, 64))
-            peak = float(np.max(sq(np.linspace(0.0, A, 128))))
-        if peak > 0.0 and np.any(out_sq > 1e-12 * peak):
+        if _spills(sq, A):
             warnings.warn(
                 "FilterSpec %r: |psi_hat|^2 exceeds 1e-12 of its peak outside "
                 "the declared band" % self.name
@@ -448,12 +465,14 @@ class GegenbauerSpec:
         phases = np.exp(-1j * np.multiply.outer(lam, np.arange(coeffs.size)))
         return self.sigma_eps**2 * np.abs(phases @ coeffs) ** 2 / (2.0 * np.pi)
 
-    def covariances(self, lags, spec=None):
-        """Exact covariances sigma^2 sum_n C_n C_{n+|r|}; ``spec`` is unused."""
+    def covariances(self, lags):
+        """Exact covariances sigma^2 sum_n C_n C_{n+|r|} at the given
+        integer lags (ValueError names the first other)."""
         coeffs = self.coefficients()
         full = self.sigma_eps**2 * np.correlate(coeffs, coeffs, "full")
-        idx = np.abs(np.asarray(lags).astype(int)) + coeffs.size - 1
-        return np.where(idx < full.size, full[np.minimum(idx, full.size - 1)], 0.0)
+        lags = np.abs(_checked_lags(lags, integer=True))
+        inside = lags < coeffs.size
+        return np.where(inside, full[np.where(inside, lags, 0).astype(int) + coeffs.size - 1], 0.0)
 
     def zero_limits(self):
         """(f(0), f''(0)/4) from the moments of the weights C_n."""

@@ -379,7 +379,7 @@ def _symmetric_toeplitz(col):
     return np.lib.stride_tricks.sliding_window_view(ends, col.size)[::-1].copy()
 
 
-def _covariance_column(model, filt, a_j, shifts, spec):
+def _covariance_column(model, filt, a_j, shifts):
     """Checked inputs, then the Toeplitz column of one level: its lags
     k gamma, k < m, on an arithmetic grid (a single shift counts as one)
     by one Filon rule on [0, min(A / a_j, envelope)], window
@@ -411,34 +411,34 @@ def _covariance_column(model, filt, a_j, shifts, spec):
     knots = [x / a_j for x in filt.breakpoints if 0.0 < x / a_j < upper]
     # a_j * upper may round past the band edge A; keep it inside
     window = lambda lam: np.abs(filt.psi_hat(np.minimum(a_j * lam, filt.band_limit_A))) ** 2
-    return _band_column(model, upper, knots, abs(gamma), m, spec, 2.0 * a_j, window)
+    return _band_column(model, upper, knots, abs(gamma), m, 2.0 * a_j, window)
 
 
-def coefficient_covariance(model, filt, a_j, shifts, spec=None):
+def coefficient_covariance(model, filt, a_j, shifts):
     """Exact covariance matrix of the coefficients at one scale.
 
     The shifts must form an arithmetic grid (a single shift counts as
     one), the only grid a ScaleSchedule admits; any other grid raises
     ValueError.  The matrix is then Toeplitz, the symmetric extension of
-    its first column, which one Filon rule gives for every lag, a pole in
-    the band subtracted in closed form (see _covariance_column).  Sampling
-    factors that column directly (see _schur_factor) and never builds
-    this matrix, nor any other m x m array.
+    its first column, which one Filon rule gives for every lag at one
+    tolerance, a pole in the band subtracted in closed form (see
+    _covariance_column).  Sampling factors that same column directly (see
+    _schur_factor) and never builds this matrix, nor any other m x m array.
     The recommended regime is a_j >= 2 * band limit; below that the
     across-scale decorrelation bounds stop applying and a warning is
     emitted.
     """
     shifts = np.asarray(shifts, dtype=float)
-    return _symmetric_toeplitz(_covariance_column(model, filt, a_j, shifts, spec))
+    return _symmetric_toeplitz(_covariance_column(model, filt, a_j, shifts))
 
 
-def scale_second_moment(model, filt, a, spec=None):
+def scale_second_moment(model, filt, a):
     """J(a): the common variance of coefficients at scale a.
 
-    Entry 0 of the single-shift column, with the checks and the warning
-    of coefficient_covariance.
+    Entry 0 of the single-shift column, at the tolerance, with the checks
+    and the warning of coefficient_covariance.
     """
-    return float(_covariance_column(model, filt, a, np.zeros(1), spec)[0])
+    return float(_covariance_column(model, filt, a, np.zeros(1))[0])
 
 
 # Columns per block of a packed Schur factor, and rows per staging band.
@@ -563,7 +563,7 @@ def _panel_factors(model, filt, schedule):
         if _FACTORS[0] != key:
             _FACTORS = (None, None)
             _FACTORS = (key, tuple(
-                _schur_factor(_covariance_column(model, filt, lv.a_j, lv.shifts(), None),
+                _schur_factor(_covariance_column(model, filt, lv.a_j, lv.shifts()),
                               lv.a_j)
                 for lv in schedule.levels))
         return _FACTORS[1]

@@ -18,7 +18,7 @@ of them:
   a breakpoint ``s`` converges as the worst-panel bisection halves
   geometrically toward it.
 * ``_filon_column``: every covariance on a finite band, at all lags by
-  one Filon rule, with a pole subtracted in closed form.
+  one Filon rule to one tolerance, a pole subtracted in closed form.
 
 All functions are pure and keep no module state, so they are safe to
 call concurrently.
@@ -153,8 +153,8 @@ def gegenbauer_coeff(n, d, u):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy and refinement budget for :func:`integrate` and the
-    covariance columns."""
+    """Accuracy and refinement budget for :func:`integrate`, which computes
+    the filter constants (and the tests' per-lag covariance oracle)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -357,6 +357,8 @@ def integrate(f, lo, hi, spec=None, *, breakpoints=()):
 # starts at the cap), and of [0, top] in its last
 _DCT_MIN_NODES = 1 << 14
 _DCT_MAX_NODES = 1 << 18
+# Error bound every column entry c meets: _COLUMN_TOL * max(1, |c|)
+_COLUMN_TOL = 1e-10
 
 
 def _power_exp(beta, w, length):
@@ -422,7 +424,7 @@ def _filon_cells(w, x0, x1, g0, g1):
                         - 0.5 * (g1 - g0) * np.sin(c) * slope)
 
 
-def _filon_column(f, upper, knots, pole, gamma, m, spec, scale):
+def _filon_column(f, upper, knots, pole, gamma, m, scale):
     """scale * int_0^upper cos(k gamma lam) g(lam) dlam for k < m, by one
     Filon rule for all lags: g = f, or f(lam) |lam - s0|^-p for a pole
     = (s0, p), 0 < s0 <= upper, whose two leading terms (f(s0) + f'(s0)
@@ -447,8 +449,8 @@ def _filon_column(f, upper, knots, pole, gamma, m, spec, scale):
     R_n/4| / 4) bounds its error with a margin of 3 while the error of R
     shrinks 4x or more per doubling, as it does at a kink.  n starts
     where the band holds _DCT_MIN_NODES cells, at most at _DCT_MAX_NODES,
-    and doubles until every lag meets the tolerance; a miss at
-    _DCT_MAX_NODES raises QuadratureConvergenceError.
+    and doubles until every lag meets _COLUMN_TOL * max(1, |entry|); a
+    miss at _DCT_MAX_NODES raises QuadratureConvergenceError.
     """
     lags = np.arange(m) if gamma else np.zeros(m, dtype=int)
     gamma = gamma or math.pi / upper
@@ -512,7 +514,7 @@ def _filon_column(f, upper, knots, pole, gamma, m, spec, scale):
         sums = [filon_sum(g[::1 << r], entries[r]) for r in range(4)]
         r = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(sums, sums[1:])]
         col, error = r[0] + exact, np.maximum(np.abs(r[0] - r[1]), np.abs(r[1] - r[2]) / 4.0)
-        missed = ~(error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(col)))
+        missed = ~(error <= _COLUMN_TOL * np.maximum(1.0, np.abs(col)))
         if not missed.any():
             return scale * col
         if n >= _DCT_MAX_NODES:

@@ -123,7 +123,7 @@ def linear_schedule(j_max, kappa=3.0):
     kappa = float(kappa)
     levels = tuple(ScheduleLevel(j=j, a_j=float(j), gamma_j=1.0, m_j=int(math.ceil(j**kappa)))
                    for j in range(1, j_max + 1))
-    doc = {"rule": "linear", "j_max": j_max, "kappa": kappa, "gamma_mode": "unit"}
+    doc = {"rule": "linear", "j_max": j_max, "kappa": kappa}
     return _attach(ScaleSchedule(levels), doc)
 
 
@@ -165,7 +165,6 @@ def geometric_schedule(j_max, a0, rho, kappa, m_cap=None):
         "a0": a0,
         "rho": rho,
         "kappa": kappa,
-        "gamma_mode": "scale",
     }
     if m_cap is not None:
         doc["m_cap"] = int(m_cap)

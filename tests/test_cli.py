@@ -195,7 +195,7 @@ class TestSpectrum:
         cov = read_csv(os.path.join(out, "covariance.csv"))
         model = specpole.model_from_json(INDICATOR_MODEL)
         np.testing.assert_allclose(
-            cov[0, 1], specpole.covariance_eval(model, 0.0), rtol=1e-8
+            cov[0, 1], model.covariances([0.0])[0], rtol=1e-8
         )
         assert cov.shape == (3, 2)
 

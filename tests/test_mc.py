@@ -22,7 +22,6 @@ import specpole.mc
 import specpole.model
 from specpole import simulate
 from specpole.model import GegenbauerSpec, builtin_filter, indicator_model
-from specpole.specfun import QuadratureSpec
 from specpole.transform import (
     ScaleSchedule,
     ScheduleLevel,
@@ -405,9 +404,7 @@ class TestExactMse:
         target = filt.c2 * model.zero_limits()[0]
         mse = []
         for lv in schedule.levels:
-            col = simulate._covariance_column(
-                model, filt, lv.a_j, lv.shifts(), QuadratureSpec()
-            )
+            col = simulate._covariance_column(model, filt, lv.a_j, lv.shifts())
             m = lv.m_j
             frobenius_sq = m * col[0] ** 2 + 2.0 * np.sum(
                 (m - np.arange(1, m)) * col[1:] ** 2

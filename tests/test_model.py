@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+import specpole
+from specpole import model as model_module
 from specpole.model import (
     _MEXICAN_TIME_THRESHOLD,
     _MEXICAN_W_BAND,
@@ -18,7 +20,6 @@ from specpole.model import (
     GegenbauerSpec,
     SpectralModel,
     builtin_filter,
-    covariance_eval,
     filter_from_json,
     filter_to_json,
     indicator_model,
@@ -354,15 +355,15 @@ class TestSpectralModel:
         model = indicator_model(1.5, 0.1, 3.0)
         integrand = lambda lam: np.abs(lam**2 - 1.5**2) ** -0.2
         oracle = 2.0 * midpoint_rule(integrand, 0.0, 3.0, 10_000_000)
-        value = covariance_eval(model, 0.0)
+        value = model.covariances([0.0])[0]
         np.testing.assert_allclose(value, oracle, rtol=5e-6)
 
     def test_covariance_even_and_bounded(self):
         model = indicator_model(1.5, 0.1, 3.0)
-        b0 = covariance_eval(model, 0.0)
+        b0 = model.covariances([0.0])[0]
         for r in (0.4, 1.1, 2.7):
-            br = covariance_eval(model, r)
-            np.testing.assert_allclose(br, covariance_eval(model, -r), rtol=1e-10)
+            br = model.covariances([r])[0]
+            np.testing.assert_allclose(br, model.covariances([-r])[0], rtol=1e-10)
             assert abs(br) < b0
 
     def test_covariance_oscillatory_argument(self):
@@ -376,7 +377,7 @@ class TestSpectralModel:
         fine = 2.0 * midpoint_rule(integrand, 0.0, 3.0, 4_000_000)
         ratio = 2.0**0.8
         oracle = (ratio * fine - coarse) / (ratio - 1.0)
-        np.testing.assert_allclose(covariance_eval(model, 25.0), oracle, atol=1e-9)
+        np.testing.assert_allclose(model.covariances([25.0])[0], oracle, atol=1e-9)
 
     def test_covariance_near_lag_zero(self):
         # 0 <= B(0) - B(r) = 2 int (1 - cos r lam) f <= (r M)^2 B(0) / 2, and
@@ -384,8 +385,8 @@ class TestSpectralModel:
         # r = 1e-9 the band [0, M] is a tiny part of the half-period pi / r
         # and takes nodes of its own.
         model = indicator_model(1.2661, 0.1, 3.0)
-        b0 = covariance_eval(model, 0.0)
-        drop = {r: b0 - covariance_eval(model, r) for r in (1e-9, 1e-6, 1e-4, 1e-3)}
+        b0 = model.covariances([0.0])[0]
+        drop = {r: b0 - model.covariances([r])[0] for r in (1e-9, 1e-6, 1e-4, 1e-3)}
         for r, d in drop.items():
             assert -1e-14 * b0 <= d <= ((3.0 * r) ** 2 / 2.0 + 1e-14) * b0
         assert drop[1e-4] / 1e-8 == pytest.approx(drop[1e-3] / 1e-6, rel=1e-5)
@@ -398,17 +399,17 @@ class TestSpectralModel:
         model = indicator_model(1.5, 0.45, 3.0)
         g = lambda lam: math.cos(r * lam) * (lam + 1.5) ** -0.9
         oracle = 2.0 * pole_quadrature(g, 0.0, 3.0, 1.5, 0.9)
-        assert abs(covariance_eval(model, r) - oracle) <= 1e-11 * covariance_eval(model, 0.0)
+        assert abs(model.covariances([r])[0] - oracle) <= 1e-11 * model.covariances([0.0])[0]
 
     @pytest.mark.parametrize("r", [0.0, 50.0, 2000.0])
     def test_covariance_of_smooth_h_on_its_envelope(self, r):
         # h = exp(-lam^2) is below exp(-49) past the declared envelope 7,
-        # where the oracle stops too; the Filon column meets its abs_tol
-        # (measured within 7e-12)
+        # where the oracle stops too; the Filon column meets its tolerance
+        # 1e-10 (measured within 7e-12)
         h = lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2)
         model = SpectralModel(1.5, 0.2, h, envelope=7.0)
         g = lambda lam: math.cos(r * lam) * math.exp(-lam * lam) * (lam + 1.5) ** -0.4
-        value = covariance_eval(model, r)
+        value = model.covariances([r])[0]
         assert value == pytest.approx(2.0 * pole_quadrature(g, 0.0, 7.0, 1.5, 0.4), abs=1e-10)
 
     def test_model_needs_an_envelope(self):
@@ -420,20 +421,51 @@ class TestSpectralModel:
         model = indicator_model(1.2661, 0.1, 3.0)
         full = model.covariances(np.arange(0, 257.0))
         evens = model.covariances(np.arange(0, 8.0, 2.0))
-        far = [covariance_eval(model, r) for r in (1.0, 1000.0)]
-        uneven = [covariance_eval(model, r) for r in (1.0, 1.5)]
+        far = [model.covariances([r])[0] for r in (1.0, 1000.0)]
+        uneven = [model.covariances([r])[0] for r in (1.0, 1.5)]
+        columns = []  # (gamma, m) of each column asked for
+        real = model_module._band_column
 
-        def per_lag(*args):
-            raise AssertionError("covariance_eval called")
+        def counted(*args):
+            columns.append(args[3:5])
+            return real(*args)
 
-        monkeypatch.setattr("specpole.model.covariance_eval", per_lag)
+        monkeypatch.setattr(model_module, "_band_column", counted)
         np.testing.assert_array_equal(model.covariances(np.arange(1, 257.0)), full[1:])
         np.testing.assert_array_equal(model.covariances([6.0, -2.0, 0.0, 4.0]),
                                       evens[[3, 1, 0, 2]])
-        monkeypatch.undo()
-        # a column of 1001 lags for 2, and lags off the multiples, go lag by lag
+        assert columns == [(1.0, 257), (2.0, 4)]
+        # a column of 1001 lags for 2, and lags off the multiples, go lag by
+        # lag, each entry 1 of the column of lags 0, r
+        columns.clear()
         assert model.covariances([1.0, 1000.0]).tolist() == far
         assert model.covariances([1.0, 1.5]).tolist() == uneven
+        assert columns == [(1.0, 2), (1000.0, 2), (1.0, 2), (1.5, 2)]
+
+    def test_only_covariances_gives_a_covariance(self):
+        assert not hasattr(specpole, "covariance_eval")
+        assert not hasattr(model_module, "covariance_eval")
+
+    @pytest.mark.parametrize("lags, first", [([0.0, np.nan], "nan"), ([np.inf, 1.0], "inf"),
+                                             ([2.0, -np.inf, np.nan], "-inf")])
+    def test_covariances_need_finite_lags(self, lags, first):
+        for model in (indicator_model(1.2661, 0.1, 3.0), GegenbauerSpec(0.1, 0.3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="lag %s is not a finite" % first):
+                    model.covariances(lags)
+
+    def test_h_beyond_the_envelope_warning(self):
+        # exp(-lam^2/100) is 0.91 at 3, where envelope 3 truncates it
+        h = lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2 / 100.0)
+        with pytest.warns(UserWarning, match="beyond the envelope 3.0"):
+            SpectralModel(1.5, 0.2, h, envelope=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SpectralModel(1.5, 0.2, h, envelope=60.0)  # below e^-37 past 61.2
+            SpectralModel(1.5, 0.2, lambda lam: np.exp(-np.asarray(lam, dtype=float) ** 2),
+                          envelope=7.0)
+            indicator_model(1.5, 0.2, 3.0)
 
 
 class TestGegenbauerSpec:
@@ -475,6 +507,16 @@ class TestGegenbauerSpec:
             )
         assert spec.covariances([-3])[0] == spec.covariances([3])[0]
         assert spec.covariances([10, 50]).tolist() == [0.0, 0.0]
+
+    def test_covariances_need_integer_lags(self):
+        # the moving average lives on the integer lattice: a fractional lag
+        # is an error, not truncated to the integer below it
+        spec = GegenbauerSpec(d=0.1, u=0.3)
+        with pytest.raises(ValueError, match="lag 1.5 is not a finite integer"):
+            spec.covariances([1, 1.5, 1.999])
+        whole = spec.covariances(np.arange(-64, 65))
+        assert spec.covariances(np.arange(-64.0, 65.0)).tolist() == whole.tolist()
+        assert spec.covariances([1e20, -1e20, 2.0**63]).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestZeroLimits:

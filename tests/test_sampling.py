@@ -15,7 +15,6 @@ import pytest
 from specpole import simulate
 from specpole.model import builtin_filter, indicator_model
 from specpole.simulate import exact_coefficient_sample, gaussian_stream
-from specpole.specfun import QuadratureSpec
 from specpole.transform import ScaleSchedule, ScheduleLevel, geometric_schedule
 
 
@@ -139,7 +138,7 @@ FILT = builtin_filter("shannon-father")
 
 
 def level_column(a, m):
-    return simulate._covariance_column(MODEL, FILT, a, a * np.arange(1, m + 1), QuadratureSpec())
+    return simulate._covariance_column(MODEL, FILT, a, a * np.arange(1, m + 1))
 
 
 EXACT_C6_LEVELS = ((8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768))

@@ -19,7 +19,6 @@ from specpole.model import (
     GegenbauerSpec,
     SpectralModel,
     builtin_filter,
-    covariance_eval,
     indicator_model,
 )
 from specpole.simulate import (
@@ -401,14 +400,26 @@ class TestCoefficientCovariance:
         with pytest.raises(TypeError, match="SpectralModel"):
             scale_second_moment(GegenbauerSpec(d=0.1, u=0.3), self.filt, 8.0)
 
-    def test_nonconvergence_names_entry(self):
+    @pytest.mark.parametrize("call", [
+        lambda model, filt, spec: model.covariances([0.0, 1.0], spec),
+        lambda model, filt, spec: GegenbauerSpec(0.1, 0.3).covariances([0, 1], spec=spec),
+        lambda model, filt, spec: coefficient_covariance(model, filt, 8.0, [0.0, 8.0], spec),
+        lambda model, filt, spec: scale_second_moment(model, filt, 8.0, spec=spec),
+    ], ids=["SpectralModel.covariances", "GegenbauerSpec.covariances",
+            "coefficient_covariance", "scale_second_moment"])
+    def test_covariance_calls_take_no_spec(self, call):
+        # every column meets specfun._COLUMN_TOL, which no call sets
+        with pytest.raises(TypeError):
+            call(self.model, self.filt, QuadratureSpec())
+
+    def test_nonconvergence_names_entry(self, monkeypatch):
         # a = 0.5 and shifts 1e-5 apart: the band [0, 3], which holds s0,
         # takes nodes of its own, and a tolerance below rounding is out of
         # their reach at the cap
-        spec = QuadratureSpec(abs_tol=1e-17, rel_tol=1e-17)
+        monkeypatch.setattr(specfun, "_COLUMN_TOL", 1e-17)
         with pytest.warns(UserWarning, match="band limit"):
             with pytest.raises(QuadratureConvergenceError, match="shift separation 1e-05") as info:
-                coefficient_covariance(self.model, self.filt, 0.5, [0.0, 1e-5], spec)
+                coefficient_covariance(self.model, self.filt, 0.5, [0.0, 1e-5])
         oracle = entry_integral(self.model, self.filt, 0.5, 1e-5)
         assert abs(info.value.estimate - oracle) <= 1e-10 * oracle
 
@@ -502,12 +513,11 @@ class TestDctColumn:
 
     model = indicator_model(1.2661036727794992, 0.1, 3.0)
     filt = builtin_filter("shannon-father")
-    spec = QuadratureSpec()
 
-    def column(self, filt, a, gamma, m, spec=spec):
+    def column(self, filt, a, gamma, m):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # levels below 2A
-            return simulate._covariance_column(self.model, filt, a, gamma * np.arange(m), spec)
+            return simulate._covariance_column(self.model, filt, a, gamma * np.arange(m))
 
     def assert_matches_per_lag(self, name, a, gamma, m, lags, tol=1e-12):
         filt = builtin_filter(name)
@@ -580,7 +590,7 @@ class TestDctColumn:
         lo, upper = (math.pi / a if name == "shannon-mother" else 0.0), band(model, filt, a)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a < 2A
-            col = simulate._covariance_column(model, filt, a, np.arange(256.0), self.spec)
+            col = simulate._covariance_column(model, filt, a, np.arange(256.0))
         for k in (0, 1, 31, 255):
             g = lambda lam: math.cos(k * lam) * abs(filt.psi_hat(a * lam)) ** 2 * (lam + 1.5) ** -0.9
             oracle = 2.0 * a * pole_quadrature(g, lo, upper, 1.5, 0.9)
@@ -614,10 +624,10 @@ class TestDctColumn:
             # the band ends 0.0095 below s0: at 1e-11 the Filon rule on
             # _DCT_MAX_NODES cells still misses at some lags
             filt = builtin_filter("shannon-mother")
-            spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+            monkeypatch.setattr(specfun, "_COLUMN_TOL", 1e-11)
             with pytest.raises(QuadratureConvergenceError, match="on up to %d cells"
                                % specfun._DCT_MAX_NODES) as info:
-                self.column(filt, 5.0, 1.0, 8, spec)
+                self.column(filt, 5.0, 1.0, 8)
             assert poles == [None]
             k = float(re.search(r"separation (\S+) ", str(info.value)).group(1))
             oracle = entry_integral(self.model, filt, 5.0, k)
@@ -670,11 +680,11 @@ class TestDctColumn:
                       + linear_schedule(44, kappa=2.0).levels
                       + linear_schedule(8, kappa=3.0).levels)
             for lv in levels:
-                simulate._covariance_column(self.model, filt, lv.a_j, lv.shifts(), self.spec)
+                simulate._covariance_column(self.model, filt, lv.a_j, lv.shifts())
                 scale_second_moment(self.model, filt, lv.a_j)
             coefficient_covariance(self.model, filt, 8.0, 8.0 * np.arange(16))
         self.model.covariances(np.arange(64.0))
-        covariance_eval(self.model, 2.5)
+        self.model.covariances([2.5])
         assert calls == []
 
     @pytest.mark.parametrize("n", [2, 3, 8, 1025, 8193])
@@ -691,7 +701,6 @@ class TestFarLags:
     column's Filon rule reads each lag from one aliased DCT entry."""
 
     model = indicator_model(1.2661, 0.1, 3.0)
-    spec = QuadratureSpec()
 
     def by_parts(self, lo, hi, delta, terms=10):
         """int_lo^hi cos(delta lam) f(lam) dlam to 40 digits, f the pole
@@ -744,8 +753,8 @@ class TestFarLags:
             delta = factor * switch + 0.37
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a = 8 < 2A
-                got = coefficient_covariance(self.model, filt, a, [0.0, delta], self.spec)
-            assert abs(got[0, 1] - self.oracle(filt, a, delta)) <= 2 * a * self.spec.abs_tol
+                got = coefficient_covariance(self.model, filt, a, [0.0, delta])
+            assert abs(got[0, 1] - self.oracle(filt, a, delta)) <= 2 * a * specfun._COLUMN_TOL
 
     def test_shannon_mother_reads_the_jump_from_inside_the_band(self):
         # psi_hat reads 0 at the band edge pi/a itself; a rule with a
@@ -756,7 +765,7 @@ class TestFarLags:
             cov = coefficient_covariance(self.model, filt, a, [0.0, delta])
         oracle = 2 * a * self.by_parts(math.pi / a, 2 * math.pi / a, delta)
         assert oracle == pytest.approx(3.0576727e-7, rel=1e-7)
-        assert abs(cov[0, 1] - oracle) <= 2 * a * self.spec.abs_tol
+        assert abs(cov[0, 1] - oracle) <= 2 * a * specfun._COLUMN_TOL
 
     def pole_terms(self, delta, terms=6):
         """The pole's share of int_0^U cos(delta lam) f(lam) dlam to 40
@@ -776,32 +785,36 @@ class TestFarLags:
                                    * series))
 
     @pytest.mark.parametrize("tol", [None, 1e-5, 1e-6])
-    def test_pole_in_band_far_lag_matches_oracle(self, tol):
+    def test_pole_in_band_far_lag_matches_oracle(self, tol, monkeypatch):
         # a = 2: the Shannon father's band [0, pi/2] holds s0, and 1e5 is
         # 5e4 half-periods of it; the oracle is the asymptotic series of
         # the endpoints and the pole.
-        spec = QuadratureSpec() if tol is None else QuadratureSpec(abs_tol=tol, rel_tol=tol)
+        if tol is not None:
+            monkeypatch.setattr(specfun, "_COLUMN_TOL", tol)
+        tol = specfun._COLUMN_TOL
         filt = builtin_filter("shannon-father")
         a, delta = 2.0, 1e5
         with pytest.warns(UserWarning, match="band limit"):  # a = 2 < 2A
-            got = coefficient_covariance(self.model, filt, a, [0.0, delta], spec)[0, 1]
+            got = coefficient_covariance(self.model, filt, a, [0.0, delta])[0, 1]
         oracle = 2 * a * (self.by_parts(0.0, math.pi / a, delta) + self.pole_terms(delta))
         assert abs(oracle) > 1e-4
-        assert abs(got - oracle) <= 2 * a * spec.abs_tol + spec.rel_tol * abs(oracle)
+        assert abs(got - oracle) <= 2 * a * tol + tol * abs(oracle)
 
-    def test_node_cap_miss_reports_estimate_and_bound(self):
-        # The far entry is about 2.5e-14, so no rounded sum meets a 1e-12
-        # relative tolerance with no absolute floor: the doubling runs to
-        # _DCT_MAX_NODES cells and raises at that lag.
+    def test_node_cap_miss_reports_estimate_and_bound(self, monkeypatch):
+        # The far entry is about 2.5e-14, so no rounded sum meets a
+        # tolerance of 1e-30: the doubling runs to _DCT_MAX_NODES cells
+        # and raises at that lag.  Its estimate and bound still meet the
+        # default tolerance.
+        tol = specfun._COLUMN_TOL
+        monkeypatch.setattr(specfun, "_COLUMN_TOL", 1e-30)
         filt = builtin_filter("shannon-father")
         a, delta = 8.0, 8e6
-        starved = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-12)
         with pytest.raises(QuadratureConvergenceError, match=r"separation 8000000\.0 .*"
                            r"on up to %d cells" % specfun._DCT_MAX_NODES) as info:
-            coefficient_covariance(self.model, filt, a, [0.0, delta], starved)
+            coefficient_covariance(self.model, filt, a, [0.0, delta])
         oracle = 2 * a * self.by_parts(0.0, math.pi / a, delta)
-        assert abs(info.value.estimate - oracle) <= 2 * a * self.spec.abs_tol
-        assert 0.0 < info.value.error_bound <= 2 * a * self.spec.abs_tol
+        assert abs(info.value.estimate - oracle) <= 2 * a * tol
+        assert 0.0 < info.value.error_bound <= 2 * a * tol
 
 
 class TestLevelFactor:
@@ -876,8 +889,8 @@ class TestLevelFactor:
         monkeypatch.setattr(simulate, "_FACTORS", (None, None))
         real = simulate._covariance_column
 
-        def column(model, filt, a_j, shifts, spec):
-            col = real(model, filt, a_j, shifts, spec)
+        def column(model, filt, a_j, shifts):
+            col = real(model, filt, a_j, shifts)
             return np.array([1.0, 2.0, 0.0]) if a_j == 16.0 else col
 
         monkeypatch.setattr(simulate, "_covariance_column", column)

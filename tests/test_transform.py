@@ -173,8 +173,7 @@ class TestSchedules:
         with pytest.raises(ValueError, match="rule"):
             schedule_to_json(ScaleSchedule(levels=geo.levels))
         assert schedule_to_json(geo)["rule"] == "geometric"
-        assert linear.doc == {"rule": "linear", "j_max": 3, "kappa": 3.0,
-                              "gamma_mode": "unit"}
+        assert linear.doc == {"rule": "linear", "j_max": 3, "kappa": 3.0}
 
     def test_block_radius_follows_the_scale(self):
         with pytest.raises(TypeError):
