@@ -7,6 +7,7 @@
 # (one Filon column) and the Gegenbauer moving average's at 65.
 # Each run's manifest config is fed back through its subcommand into
 # another directory, which must hold the same outputs byte for byte.
+# Last, spectrum given model flags instead of a config must exit 2.
 #
 #     sh .github/cli-smoke.sh
 set -eu
@@ -36,7 +37,13 @@ replay est estimate estimates.csv
 echo '{"model": {"family": "indicator", "s0": 1.2661, "alpha": 0.1, "M": 3.0}, "filter": {"name": "shannon-father"}, "schedule": {"rule": "geometric", "j_max": 2, "a0": 4.0, "rho": 2.0, "kappa": 2.0, "m_cap": 32}, "backend": "exact-gaussian", "replications": 2, "base_seed": 1}' > mc.json
 specpole montecarlo --config mc.json --out mc
 replay mc montecarlo replications.csv mse_table.csv summary.json
-specpole spectrum --family indicator --s0 1.2661 --alpha 0.1 --M 3 --cov-lags 2048 --out spec
+echo '{"model": {"family": "indicator", "s0": 1.2661, "alpha": 0.1, "M": 3.0}, "cov_lags": 2048}' > spec.json
+echo '{"model": {"family": "gegenbauer", "d": 0.1, "u": 0.3}, "cov_lags": 64}' > spec-ma.json
+specpole spectrum --config spec.json --out spec
 replay spec spectrum spectrum.csv covariance.csv
-specpole spectrum --family gegenbauer --d 0.1 --u 0.3 --cov-lags 64 --out spec-ma
+specpole spectrum --config spec-ma.json --out spec-ma
 replay spec-ma spectrum spectrum.csv covariance.csv
+# the config is spectrum's one input: the former inline model is a usage error
+rc=0
+specpole spectrum --family indicator --s0 1.2661 --alpha 0.1 --M 3 --out spec-flag 2> /dev/null || rc=$?
+test "$rc" = 2 && test ! -e spec-flag

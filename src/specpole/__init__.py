@@ -6,143 +6,22 @@ density blows up at a nonzero frequency pair ``(-s0, s0)`` and estimates
 Lambert W inversion, with a Monte Carlo harness for validation.
 """
 
-from .estimator import (
-    ADJUSTMENT_CASES,
-    EstimateResult,
-    FeasiblePoint,
-    StatisticsRow,
-    adjust,
-    estimate,
-    first_statistic,
-    forward_map,
-    in_feasible_region,
-    results_to_csv,
-    results_to_json,
-    second_statistic,
-    solve,
-)
-from .mc import (
-    ExperimentConfig,
-    MseTable,
-    experiment_from_json,
-    experiment_to_json,
-    run_experiment,
-    summarize,
-    summary_json,
-    write_outputs,
-)
-from .model import (
-    BUILTIN_FILTER_NAMES,
-    ConfigError,
-    FilterSpec,
-    GegenbauerSpec,
-    SpectralModel,
-    builtin_filter,
-    filter_from_json,
-    filter_to_json,
-    indicator_model,
-    model_from_json,
-    model_to_json,
-)
-from .simulate import (
-    PROVENANCES,
-    CoefficientPanel,
-    PanelLevel,
-    PathRealization,
-    coefficient_covariance,
-    exact_coefficient_sample,
-    gaussian_stream,
-    gegenbauer_path,
-    panel_from_csv,
-    panel_to_csv,
-    path_from_csv,
-    path_to_csv,
-    scale_second_moment,
-)
-from .specfun import (
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    gegenbauer_coeff,
-    gegenbauer_coeffs,
-    integrate,
-    lambert_w0,
-)
-from .transform import (
-    ScaleSchedule,
-    ScheduleLevel,
-    filter_transform,
-    geometric_schedule,
-    lattice_window,
-    linear_schedule,
-    panel_from_path,
-    required_extent,
-    schedule_from_json,
-    schedule_to_json,
-)
+from . import estimator, mc, model, simulate, specfun, transform
+from .estimator import *
+from .mc import *
+from .model import *
+from .simulate import *
+from .specfun import *
+from .transform import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADJUSTMENT_CASES",
-    "BUILTIN_FILTER_NAMES",
-    "CoefficientPanel",
-    "ConfigError",
-    "EstimateResult",
-    "ExperimentConfig",
-    "FeasiblePoint",
-    "FilterSpec",
-    "GegenbauerSpec",
-    "MseTable",
-    "PanelLevel",
-    "PathRealization",
-    "PROVENANCES",
-    "QuadratureConvergenceError",
-    "QuadratureSpec",
-    "ScaleSchedule",
-    "ScheduleLevel",
-    "SpectralModel",
-    "StatisticsRow",
-    "adjust",
-    "builtin_filter",
-    "coefficient_covariance",
-    "estimate",
-    "exact_coefficient_sample",
-    "experiment_from_json",
-    "experiment_to_json",
-    "filter_from_json",
-    "filter_to_json",
-    "filter_transform",
-    "first_statistic",
-    "forward_map",
-    "gaussian_stream",
-    "gegenbauer_coeff",
-    "gegenbauer_coeffs",
-    "gegenbauer_path",
-    "geometric_schedule",
-    "in_feasible_region",
-    "indicator_model",
-    "integrate",
-    "lambert_w0",
-    "lattice_window",
-    "linear_schedule",
-    "model_from_json",
-    "model_to_json",
-    "panel_from_csv",
-    "panel_from_path",
-    "panel_to_csv",
-    "path_from_csv",
-    "path_to_csv",
-    "required_extent",
-    "results_to_csv",
-    "results_to_json",
-    "run_experiment",
-    "scale_second_moment",
-    "schedule_from_json",
-    "schedule_to_json",
-    "second_statistic",
-    "solve",
-    "summarize",
-    "summary_json",
-    "write_outputs",
+    *estimator.__all__,
+    *mc.__all__,
+    *model.__all__,
+    *simulate.__all__,
+    *specfun.__all__,
+    *transform.__all__,
     "__version__",
 ]

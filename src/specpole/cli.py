@@ -16,10 +16,13 @@ problems are reported with the JSON-pointer path of the offending key,
 so ``"config error at /schedule/j_max: missing required key"`` points
 into the document.
 
-Every command that writes files also writes ``manifest.json`` next to
-them, capturing the artifact version, the configuration the command read
-(defaults filled in, flag overrides applied) and the seed, so any output
-can be reproduced exactly from its manifest alone.
+Every command but ``constants`` reads its one input, a JSON document,
+from ``--config`` and writes its files under ``--out`` (``montecarlo``
+also takes the directory from the config's ``out_dir``).  Next to them it
+writes ``manifest.json``, capturing the artifact version, the
+configuration the command read (defaults filled in, flag overrides
+applied) and the seed, so any output can be reproduced exactly from its
+manifest alone.
 """
 
 import argparse
@@ -113,31 +116,9 @@ def cmd_constants(args):
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_doc(args):
-    """The --config document, or the one the inline model flags stand for."""
-    if args.config is not None and args.family is not None:
-        raise ConfigError("", "pass either --config or --family, not both")
-    if args.config is not None:
-        return _load_config(args.config)
-    if args.family == "indicator":
-        model = {"s0": args.s0, "alpha": args.alpha, "M": args.M}
-        if None in model.values():
-            raise ConfigError("", "--family indicator needs --s0, --alpha and --M")
-    elif args.family == "gegenbauer":
-        if args.d is None or args.u is None:
-            raise ConfigError("", "--family gegenbauer needs --d and --u")
-        model = {"d": args.d, "u": args.u, "sigma_eps": args.sigma_eps,
-                 "truncation": args.truncation}
-    else:
-        raise ConfigError("", "spectrum needs --config or --family")
-    # an optional flag left out leaves its key out
-    model = {key: value for key, value in model.items() if value is not None}
-    return {"model": {"family": args.family, **model}}
-
-
 def cmd_spectrum(args):
     model, lam_max, n_grid, cov_lags, config = _read_config(
-        _spectrum_doc(args), "",
+        _load_config(args.config), "",
         {"lam_max": args.lam_max, "n_grid": args.n_grid, "cov_lags": args.cov_lags},
         ("model", _MODEL, _REQUIRED), ("lam_max", "number", None),
         ("n_grid", "integer", 401), ("cov_lags", "integer", 0),
@@ -168,10 +149,6 @@ def cmd_spectrum(args):
         lags = np.arange(cov_lags + 1, dtype=float)
         tables["covariance.csv"] = (
             ("r", "B"), zip(lags.tolist(), model.covariances(lags).tolist()))
-    if args.out is None:
-        for header, rows in tables.values():
-            _write_csv(sys.stdout, header, rows)
-        return 0
     out_dir = _ensure_out(args.out)
     for name, (header, rows) in tables.items():
         _write_csv(os.path.join(out_dir, name), header, rows)
@@ -238,23 +215,8 @@ def cmd_transform(args):
 
 
 def cmd_estimate(args):
-    if args.config is not None:
-        if any(flag is not None for flag in (args.panel, args.filter, args.sigma)):
-            raise ConfigError(
-                "", "pass either --config or --panel/--filter/--sigma, not both"
-            )
-        doc = _load_config(args.config)
-    elif args.panel is None or args.filter is None:
-        raise ConfigError(
-            "", "estimate needs --config, or --panel together with --filter"
-        )
-    else:
-        doc = {"panel_csv": args.panel, "filter": {"name": args.filter}}
-        # --sigma left out leaves sigma to filter_from_json's default
-        if args.sigma is not None:
-            doc["filter"]["sigma"] = args.sigma
     panel_csv, filt, provenance, seed, config = _read_config(
-        doc, "", {},
+        _load_config(args.config), "", {},
         ("panel_csv", "string", _REQUIRED), ("filter", _FILTER, _REQUIRED),
         ("provenance", "string", "path-transform"), ("seed", "integer", 0),
     )
@@ -331,23 +293,10 @@ def build_parser():
         "spectrum",
         help="tabulate the spectral density and optional covariances as CSV",
     )
-    p.add_argument("--config", help="JSON config with a 'model' object")
-    p.add_argument("--out", help="output directory (default: CSV on stdout)")
-    p.add_argument("--family", choices=("indicator", "gegenbauer"),
-                   help="inline model family instead of --config")
-    p.add_argument("--s0", type=float, help="pole location (indicator model)")
-    p.add_argument("--alpha", type=float,
-                   help="memory exponent (indicator model)")
-    p.add_argument("--M", type=float,
-                   help="band edge of the indicator envelope")
-    p.add_argument("--d", type=float,
-                   help="memory parameter (gegenbauer model)")
-    p.add_argument("--u", type=float,
-                   help="cosine of the singular frequency (gegenbauer model)")
-    p.add_argument("--sigma-eps", type=float,
-                   help="innovation standard deviation (gegenbauer model)")
-    p.add_argument("--truncation", type=int,
-                   help="number of moving-average terms (gegenbauer model)")
+    p.add_argument("--config", required=True,
+                   help="JSON config with a model, and optionally lam_max, "
+                        "n_grid and cov_lags")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--lam-max", type=float,
                    help="grid half-width (default: past the band edge)")
     p.add_argument("--n-grid", type=int,
@@ -380,13 +329,10 @@ def build_parser():
         "estimate",
         help="estimate the pole and exponent from a panel CSV",
     )
-    p.add_argument("--config",
-                   help="JSON config with panel_csv and filter")
+    p.add_argument("--config", required=True,
+                   help="JSON config with panel_csv, filter, and optionally "
+                        "provenance and seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--panel", help="panel CSV path (alternative to --config)")
-    p.add_argument("--filter", help="filter name used to build the panel")
-    p.add_argument("--sigma", type=float,
-                   help="width parameter for the mexican-hat filter (default 1)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser(

@@ -111,10 +111,10 @@ _PPND_FAR_TAIL = (
      1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
      1.42151175831644588870e-7, 2.04426310338993978564e-15),
 )
-# Entries per block of _normal_quantile and gaussian_stream.  Each block
-# runs its whole pipeline in place, on temporaries of 128 KB that stay in
-# a 2 MB L2 cache.  Of 4096 to 32768 entries, 16384 gave the fastest warm
-# exact-c6 batches.
+# Entries per block of gaussian_stream.  Each block runs its whole
+# pipeline in place, on temporaries of 128 KB that stay in a 2 MB L2
+# cache.  Of 4096 to 32768 entries, 16384 gave the fastest warm exact-c6
+# batches.
 _QUANTILE_BLOCK = 1 << 14
 
 
@@ -135,9 +135,13 @@ def _rational(coeffs, r):
 
 
 def _quantile_into(p, out):
-    """AS241 quantile of the 1-d block p, written to out (which may be p).
+    """Standard normal quantile of each p in (0, 1) of the 1-d block p,
+    by AS241 PPND16, written to out (which may be p).
 
-    The tail branches run only on the entries with |p - 1/2| > 0.425.
+    Relative accuracy is about 1e-16: within 8 ulp of
+    ``scipy.special.ndtri`` on the whole lattice ``gaussian_stream``
+    draws from.  The tail branches run only on the entries with
+    |p - 1/2| > 0.425.
     """
     q = p - 0.5
     r = q * q
@@ -152,23 +156,6 @@ def _quantile_into(p, out):
         if far.size:
             t[far] = _rational(_PPND_FAR_TAIL, s[far] - 5.0)
         out[tail] = np.copysign(t, q[tail])
-
-
-def _normal_quantile(u):
-    """Standard normal quantile of each u in (0, 1), by AS241 PPND16.
-
-    Relative accuracy is about 1e-16: within 8 ulp of
-    ``scipy.special.ndtri`` on the whole lattice ``gaussian_stream``
-    draws from.  Runs in blocks of _QUANTILE_BLOCK entries, each by
-    _quantile_into, the same code ``gaussian_stream`` runs in place.
-    """
-    u = np.asarray(u, dtype=float)
-    flat = u.ravel()
-    out = np.empty(flat.size)
-    for lo in range(0, flat.size, _QUANTILE_BLOCK):
-        hi = lo + _QUANTILE_BLOCK
-        _quantile_into(flat[lo:hi], out[lo:hi])
-    return out.reshape(u.shape)
 
 
 def gaussian_stream(seed, tag, indices):

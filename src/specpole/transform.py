@@ -94,20 +94,27 @@ class ScaleSchedule:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("ScaleSchedule: need at least one level")
-        a = np.array([lv.a_j for lv in self.levels], dtype=float)
-        if not np.all(a > 0) or not np.all(np.diff(a) > 0):
-            raise ValueError("ScaleSchedule: scales must be positive and strictly increasing")
         seen = set()
         for lv in self.levels:
-            if isinstance(lv.j, bool) or not isinstance(lv.j, (int, np.integer)):
+            if not _is_integer(lv.j):
                 raise ValueError("ScaleSchedule: level index j = %r is not an integer" % (lv.j,))
             if lv.j in seen:
                 raise ValueError("ScaleSchedule: level index j = %d repeats" % lv.j)
             seen.add(lv.j)
-            if lv.m_j < 1:
-                raise ValueError("ScaleSchedule: m_j must be >= 1 at level %d" % lv.j)
-            if not (lv.gamma_j > 0):
-                raise ValueError("ScaleSchedule: gamma_j must be positive at level %d" % lv.j)
+            if not (_is_integer(lv.m_j) and lv.m_j >= 1):
+                raise ValueError("ScaleSchedule: m_j = %r must be an integer >= 1 at level %d"
+                                 % (lv.m_j, lv.j))
+            for name in ("a_j", "gamma_j"):
+                value = getattr(lv, name)
+                if not (0 < value < math.inf):
+                    raise ValueError("ScaleSchedule: %s = %r must be finite and positive "
+                                     "at level %d" % (name, value, lv.j))
+        if not np.all(np.diff([lv.a_j for lv in self.levels]) > 0):
+            raise ValueError("ScaleSchedule: scales must be strictly increasing")
+
+
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def linear_schedule(j_max, kappa=3.0):

@@ -59,6 +59,8 @@ def assert_one_error_line(result, name):
 
 GEGEN_MODEL = {"family": "gegenbauer", "d": 0.1, "u": 0.3, "truncation": 40}
 INDICATOR_MODEL = {"family": "indicator", "s0": 2.0, "alpha": 0.2, "M": 4.0}
+# the moving average with its default truncation of 40 terms
+MA_MODEL = {"family": "gegenbauer", "d": 0.1, "u": 0.3}
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +96,25 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["constants", "--filter", "shannon-father", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("spectrum", "--family", "indicator"), ("spectrum", "--s0", "2.0"),
+        ("spectrum", "--alpha", "0.2"), ("spectrum", "--M", "4.0"),
+        ("spectrum", "--d", "0.1"), ("spectrum", "--u", "0.3"),
+        ("spectrum", "--sigma-eps", "1.0"), ("spectrum", "--truncation", "30"),
+        ("estimate", "--panel", "panel.csv"), ("estimate", "--filter", "mexican-hat"),
+        ("estimate", "--sigma", "1.5"),
+    ])
+    def test_model_and_panel_flags_are_gone(self, tmp_path, capsys, command,
+                                            flag, value):
+        # the config is the one input path; argparse refuses before it is read
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", str(tmp_path / "c.json"), "--out", str(out),
+                  flag, value])
+        assert err.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_subcommand_is_rejected(self):
         with pytest.raises(SystemExit) as err:
@@ -156,40 +177,37 @@ class TestConstants:
 # ---------------------------------------------------------------------------
 
 
+def spectrum_config(tmp_path, model, **keys):
+    return write_json(tmp_path / "spec.json", {"model": model, **keys})
+
+
+def run_spectrum(tmp_path, model, *flags):
+    """Run spectrum on a config holding model, and read back spectrum.csv."""
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", spectrum_config(tmp_path, model),
+                 *flags, "--out", str(out)]) == 0
+    return read_csv(out / "spectrum.csv")
+
+
 class TestSpectrum:
-    def test_indicator_grid_even_and_zero_outside_band(self, capsys):
-        rc = main([
-            "spectrum", "--family", "indicator", "--s0", "2.0",
-            "--alpha", "0.2", "--M", "4.0",
-            "--lam-max", "6.0", "--n-grid", "9",
-        ])
-        assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "lam,f"
-        arr = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    def test_indicator_grid_even_and_zero_outside_band(self, tmp_path):
+        arr = run_spectrum(tmp_path, INDICATOR_MODEL, "--lam-max", "6.0", "--n-grid", "9")
+        with open(tmp_path / "out" / "spectrum.csv") as fh:
+            assert fh.readline() == "lam,f\n"
         lam, f = arr[:, 0], arr[:, 1]
         np.testing.assert_allclose(f, f[::-1], rtol=1e-15)
         assert np.all(f[np.abs(lam) > 4.0] == 0.0)
         assert np.all(f[np.abs(lam) <= 4.0] > 0.0)
 
-    def test_grid_hitting_pole_is_shifted_with_warning(self, capsys):
-        argv = [
-            "spectrum", "--family", "indicator", "--s0", "2.0",
-            "--alpha", "0.2", "--M", "4.0",
-            "--lam-max", "4.0", "--n-grid", "5",
-        ]
+    def test_grid_hitting_pole_is_shifted_with_warning(self, tmp_path):
         with pytest.warns(UserWarning, match="singular"):
-            rc = main(argv)
-        assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        arr = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+            arr = run_spectrum(tmp_path, INDICATOR_MODEL,
+                               "--lam-max", "4.0", "--n-grid", "5")
         assert not np.any(np.abs(arr[:, 0]) == 2.0)
         assert np.all(np.isfinite(arr[:, 1]))
 
     def test_indicator_covariance_at_zero_matches_quadrature(self, tmp_path):
-        cfg = write_json(tmp_path / "spec.json", {
-            "model": INDICATOR_MODEL, "cov_lags": 2, "n_grid": 11,
-        })
+        cfg = spectrum_config(tmp_path, INDICATOR_MODEL, cov_lags=2, n_grid=11)
         out = str(tmp_path / "out")
         assert main(["spectrum", "--config", cfg, "--out", out]) == 0
         cov = read_csv(os.path.join(out, "covariance.csv"))
@@ -202,7 +220,7 @@ class TestSpectrum:
     def test_ma_covariance_at_zero_is_coefficient_energy(self, tmp_path):
         out = str(tmp_path / "out")
         rc = main([
-            "spectrum", "--family", "gegenbauer", "--d", "0.1", "--u", "0.3",
+            "spectrum", "--config", spectrum_config(tmp_path, MA_MODEL),
             "--cov-lags", "1", "--out", out,
         ])
         assert rc == 0
@@ -211,13 +229,7 @@ class TestSpectrum:
         np.testing.assert_allclose(cov[0, 1], np.dot(coeffs, coeffs), rtol=1e-12)
 
     def test_ma_density_integrates_to_lag_zero_covariance(self, tmp_path):
-        out = str(tmp_path / "out")
-        rc = main([
-            "spectrum", "--family", "gegenbauer", "--d", "0.1", "--u", "0.3",
-            "--n-grid", "8193", "--out", out,
-        ])
-        assert rc == 0
-        arr = read_csv(os.path.join(out, "spectrum.csv"))
+        arr = run_spectrum(tmp_path, MA_MODEL, "--n-grid", "8193")
         coeffs = specpole.gegenbauer_coeffs(39, 0.1, 0.3)
         total = np.trapezoid(arr[:, 1], arr[:, 0])
         np.testing.assert_allclose(total, np.dot(coeffs, coeffs), rtol=1e-5)
@@ -225,7 +237,7 @@ class TestSpectrum:
     def test_manifest_lists_written_files(self, tmp_path):
         out = str(tmp_path / "out")
         rc = main([
-            "spectrum", "--family", "gegenbauer", "--d", "0.1", "--u", "0.3",
+            "spectrum", "--config", spectrum_config(tmp_path, MA_MODEL),
             "--cov-lags", "2", "--out", out,
         ])
         assert rc == 0
@@ -237,19 +249,17 @@ class TestSpectrum:
         for name in manifest["outputs"]:
             assert os.path.exists(os.path.join(out, name))
 
-    def test_config_and_inline_flags_conflict(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "spec.json", {"model": GEGEN_MODEL})
-        rc = main([
-            "spectrum", "--config", cfg, "--family", "gegenbauer",
-            "--d", "0.1", "--u", "0.3",
-        ])
-        assert rc == 2
-        assert "not both" in capsys.readouterr().err
-
-    def test_incomplete_inline_model_is_usage_error(self, capsys):
-        rc = main(["spectrum", "--family", "indicator", "--s0", "2.0"])
-        assert rc == 2
-        assert "--alpha" in capsys.readouterr().err
+    @pytest.mark.parametrize("missing", ["--config", "--out"])
+    def test_config_and_out_are_required(self, tmp_path, capsys, missing):
+        given = {"--config": spectrum_config(tmp_path, MA_MODEL),
+                 "--out": str(tmp_path / "out")}
+        del given[missing]
+        (flag, value), = given.items()
+        with pytest.raises(SystemExit) as err:
+            main(["spectrum", flag, value])
+        assert err.value.code == 2
+        assert missing in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +532,12 @@ def panel_dir(tmp_path_factory):
     return out
 
 
+def estimate_config(tmp_path, panel_csv, filter_name="mexican-hat"):
+    return write_json(tmp_path / "est.json", {
+        "panel_csv": str(panel_csv), "filter": {"name": filter_name},
+    })
+
+
 class TestEstimate:
     def test_estimates_from_config(self, panel_dir, tmp_path, capsys):
         cfg = write_json(tmp_path / "est.json", {
@@ -539,39 +555,11 @@ class TestEstimate:
         assert len(rows) == 2
         assert [float(r["s0_hat"]) for r in rows]
 
-    def test_flag_form_matches_config_form(self, panel_dir, tmp_path):
-        panel_csv = os.path.join(panel_dir, "panel.csv")
-        cfg = write_json(tmp_path / "est.json", {
-            "panel_csv": panel_csv,
-            "filter": {"name": "mexican-hat", "sigma": 1.0},
-        })
-        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["estimate", "--config", cfg, "--out", out_a]) == 0
-        assert main(["estimate", "--panel", panel_csv,
-                     "--filter", "mexican-hat", "--out", out_b]) == 0
-        assert read_bytes(os.path.join(out_a, "estimates.csv")) == read_bytes(
-            os.path.join(out_b, "estimates.csv")
-        )
-
-    @pytest.mark.parametrize("flag", [
-        ["--panel", "other_panel.csv"], ["--filter", "shannon-father"],
-        ["--sigma", "2.5"],
-    ], ids=["panel", "filter", "sigma"])
-    def test_config_and_panel_flags_conflict(self, panel_dir, tmp_path, capsys, flag):
-        cfg = write_json(tmp_path / "est.json", {
-            "panel_csv": os.path.join(panel_dir, "panel.csv"),
-            "filter": {"name": "mexican-hat"},
-        })
-        out = tmp_path / "o"
-        rc = main(["estimate", "--config", cfg, *flag, "--out", str(out)])
-        assert rc == 2
-        assert "not both" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_needs_config_or_panel(self, tmp_path, capsys):
-        rc = main(["estimate", "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "estimate needs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", [
         "1,1,2\n",
@@ -583,24 +571,24 @@ class TestEstimate:
     def test_malformed_panel_csv_is_domain_error(self, tmp_path, capsys, body):
         panel_csv = tmp_path / "bad_panel.csv"
         panel_csv.write_text("j,k,a_j,b_jk,delta_jk\n" + body)
-        rc = main(["estimate", "--panel", str(panel_csv), "--filter",
-                   "mexican-hat", "--out", str(tmp_path / "o")])
+        rc = main(["estimate", "--config", estimate_config(tmp_path, panel_csv),
+                   "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "bad_panel.csv" in capsys.readouterr().err
 
     def test_header_only_panel_csv_prints_one_error_line(self, tmp_path):
         panel_csv = tmp_path / "empty_panel.csv"
         panel_csv.write_text("j,k,a_j,b_jk,delta_jk\n")
-        result = run_cli("estimate", "--panel", str(panel_csv), "--filter",
-                         "shannon-father", "--out", str(tmp_path / "o"))
+        cfg = estimate_config(tmp_path, panel_csv, "shannon-father")
+        result = run_cli("estimate", "--config", cfg, "--out", str(tmp_path / "o"))
         assert_one_error_line(result, "empty_panel.csv")
 
     def test_panel_with_no_estimable_pair_is_domain_error(self, tmp_path):
         panel_csv = tmp_path / "zero_panel.csv"
         panel_csv.write_text("j,k,a_j,b_jk,delta_jk\n1,1,1,1,0\n2,1,2,1,0\n")
         out = tmp_path / "o"
-        result = run_cli("estimate", "--panel", str(panel_csv), "--filter",
-                         "shannon-father", "--out", str(out))
+        cfg = estimate_config(tmp_path, panel_csv, "shannon-father")
+        result = run_cli("estimate", "--config", cfg, "--out", str(out))
         assert result.returncode == 1
         errors = [ln for ln in result.stderr.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and "zero_panel.csv" in errors[0], result.stderr
@@ -644,8 +632,9 @@ REPLAY_CASES = {
         "--n-grid", "11",
     ],
     "spectrum-family": lambda tmp, panel: [
-        "spectrum", "--family", "gegenbauer", "--d", "0.1", "--u", "0.3",
-        "--truncation", "30", "--cov-lags", "3",
+        "spectrum", "--config", spectrum_config(
+            tmp, {"family": "gegenbauer", "d": 0.1, "u": 0.3, "truncation": 30}),
+        "--cov-lags", "3",
     ],
     "transform-model": lambda tmp, panel: [
         "transform", "--config", transform_config(tmp), "--seed", "12",
@@ -661,8 +650,10 @@ REPLAY_CASES = {
         }),
     ],
     "estimate-panel": lambda tmp, panel: [
-        "estimate", "--panel", os.path.join(panel, "panel.csv"),
-        "--filter", "mexican-hat", "--sigma", "1.5",
+        "estimate", "--config", write_json(tmp / "est.json", {
+            "panel_csv": os.path.join(panel, "panel.csv"),
+            "filter": {"name": "mexican-hat", "sigma": 1.5},
+        }),
     ],
     "montecarlo-path": lambda tmp, panel: [
         "montecarlo", "--config", write_json(tmp / "mc.json", {

@@ -121,3 +121,16 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     assert out["far_lag"] == far[0, 1]
     assert (tmp_path / "estimate" / "estimates.csv").stat().st_size > 0
     assert (tmp_path / "montecarlo" / "summary.json").stat().st_size > 0
+
+
+def test_root_exports_each_module_name_once():
+    # the root's __all__ is the modules' lists end to end, so a name added
+    # to a module's __all__ is public at the root without a second edit
+    modules = [specpole.estimator, specpole.mc, specpole.model,
+               specpole.simulate, specpole.specfun, specpole.transform]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert specpole.__all__ == [*names, "__version__"]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(specpole, name) is getattr(module, name), name

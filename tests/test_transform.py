@@ -127,6 +127,27 @@ class TestSchedules:
         with pytest.raises(ValueError, match="level index j = %r is not an integer" % (j,)):
             ScaleSchedule(levels=(ScheduleLevel(j=j, a_j=2.0, gamma_j=1.0, m_j=4),))
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, "4", 0])
+    def test_shift_count_must_be_a_positive_integer(self, m):
+        # m_j = 2.5 gave 3 path-backend coefficients and a TypeError in the
+        # exact backend; True passed as m_j = 1
+        with pytest.raises(ValueError, match="m_j = %r must be an integer >= 1 at level 2"
+                           % (m,)):
+            ScaleSchedule(levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=4),
+                                  ScheduleLevel(j=2, a_j=4.0, gamma_j=1.0, m_j=m)))
+        ScaleSchedule(levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=np.int64(4)),))
+
+    @pytest.mark.parametrize("name", ["a_j", "gamma_j"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+    def test_scale_and_spacing_must_be_finite_and_positive(self, name, value):
+        # the check names the last level, where an infinite a_j still
+        # leaves the scales increasing
+        levels = {"j": 2, "a_j": 4.0, "gamma_j": 1.0, "m_j": 4, name: value}
+        with pytest.raises(ValueError, match="%s = %r must be finite and positive "
+                           "at level 2" % (name, value)):
+            ScaleSchedule(levels=(ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=4),
+                                  ScheduleLevel(**levels)))
+
     def test_level_index_must_not_repeat(self):
         # panel_from_csv cannot tell two levels with one j apart
         with pytest.raises(ValueError, match="level index j = 1 repeats"):
