@@ -7,7 +7,8 @@
 # (one Filon column) and the Gegenbauer moving average's at 65.
 # Each run's manifest config is fed back through its subcommand into
 # another directory, which must hold the same outputs byte for byte.
-# Last, spectrum given model flags instead of a config must exit 2.
+# Last, spectrum given model flags instead of a config, and simulate
+# given a directory as its config, must each exit 2.
 #
 #     sh .github/cli-smoke.sh
 set -eu
@@ -47,3 +48,7 @@ replay spec-ma spectrum spectrum.csv covariance.csv
 rc=0
 specpole spectrum --family indicator --s0 1.2661 --alpha 0.1 --M 3 --out spec-flag 2> /dev/null || rc=$?
 test "$rc" = 2 && test ! -e spec-flag
+# a config that cannot be read as text, such as a directory, is a usage error
+rc=0
+specpole simulate --config sim --out sim-dir 2> /dev/null || rc=$?
+test "$rc" = 2 && test ! -e sim-dir

@@ -67,11 +67,17 @@ __all__ = ["ConfigError", "build_parser", "main"]
 
 
 def _load_config(path_str):
+    """The config document at path_str; a file that cannot be read as
+    UTF-8 text, such as a directory, is a ConfigError naming the path."""
     try:
         with open(path_str, "r", encoding="utf-8") as fh:
             return _document(fh.read(), "")
     except FileNotFoundError:
         raise ConfigError("", "config file %r does not exist" % path_str)
+    except OSError as exc:
+        raise ConfigError("", "cannot read config file %r: %s" % (path_str, exc.strerror or exc))
+    except UnicodeDecodeError as exc:
+        raise ConfigError("", "config file %r is not UTF-8 text: %s" % (path_str, exc))
 
 
 # ---------------------------------------------------------------------------

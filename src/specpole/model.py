@@ -11,8 +11,9 @@ moment constants
     c3 = 2 integral lam^2 |psi_hat(lam)|^2 dlam
 
 which normalize the transform statistics.  A ``FilterSpec`` computes
-them from its own ``psi_hat`` by quadrature, never takes them, so the
-estimator stays self-consistent with whatever ``psi_hat`` is in use.
+them from its own ``psi_hat`` by the Filon rule that gives every
+covariance, never takes them, so the estimator stays self-consistent
+with whatever ``psi_hat`` is in use.
 The Fourier convention is fixed package-wide to
 
     psi_hat(lam) = integral exp(-i*lam*t) psi(t) dt.
@@ -34,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .specfun import QuadratureSpec, _filon_column, gegenbauer_coeffs, integrate
+from .specfun import _filon_column, gegenbauer_coeffs
 
 __all__ = [
     "ConfigError",
@@ -49,8 +50,6 @@ __all__ = [
     "filter_from_json",
     "filter_to_json",
 ]
-
-_CONSTANT_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 # SpectralModel.covariances reads lags k g from one column while max(k)
 # is under this many per lag: on the indicator model (M = 3, g = 1) a
@@ -231,8 +230,12 @@ class FilterSpec:
     """A filter with frequency form psi_hat and moments c2, c3.
 
     c2 and c3 are not arguments: construction computes them from
-    ``psi_hat`` and raises ValueError unless both are positive.  ``doc``
-    is ``builtin_filter``'s document, None for a filter built here.
+    ``psi_hat`` as 2 int_0^A |psi_hat|^2 and 4 int_0^A lam^2 |psi_hat|^2,
+    each the lag-0 column of specfun._filon_column knotted at the
+    breakpoints inside (0, A), and raises ValueError unless both are
+    positive.  |psi_hat|^2 is assumed even, as it is for a real psi, so
+    the constants read it on [0, A] alone.  ``doc`` is
+    ``builtin_filter``'s document, None for a filter built here.
     ``psi`` may be None when only frequency-domain work is needed (the
     Meyer pair ships without a time form).  ``band_limit_A`` bounds the
     support of psi_hat; where that support is unbounded (the Mexican
@@ -257,10 +260,11 @@ class FilterSpec:
         A = self.band_limit_A
         if not (A > 0.0 and math.isfinite(A)):
             raise ValueError("FilterSpec: band limit must be a positive real")
-        sq = lambda lam: np.abs(np.asarray(self.psi_hat(lam))) ** 2
-        moment = lambda g: integrate(g, -A, A, _CONSTANT_SPEC, breakpoints=self.breakpoints)
-        object.__setattr__(self, "c2", moment(sq))
-        object.__setattr__(self, "c3", 2.0 * moment(lambda lam: lam * lam * sq(lam)))
+        sq = lambda lam: np.abs(np.broadcast_to(self.psi_hat(lam), np.shape(lam))) ** 2
+        knots = [x for x in self.breakpoints if 0.0 < x < A]
+        moment = lambda g, scale: float(_filon_column(g, A, knots, None, 0, 1, scale)[0])
+        object.__setattr__(self, "c2", moment(sq, 2.0))
+        object.__setattr__(self, "c3", moment(lambda lam: lam * lam * sq(lam), 4.0))
         if not (self.c2 > 0.0 and self.c3 > 0.0):
             raise ValueError("FilterSpec: moments c2 and c3 must be positive")
         if _spills(sq, A):

@@ -17,11 +17,15 @@ m x m matrix.
 
 All randomness flows through a counter-based Gaussian stream: draw k of
 a tagged stream is a pure function of (seed, tag, k), which makes any
-sub-window of a path reproducible independently of chunking, and lets
-panels at different scales share low indices of one normal pool.  That
-sharing is deliberate: difference statistics of panel averages then see
-positively coupled noise, which cancels in across-scale differences the
-same way it would along one long realization.
+sub-window of a path reproducible independently of chunking.  Panels at
+different scales share low indices of one normal pool, which draws each
+level's own law exactly but not the joint law of the levels: the sharing
+couples them far more than the process does.  On the criterion-6 ladder
+(indicator model, shannon-father, a = 8, 16, 32, 64, m = 512 then 4096)
+the mean squares of adjacent levels correlate at 1.000 between the
+levels of equal m, against 0.50 under the process's joint law, so noise
+cancels in across-scale differences that a realization of the process
+would keep.  ROADMAP item 6 plans a sampler of the joint law.
 
 The normal quantile, the covariance column (by specfun's Filon rule),
 its Toeplitz matrix and its Schur factor are NumPy code; the package
@@ -313,9 +317,9 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
 
     The process lives on the integer lattice; innovations are indexed by
     lattice position through the counter-based stream, so any window of
-    the same realization reproduces identical values.  Non-integer grids
-    are filled by linear interpolation between lattice samples, which is
-    an approximation and is flagged with a warning.
+    the same realization reproduces identical values.  The grid t0 + k dt
+    must lie on that lattice: a t0 or dt that is not a whole number
+    raises ValueError naming it.
     """
     if isinstance(spec, SpectralModel):
         raise TypeError(
@@ -329,25 +333,17 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
     dt = float(dt)
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError("gegenbauer_path: dt must be a positive real")
-    on_lattice = t0 == math.floor(t0) and dt == math.floor(dt)
-    if on_lattice:
-        k_lo, k_hi = int(t0), int(t0 + dt * (n_points - 1))
-    else:
-        warnings.warn(
-            "gegenbauer_path: non-integer grid; values are linear "
-            "interpolations of the lattice process (approximation)"
-        )
-        t = t0 + dt * np.arange(n_points)
-        k_lo, k_hi = int(math.floor(t[0])), int(math.ceil(t[-1]))
+    for name, value in (("t0", t0), ("dt", dt)):
+        if not value.is_integer():
+            raise ValueError("gegenbauer_path: %s = %r is off the integer lattice the "
+                             "moving average lives on" % (name, value))
+    k_lo, k_hi = int(t0), int(t0 + dt * (n_points - 1))
     coeffs = spec.coefficients()
     eps_idx = np.arange(k_lo - spec.truncation + 1, k_hi + 1)
     eps = spec.sigma_eps * gaussian_stream(seed, _INNOVATION_TAG, eps_idx)
     lattice = np.convolve(eps, coeffs, mode="valid")
-    if on_lattice:
-        # every dt-th lattice point; dt = 1 keeps the array itself
-        values = np.ascontiguousarray(lattice[:: int(dt)])
-    else:
-        values = np.interp(t, np.arange(k_lo, k_hi + 1), lattice)
+    # every dt-th lattice point; dt = 1 keeps the array itself
+    values = np.ascontiguousarray(lattice[:: int(dt)])
     return PathRealization(t0=t0, dt=dt, values=values, seed=int(seed))
 
 
@@ -577,8 +573,10 @@ def exact_coefficient_sample(model, filt, schedule, seed):
     """Draw a panel of coefficients from their exact Gaussian law.
 
     Every level draws its normals from the low indices of one shared
-    pool keyed by (seed, panel tag), so levels with nested sizes are
-    positively coupled across scales; see the module docstring for why.
+    pool keyed by (seed, panel tag): each level follows its own law
+    exactly, but levels are coupled far more than under the process's
+    joint law (adjacent-level correlation 1.000 against 0.50; see the
+    module docstring).
     Each level is z^T U, with z its m_j normals and U the upper Schur
     factor of its covariance (T = U^T U), built from the covariance
     column and cached per panel shape.  U is stored as its column blocks

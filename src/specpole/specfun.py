@@ -1,6 +1,6 @@
 """Special functions and quadrature shared by the whole package.
 
-Four small tools live here because every other module needs at least one
+Three small tools live here because every other module needs at least one
 of them:
 
 * ``lambert_w0``: principal branch of the Lambert W function, the
@@ -12,27 +12,22 @@ of them:
   values evaluated through the stable three-term recurrence.  The
   textbook ratio-of-gamma sum overflows for moderate orders, so it is
   kept only as a test oracle.
-* ``integrate``: a global-adaptive Gauss-Kronrod integrator on a finite
-  range, which computes the filter constants.  Its nodes are interior,
-  so an integrable singularity such as ``|x - s|**(-p)``, ``p < 1``, at
-  a breakpoint ``s`` converges as the worst-panel bisection halves
-  geometrically toward it.
-* ``_filon_column``: every covariance on a finite band, at all lags by
-  one Filon rule to one tolerance, a pole subtracted in closed form.
+* ``_filon_column``: every integral the package takes, by one Filon
+  rule to one tolerance: each covariance on a finite band at all lags,
+  a pole subtracted in closed form, and each filter constant as the
+  column of lag 0.  It raises ``QuadratureConvergenceError`` when the
+  rule misses its tolerance.
 
 All functions are pure and keep no module state, so they are safe to
 call concurrently.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureConvergenceError",
-    "integrate",
     "lambert_w0",
     "gegenbauer_coeff",
     "gegenbauer_coeffs",
@@ -147,31 +142,12 @@ def gegenbauer_coeff(n, d, u):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature
+# Filon rule for covariance columns and filter constants
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy and refinement budget for :func:`integrate`, which computes
-    the filter constants (and the tests' per-lag covariance oracle)."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 10_000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError("QuadratureSpec: abs_tol must be positive")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError("QuadratureSpec: rel_tol must be positive")
-        if int(self.max_subdivisions) < 1:
-            raise ValueError("QuadratureSpec: max_subdivisions must be >= 1")
-        object.__setattr__(self, "max_subdivisions", int(self.max_subdivisions))
-
-
 class QuadratureConvergenceError(ArithmeticError):
-    """Raised when the refinement budget runs out before the tolerance.
+    """Raised when the finest Filon rule still misses the tolerance.
 
     Carries the best available estimate and its error bound so callers
     can decide whether the partial answer is still usable.
@@ -182,176 +158,6 @@ class QuadratureConvergenceError(ArithmeticError):
         self.estimate = float(estimate)
         self.error_bound = float(error_bound)
 
-
-# 15-point Kronrod extension of 7-point Gauss (nodes ascending; the
-# embedded Gauss nodes sit at the odd indices).
-_GK_POS_NODES = np.array(
-    [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
-        0.000000000000000,
-    ]
-)
-_GK_POS_WEIGHTS = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-    ]
-)
-_G7_POS_WEIGHTS = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-    ]
-)
-
-_NODES = np.concatenate([-_GK_POS_NODES[:-1], _GK_POS_NODES[::-1]])
-_K_WEIGHTS = np.concatenate([_GK_POS_WEIGHTS[:-1], _GK_POS_WEIGHTS[::-1]])
-_G_WEIGHTS = np.concatenate([_G7_POS_WEIGHTS[:-1], _G7_POS_WEIGHTS[::-1]])
-_EPS50 = 50.0 * np.finfo(float).eps
-
-
-def _eval_panels(f, lo, hi):
-    """Kronrod value and QUADPACK-style error estimate per panel, from
-    one call of f on all their nodes; a non-finite value is an error."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = (center[:, None] + half[:, None] * _NODES).ravel()
-    with np.errstate(all="ignore"):
-        fv = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
-    bad = ~np.isfinite(fv)
-    if bad.any():
-        raise ValueError("integrate: non-finite integrand value near %r; split the range "
-                         "at an integrable singularity with breakpoints" % float(pts[bad][0]))
-    fv = fv.reshape(lo.size, _NODES.size)
-    resk = fv @ _K_WEIGHTS
-    resg = fv[:, 1::2] @ _G_WEIGHTS
-    value = half * resk
-    err = np.abs(half * (resk - resg))
-    resabs = np.abs(half) * (np.abs(fv) @ _K_WEIGHTS)
-    resasc = np.abs(half) * (np.abs(fv - 0.5 * resk[:, None]) @ _K_WEIGHTS)
-    mask = (resasc > 0.0) & (err > 0.0)
-    ratio = np.empty_like(err)
-    ratio[mask] = np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
-    err[mask] = resasc[mask] * ratio[mask]
-    np.maximum(err, _EPS50 * resabs, out=err)
-    return value, err
-
-
-def integrate(f, lo, hi, spec=None, *, breakpoints=()):
-    """Adaptively integrate ``f`` over the finite range ``(lo, hi)``.
-
-    The interval is first split at zero and at the ``breakpoints`` inside
-    it: at a kink, a jump or an integrable singularity of ``f``, which
-    its interior nodes never reach.  Panels are then refined by bisecting
-    the ones with the largest error estimates, which converges for smooth
-    integrands as well as for an integrable singularity at a panel end.
-    ``f`` is called on arrays of nodes; a result that broadcasts to their
-    shape, such as a constant, is accepted.
-
-    Returns the integral estimate as a float.
-
-    Raises
-    ------
-    QuadratureConvergenceError
-        If the subdivision budget is exhausted before reaching
-        ``max(abs_tol, rel_tol * |value|)``; the exception carries the
-        best estimate and its error bound.
-    ValueError
-        For infinite or NaN bounds, or non-finite integrand values at
-        quadrature nodes.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integrate: bounds must be finite, got (%r, %r)" % (lo, hi))
-    if lo == hi:
-        return 0.0
-    sign = 1.0
-    if lo > hi:
-        lo, hi, sign = hi, lo, -1.0
-
-    cuts = [float(p) for p in breakpoints if lo < float(p) < hi]
-    if lo < 0.0 < hi:
-        cuts.append(0.0)
-    # np.sort, not np.unique, which imports numpy.ma; equal edges go
-    # with the near-duplicates below.
-    edges = np.sort(np.concatenate([[lo, hi], np.asarray(cuts, dtype=float)]))
-    # Drop near-duplicate edges that would create empty panels.
-    keep = np.concatenate([[True], np.diff(edges) > 1e-15 * max(1.0, hi - lo)])
-    edges = edges[keep]
-    if edges[-1] != hi:
-        edges = np.append(edges, hi)
-
-    los = edges[:-1].copy()
-    his = edges[1:].copy()
-    vals, errs = _eval_panels(f, los, his)
-
-    used = 0
-    while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
-            return sign * total
-        remaining = spec.max_subdivisions - used
-        if remaining <= 0:
-            raise QuadratureConvergenceError(
-                "integrate: needed more than %d subdivisions (estimate %r, "
-                "error bound %r)" % (spec.max_subdivisions, sign * total, total_err),
-                sign * total,
-                total_err,
-            )
-        worst = np.flatnonzero(errs > tol / (2.0 * len(errs)))
-        if worst.size == 0:
-            worst = np.array([int(np.argmax(errs))])
-        if worst.size > remaining:
-            order = np.argsort(errs[worst])[::-1]
-            worst = worst[order[:remaining]]
-        used += int(worst.size)
-
-        mid = 0.5 * (los[worst] + his[worst])
-        stuck = (mid <= los[worst]) | (mid >= his[worst])
-        if stuck.all():
-            # Panels are at roundoff width; the remaining error is not
-            # reducible by further bisection.
-            raise QuadratureConvergenceError(
-                "integrate: panels reached roundoff width (estimate %r, "
-                "error bound %r)" % (sign * total, total_err),
-                sign * total,
-                total_err,
-            )
-        worst = worst[~stuck]
-        mid = mid[~stuck]
-        new_los = np.concatenate([los[worst], mid])
-        new_his = np.concatenate([mid, his[worst]])
-        new_vals, new_errs = _eval_panels(f, new_los, new_his)
-        keep_mask = np.ones(len(los), dtype=bool)
-        keep_mask[worst] = False
-        los = np.concatenate([los[keep_mask], new_los])
-        his = np.concatenate([his[keep_mask], new_his])
-        vals = np.concatenate([vals[keep_mask], new_vals])
-        errs = np.concatenate([errs[keep_mask], new_errs])
-
-
-# ---------------------------------------------------------------------------
-# Filon rule for covariance columns
-# ---------------------------------------------------------------------------
 
 # Cells of the band in a column's first Filon rule (a narrower band
 # starts at the cap), and of [0, top] in its last
@@ -450,7 +256,8 @@ def _filon_column(f, upper, knots, pole, gamma, m, scale):
     shrinks 4x or more per doubling, as it does at a kink.  n starts
     where the band holds _DCT_MIN_NODES cells, at most at _DCT_MAX_NODES,
     and doubles until every lag meets _COLUMN_TOL * max(1, |entry|); a
-    miss at _DCT_MAX_NODES raises QuadratureConvergenceError.
+    miss at _DCT_MAX_NODES raises QuadratureConvergenceError, and a node
+    where g is not finite raises ValueError.
     """
     lags = np.arange(m) if gamma else np.zeros(m, dtype=int)
     gamma = gamma or math.pi / upper
@@ -500,7 +307,10 @@ def _filon_column(f, upper, knots, pole, gamma, m, scale):
     jumps = np.abs(left - right) > 1e-10 * np.abs(values(np.linspace(0.0, upper, 257))).max()
     knots, left, right = knots[jumps], left[jumps], right[jumps]
     while True:
-        g = values(np.linspace(0.0, top, n + 1))
+        lam = np.linspace(0.0, top, n + 1)
+        g = values(lam)
+        if not np.isfinite(g).all():
+            raise ValueError("integrand is not finite at lam = %r" % float(lam[~np.isfinite(g)][0]))
         if direct:  # the nodes above n / 2 lie above the band
             entries = _cosine_sums(g[:n // 2 + 1], math.pi / n * halves, 4)
         else:

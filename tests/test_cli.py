@@ -328,6 +328,27 @@ class TestSimulate:
         assert rc == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_directory_as_config_is_usage_error(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(tmp_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file %r" % str(tmp_path))
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        # a config written in Latin-1: its e-acute is not UTF-8
+        doc = {"model": GEGEN_MODEL, "n_points": 50, "seed": 11, "note": "caf\xe9"}
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        rc = main(["simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config file %r is not UTF-8" % str(cfg))
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

@@ -29,6 +29,8 @@ from specpole.model import (
 from specpole.mc import experiment_from_json
 from specpole.transform import schedule_from_json
 
+from adaptive_quadrature import QuadratureSpec, integrate
+
 PI = math.pi
 
 # Analytic moment values for the built-in filters, derived by hand from
@@ -96,14 +98,20 @@ class TestFilterMoments:
             np.testing.assert_allclose(filt.c3 / filt.c2, 5.0 / sigma**2, rtol=1e-9)
 
     def test_moments_stable_under_tighter_tolerance(self):
-        from specpole.specfun import QuadratureSpec, integrate
-
-        filt = builtin_filter("meyer-mother")
-        tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-        sq = lambda lam: np.abs(np.asarray(filt.psi_hat(lam))) ** 2
-        A = filt.band_limit_A
-        c2 = integrate(sq, -A, A, tight, breakpoints=filt.breakpoints)
-        assert abs(c2 - filt.c2) / filt.c2 < 1e-8
+        # The Filon rule's constants on [0, A] against the adaptive oracle
+        # over [-A, A], split at every breakpoint, at a tolerance 1000x
+        # tighter than the rule's own
+        tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+        filters = ([builtin_filter(name) for name in BUILTIN_FILTER_NAMES]
+                   + [builtin_filter("mexican-hat", sigma=s) for s in (0.37, 1.0, 2.0)])
+        for filt in filters:
+            sq = lambda lam: np.abs(np.asarray(filt.psi_hat(lam))) ** 2
+            A = filt.band_limit_A
+            c2 = integrate(sq, -A, A, tight, breakpoints=filt.breakpoints)
+            c3 = 2.0 * integrate(lambda lam: lam * lam * sq(lam), -A, A, tight,
+                                 breakpoints=filt.breakpoints)
+            assert abs(c2 - filt.c2) <= 1e-13 * c2, filt.doc
+            assert abs(c3 - filt.c3) <= 1e-13 * c3, filt.doc
 
 
 class TestFilterShapes:
@@ -226,6 +234,10 @@ class TestFilterShapes:
         np.testing.assert_allclose(
             filt.c3, c2 - 4.0 * math.exp(-4.0), rtol=1e-10)
         assert filt.doc is None
+        # a psi_hat that gives one number for every frequency: 1 on [-1, 1]
+        with pytest.warns(UserWarning, match="outside"):
+            box = FilterSpec(name="box", psi=None, psi_hat=lambda lam: 1.0, band_limit_A=1.0)
+        np.testing.assert_allclose([box.c2, box.c3], [2.0, 4.0 / 3.0], rtol=1e-13)
 
     def test_document_distinguishes_sigma(self):
         a = builtin_filter("mexican-hat", sigma=1.0)
@@ -245,6 +257,9 @@ class TestFilterShapes:
         with pytest.raises(ValueError, match="positive"):
             FilterSpec(name="zero", psi=None, psi_hat=lambda lam: 0.0 * lam,
                        band_limit_A=1.0)
+        with pytest.raises(ValueError, match="not finite at lam = 0.0"):
+            FilterSpec(name="spike", psi=None, band_limit_A=1.0,
+                       psi_hat=lambda lam: np.where(np.abs(lam) < 0.5, np.inf, 1.0))
 
     @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
     def test_hand_built_filter_has_the_builtin_constants(self, name):
@@ -258,7 +273,8 @@ class TestFilterShapes:
 
 # (sigma, band_limit_A, time_support, c2, c3) of the mexican-hat filter,
 # as built when its two Lambert W_-1 values were computed by
-# scipy.special.lambertw at construction.
+# scipy.special.lambertw at construction, and its constants by adaptive
+# Gauss-Kronrod quadrature over [-A, A].
 MEXICAN_HAT_CONSTANTS = [
     (0.37, 16.075252539397454, 3.0, 6.283185307179121, 229.48083663889818),
     (0.5, 11.895686879154114, 4.0, 6.283185307179119, 125.66370614346063),
@@ -281,8 +297,11 @@ class TestMexicanHatLambertLiterals:
 
     @pytest.mark.parametrize("sigma,A,T,c2,c3", MEXICAN_HAT_CONSTANTS)
     def test_filter_constants_unchanged(self, sigma, A, T, c2, c3):
+        # the band and support exactly; the constants, now by the Filon
+        # rule on [0, A], within a few ulps of the adaptive rule's
         filt = builtin_filter("mexican-hat", sigma=sigma)
-        assert (filt.band_limit_A, filt.time_support, filt.c2, filt.c3) == (A, T, c2, c3)
+        assert (filt.band_limit_A, filt.time_support) == (A, T)
+        assert abs(filt.c2 - c2) <= 1e-14 * c2 and abs(filt.c3 - c3) <= 1e-14 * c3
 
 
 class TestSpectralModel:

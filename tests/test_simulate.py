@@ -1,5 +1,6 @@
 """Tests for path simulation and exact coefficient sampling."""
 
+import json
 import math
 import re
 import time
@@ -11,8 +12,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import specpole
 from specpole import model as model_module
 from specpole import simulate, specfun
+from specpole.cli import main
 from specpole.model import (
     BUILTIN_FILTER_NAMES,
     FilterSpec,
@@ -35,18 +38,14 @@ from specpole.simulate import (
     path_to_csv,
     scale_second_moment,
 )
-from specpole.specfun import (
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    gegenbauer_coeffs,
-    integrate,
-)
+from specpole.specfun import QuadratureConvergenceError, gegenbauer_coeffs
 from specpole.transform import (
     ScaleSchedule,
     ScheduleLevel,
     geometric_schedule,
     linear_schedule,
 )
+from adaptive_quadrature import QuadratureSpec, integrate
 from test_model import pole_quadrature
 from test_sampling import dense_factor
 
@@ -246,14 +245,19 @@ class TestGegenbauerPath:
             assert path.values.flags.c_contiguous
             np.testing.assert_array_equal(path.values, unit.values[:: int(dt)])
 
-    def test_fine_grid_interpolates_with_warning(self):
+    def test_off_lattice_grid_raises(self, tmp_path, capsys):
+        # the process lives on the integer lattice: a grid between its
+        # points raises, and simulate exits 1 without writing
         spec = GegenbauerSpec(d=0.1, u=0.3, truncation=40)
-        lattice = gegenbauer_path(spec, 11, 0.0, 1.0, seed=5)
-        with pytest.warns(UserWarning, match="interpolat"):
-            fine = gegenbauer_path(spec, 41, 0.0, 0.25, seed=5)
-        np.testing.assert_array_equal(fine.values[::4], lattice.values)
-        expected_mid = 0.5 * (lattice.values[:-1] + lattice.values[1:])
-        np.testing.assert_allclose(fine.values[2::4], expected_mid, rtol=1e-12)
+        for t0, dt in ((0.0, 0.25), (0.5, 1.0), (-3.0, 1.5), (math.nan, 1.0)):
+            bad = "dt = %r" % dt if t0.is_integer() else "t0 = %r" % t0
+            with pytest.raises(ValueError, match=re.escape(bad)):
+                gegenbauer_path(spec, 41, t0, dt, seed=5)
+        config = tmp_path / "simulate.json"
+        config.write_text(json.dumps({"model": spec.doc, "n_points": 41, "dt": 0.25, "seed": 5}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 1
+        assert "dt = 0.25" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
     def test_stationarity_between_windows(self):
         spec = GegenbauerSpec(d=0.1, u=0.3, truncation=40)
@@ -603,6 +607,7 @@ class TestDctColumn:
         # node cap raises with its estimate and bound.
         poles = []
         real = model_module._filon_column
+        mother = builtin_filter("shannon-mother")  # its constants are columns too
 
         def spy(f, upper, knots, pole, *args):
             poles.append(pole)
@@ -622,14 +627,13 @@ class TestDctColumn:
         else:
             # the band ends 0.0095 below s0: at 1e-11 the Filon rule on
             # _DCT_MAX_NODES cells still misses at some lags
-            filt = builtin_filter("shannon-mother")
             monkeypatch.setattr(specfun, "_COLUMN_TOL", 1e-11)
             with pytest.raises(QuadratureConvergenceError, match="on up to %d cells"
                                % specfun._DCT_MAX_NODES) as info:
-                self.column(filt, 5.0, 1.0, 8)
+                self.column(mother, 5.0, 1.0, 8)
             assert poles == [None]
             k = float(re.search(r"separation (\S+) ", str(info.value)).group(1))
-            oracle = entry_integral(self.model, filt, 5.0, k)
+            oracle = entry_integral(self.model, mother, 5.0, k)
             assert 0.0 < info.value.error_bound < 1e-8
             assert abs(info.value.estimate - oracle) <= info.value.error_bound
 
@@ -657,34 +661,25 @@ class TestDctColumn:
         assert np.max(np.abs(col - oracle)) <= 2e-11 * oracle[0]
 
     @pytest.mark.parametrize("name", BUILTIN_FILTER_NAMES)
-    def test_no_column_reaches_integrate(self, name, monkeypatch):
-        # Adaptive quadrature is left for the filter constants alone: no
-        # level of the exact-c6, criterion-6 or linear kappa = 2 and 3
-        # ladders (pole-in-band, regular and narrow bands alike), no J(a)
-        # and no model covariance calls it.
-        filt = builtin_filter(name)  # its constants come from integrate
+    def test_constants_are_lag_zero_columns(self, name, monkeypatch):
+        # The Filon rule takes every integral of the package: a filter's
+        # c2 and c3 are its columns of lag 0 alone on [0, A], knotted at
+        # the breakpoints inside, and no module keeps a second integrator.
         calls = []
+        real = model_module._filon_column
 
-        def spy(*args, **kwargs):
-            calls.append(args[1:3])
-            return integrate(*args, **kwargs)
+        def spy(f, upper, knots, *args):
+            calls.append((upper, list(knots), *args))
+            return real(f, upper, knots, *args)
 
-        assert not hasattr(simulate, "integrate")
-        monkeypatch.setattr(specfun, "integrate", spy)
-        monkeypatch.setattr(model_module, "integrate", spy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # kappa <= 5 and a_j < 2A
-            levels = (geometric_schedule(4, 4.0, 2.0, 3.0, m_cap=768).levels
-                      + geometric_schedule(4, 4.0, 2.0, 3.0, m_cap=4096).levels
-                      + linear_schedule(44, kappa=2.0).levels
-                      + linear_schedule(8, kappa=3.0).levels)
-            for lv in levels:
-                simulate._covariance_column(self.model, filt, lv.a_j, lv.shifts())
-                scale_second_moment(self.model, filt, lv.a_j)
-            coefficient_covariance(self.model, filt, 8.0, 8.0 * np.arange(16))
-        self.model.covariances(np.arange(64.0))
-        self.model.covariances([2.5])
-        assert calls == []
+        monkeypatch.setattr(model_module, "_filon_column", spy)
+        filt = builtin_filter(name)
+        A = filt.band_limit_A
+        knots = [x for x in filt.breakpoints if 0.0 < x < A]
+        assert calls == [(A, knots, None, 0, 1, 2.0), (A, knots, None, 0, 1, 4.0)]
+        for module in (specpole, specfun, model_module, simulate):
+            for gone in ("integrate", "QuadratureSpec", "_eval_panels", "_CONSTANT_SPEC"):
+                assert not hasattr(module, gone), (module.__name__, gone)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 1025, 8193])
     def test_dct1_matches_scipy(self, n):

@@ -1,11 +1,13 @@
-"""Tests for special functions and the adaptive integrator.
+"""Tests for special functions and the tests' adaptive integrator.
 
 The derived expectations are checked against independent oracles: a
 bisection solver and mpmath for Lambert W, the log-gamma direct sum for
-Gegenbauer polynomials, brute-force midpoint rules for the integrals and
-mpmath's incomplete gamma function and quadrature for the closed-form
-pole transforms of the covariance column.  The SciPy oracles are fetched with pytest.importorskip, so the rest of
-the file runs where SciPy is not installed.
+Gegenbauer polynomials, and mpmath's incomplete gamma function and
+quadrature for the closed-form pole transforms of the covariance column.
+The adaptive integrator lives in ``adaptive_quadrature.py`` with its
+tests, ``TestQuadrature``, which run from here.  The SciPy oracles are
+fetched with pytest.importorskip, so the rest of the file runs where
+SciPy is not installed.
 """
 
 import math
@@ -15,14 +17,9 @@ import numpy as np
 import pytest
 
 from specpole import specfun
-from specpole.specfun import (
-    QuadratureConvergenceError,
-    QuadratureSpec,
-    gegenbauer_coeff,
-    gegenbauer_coeffs,
-    integrate,
-    lambert_w0,
-)
+from specpole.specfun import gegenbauer_coeff, gegenbauer_coeffs, lambert_w0
+
+from adaptive_quadrature import TestQuadrature  # noqa: F401  (collected here)
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +69,6 @@ def gegenbauer_direct_sum(n, d, u):
             sign *= math.copysign(1.0, u) ** m
         total += sign * math.exp(log_mag)
     return total
-
-
-def midpoint_rule(f, lo, hi, n, chunks=20):
-    """Midpoint rule with n points, evaluated in chunks to bound memory."""
-    h = (hi - lo) / n
-    total = 0.0
-    per = (n + chunks - 1) // chunks
-    for start in range(0, n, per):
-        stop = min(start + per, n)
-        xs = lo + (np.arange(start, stop) + 0.5) * h
-        total += float(np.sum(f(xs)))
-    return total * h
 
 
 # ---------------------------------------------------------------------------
@@ -180,98 +165,6 @@ class TestGegenbauer:
             gegenbauer_coeff(3, 0.1, 1.5)
         with pytest.raises(ValueError, match="non-negative"):
             gegenbauer_coeffs(-1, 0.1, 0.3)
-
-
-# ---------------------------------------------------------------------------
-# Quadrature
-# ---------------------------------------------------------------------------
-
-
-class TestQuadrature:
-    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0),
-                                        (0.0, np.nan)])
-    def test_infinite_and_nan_bounds_rejected(self, lo, hi):
-        with pytest.raises(ValueError, match="finite"):
-            integrate(lambda lam: np.exp(-lam * lam), lo, hi)
-
-    def test_indicator_over_real_line(self):
-        # A real-line integral is taken over the integrand's support, with
-        # its jumps as breakpoints.
-        f = lambda lam: np.where(np.abs(lam) <= math.pi, 1.0, 0.0)
-        value = integrate(f, -4.0, 4.0, breakpoints=(-math.pi, math.pi))
-        assert value == pytest.approx(2.0 * math.pi, rel=1e-9)
-
-    def test_gaussian_over_real_line(self):
-        # Past |lam| = 7, exp(-lam^2) is below e^-49: the envelope a
-        # smooth-h SpectralModel declares.
-        value = integrate(lambda lam: np.exp(-lam * lam), -7.0, 7.0)
-        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
-
-    def test_algebraic_singularity_vs_midpoint_oracle(self):
-        f = lambda lam: np.abs(lam * lam - 1.0) ** -0.25
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-        value = integrate(f, 0.0, 2.0, spec, breakpoints=(1.0,))
-        # The raw 1e7-point midpoint rule carries an O(h^(3/4)) error from
-        # the cells abutting the singularity (measured 1.1e-6 relative),
-        # so the raw comparison uses that floor while the tight check
-        # extrapolates the known h^(3/4) term away.
-        oracle = midpoint_rule(f, 0.0, 2.0, 10**7)
-        oracle_fine = midpoint_rule(f, 0.0, 2.0, 2 * 10**7)
-        r = 2.0**0.75
-        extrapolated = (r * oracle_fine - oracle) / (r - 1.0)
-        assert value == pytest.approx(oracle, rel=2e-6)
-        assert value == pytest.approx(extrapolated, rel=1e-7)
-
-    def test_linearity_on_smooth_integrands(self):
-        f = lambda x: np.exp(-x * x)
-        g = lambda x: 1.0 / (1.0 + x * x)
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-        combined = integrate(lambda x: 2.0 * f(x) + 3.0 * g(x), -4.0, 5.0, spec)
-        parts = 2.0 * integrate(f, -4.0, 5.0, spec) + 3.0 * integrate(g, -4.0, 5.0, spec)
-        assert combined == pytest.approx(parts, rel=1e-10)
-
-    def test_reversed_and_empty_bounds(self):
-        f = lambda x: x * x
-        assert integrate(f, 2.0, 2.0) == 0.0
-        forward = integrate(f, 0.0, 2.0)
-        assert integrate(f, 2.0, 0.0) == pytest.approx(-forward, rel=1e-12)
-
-    def test_constant_integrand_broadcasts(self):
-        assert integrate(lambda x: 2.0, 0.0, 3.0) == pytest.approx(6.0, rel=1e-14)
-
-    def test_nonconvergence_carries_estimate(self):
-        f = lambda lam: np.abs(lam - 0.3) ** -0.5
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=3)
-        with pytest.raises(QuadratureConvergenceError) as excinfo:
-            integrate(f, 0.0, 1.0, spec, breakpoints=(0.3,))
-        err = excinfo.value
-        assert math.isfinite(err.estimate)
-        assert err.error_bound > 0.0
-
-    def test_nonfinite_integrand_reported(self):
-        f = lambda lam: np.where(lam < 0.5, 1.0, np.inf)
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate(f, 0.0, 1.0, QuadratureSpec(max_subdivisions=4))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="abs_tol"):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError, match="max_subdivisions"):
-            QuadratureSpec(max_subdivisions=0)
-
-    def test_spec_takes_no_singularities(self):
-        # a split point is a breakpoint of integrate
-        with pytest.raises(TypeError):
-            QuadratureSpec(singularities=(1.0,))
-
-    def test_breakpoints_do_not_change_value(self):
-        f = lambda x: np.cos(40.0 * x) * np.exp(-0.1 * x)
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-        plain = integrate(f, 0.0, 10.0, spec)
-        hinted = integrate(
-            f, 0.0, 10.0, spec, breakpoints=tuple(np.linspace(0.25, 9.75, 39))
-        )
-        assert hinted == pytest.approx(plain, rel=1e-9, abs=1e-12)
 
 
 class TestPoleTransforms:

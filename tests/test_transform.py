@@ -11,7 +11,7 @@ import pytest
 
 from specpole.model import GegenbauerSpec, builtin_filter
 from specpole.simulate import PathRealization, gegenbauer_path
-from specpole.specfun import QuadratureSpec, gegenbauer_coeffs, integrate
+from specpole.specfun import gegenbauer_coeffs
 from specpole.transform import (
     ScaleSchedule,
     ScheduleLevel,
@@ -23,6 +23,8 @@ from specpole.transform import (
     schedule_from_json,
     schedule_to_json,
 )
+
+from adaptive_quadrature import QuadratureSpec, integrate
 
 
 def constant_path(value, lo, hi, dt, seed=0):
