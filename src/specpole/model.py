@@ -231,11 +231,12 @@ class FilterSpec:
 
     c2 and c3 are not arguments: construction computes them from
     ``psi_hat`` as 2 int_0^A |psi_hat|^2 and 4 int_0^A lam^2 |psi_hat|^2,
-    each the lag-0 column of specfun._filon_column knotted at the
-    breakpoints inside (0, A), and raises ValueError unless both are
-    positive.  |psi_hat|^2 is assumed even, as it is for a real psi, so
-    the constants read it on [0, A] alone.  ``doc`` is
-    ``builtin_filter``'s document, None for a filter built here.
+    the two rows of one lag-0 column of specfun._filon_column knotted at
+    the breakpoints inside (0, A), so |psi_hat|^2 is evaluated once per
+    node for both and each rule is a plain sum, with no FFT; it raises
+    ValueError unless both are positive.  |psi_hat|^2 is assumed even,
+    as it is for a real psi, so the constants read it on [0, A] alone.
+    ``doc`` is ``builtin_filter``'s document, None for a filter built here.
     ``psi`` may be None when only frequency-domain work is needed (the
     Meyer pair ships without a time form).  ``band_limit_A`` bounds the
     support of psi_hat; where that support is unbounded (the Mexican
@@ -261,10 +262,18 @@ class FilterSpec:
         if not (A > 0.0 and math.isfinite(A)):
             raise ValueError("FilterSpec: band limit must be a positive real")
         sq = lambda lam: np.abs(np.broadcast_to(self.psi_hat(lam), np.shape(lam))) ** 2
+
+        def moments(lam):  # |psi_hat|^2 and lam^2 |psi_hat|^2, one evaluation
+            rows = np.empty((2, lam.size))
+            rows[0] = sq(lam)
+            with np.errstate(invalid="ignore"):  # 0 * inf: the rule names the node
+                np.multiply(lam * lam, rows[0], out=rows[1])
+            return rows
+
         knots = [x for x in self.breakpoints if 0.0 < x < A]
-        moment = lambda g, scale: float(_filon_column(g, A, knots, None, 0, 1, scale)[0])
-        object.__setattr__(self, "c2", moment(sq, 2.0))
-        object.__setattr__(self, "c3", moment(lambda lam: lam * lam * sq(lam), 4.0))
+        c2, c3 = _filon_column(moments, A, knots, None, 0, 1, 1.0)[:, 0]
+        object.__setattr__(self, "c2", 2.0 * float(c2))
+        object.__setattr__(self, "c3", 4.0 * float(c3))
         if not (self.c2 > 0.0 and self.c3 > 0.0):
             raise ValueError("FilterSpec: moments c2 and c3 must be positive")
         if _spills(sq, A):

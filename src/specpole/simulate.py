@@ -320,6 +320,17 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
     the same realization reproduces identical values.  The grid t0 + k dt
     must lie on that lattice: a t0 or dt that is not a whole number
     raises ValueError naming it.
+
+    The output is filled in overlap-save blocks: each block draws its own
+    innovations, the truncation - 1 before it included, _QUANTILE_BLOCK
+    of them, so beside the path only one block's draws and sums are
+    alive.  Each value is np.convolve's dot product of its
+    innovations with the weights, bit for bit as one pass over the whole
+    lattice gives it.  On a step dt > 1 only the grid's own lattice points
+    are summed, by np.vecdot, which takes the same BLAS dot as
+    np.convolve for kernels of more than 11 taps; shorter kernels, which
+    np.convolve sums by its own loop, are convolved over the block's
+    whole lattice and read at every dt-th point.
     """
     if isinstance(spec, SpectralModel):
         raise TypeError(
@@ -337,13 +348,24 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
         if not value.is_integer():
             raise ValueError("gegenbauer_path: %s = %r is off the integer lattice the "
                              "moving average lives on" % (name, value))
-    k_lo, k_hi = int(t0), int(t0 + dt * (n_points - 1))
+    step, taps = int(dt), spec.truncation
     coeffs = spec.coefficients()
-    eps_idx = np.arange(k_lo - spec.truncation + 1, k_hi + 1)
-    eps = spec.sigma_eps * gaussian_stream(seed, _INNOVATION_TAG, eps_idx)
-    lattice = np.convolve(eps, coeffs, mode="valid")
-    # every dt-th lattice point; dt = 1 keeps the array itself
-    values = np.ascontiguousarray(lattice[:: int(dt)])
+    reverse = coeffs[::-1].copy()  # np.convolve's operand of the dot
+    values = np.empty(n_points)
+    # outputs per block whose innovations fill one block of gaussian_stream
+    per_block = max(1, (_QUANTILE_BLOCK - taps) // step + 1)
+    for lo in range(0, n_points, per_block):
+        hi = min(lo + per_block, n_points)
+        # lattice points int(t0) + step * (lo .. hi - 1), each with the
+        # taps - 1 innovations before it
+        k0 = int(t0) + step * lo
+        eps = spec.sigma_eps * gaussian_stream(
+            seed, _INNOVATION_TAG, np.arange(k0 - taps + 1, k0 + step * (hi - 1 - lo) + 1))
+        if step == 1 or taps <= 11:  # np.convolve's own loop for up to 11 taps
+            values[lo:hi] = np.convolve(eps, coeffs, mode="valid")[::step]
+        else:
+            windows = np.lib.stride_tricks.sliding_window_view(eps, taps)[::step]
+            values[lo:hi] = np.vecdot(windows, reverse)
     return PathRealization(t0=t0, dt=dt, values=values, seed=int(seed))
 
 
@@ -613,9 +635,11 @@ def exact_coefficient_sample(model, filt, schedule, seed):
 # ---------------------------------------------------------------------------
 
 
-# Rows per block of the CSV writers: each block of columns becomes Python
-# lists and strings only for as long as it is written, so a writer's
-# memory does not grow with the level or the path.
+# Rows per block of the CSV writers and readers.  A writer turns each
+# block of columns into Python lists and strings only for as long as it
+# is written; a reader parses one block at a time into arrays sized from
+# the file's line count.  So neither's memory grows with the level or the
+# path beyond the result.
 _CSV_BLOCK = 8192
 
 
@@ -645,59 +669,130 @@ def panel_to_csv(panel, path):
                 np.arange(lo + 1, hi + 1), lv.shifts[lo:hi], lv.coeffs[lo:hi]))
 
 
-def _csv_rows(path):
-    """Rows below the header; the callers report an empty file themselves."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+def _line_bound(fh):
+    """Line breaks in the text file fh, which it then rewinds: at least
+    its rows below the header, whether or not its last line ends in one."""
+    bound = sum(chunk.count("\n") for chunk in iter(lambda: fh.read(1 << 16), ""))
+    fh.seek(0)
+    return bound
+
+
+def _csv_blocks(fh, path, who):
+    """The rows below fh's header, parsed in blocks of _CSV_BLOCK rows.
+
+    Blank lines are skipped.  The first block is yielded even when empty
+    (the file's column count is then 1, as np.loadtxt reports it); a block
+    whose column count differs from the first's, or one np.loadtxt cannot
+    parse, raises ValueError naming ``who`` and the file.
+    """
+    fh.readline()
+    width, rows = None, 0
+    while True:
+        with warnings.catch_warnings():
+            # numpy notes an input without rows and each blank line
+            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
+            try:
+                block = np.loadtxt(fh, delimiter=",", max_rows=_CSV_BLOCK, ndmin=2)
+            except ValueError as exc:
+                raise ValueError("%s: %s, below data row %d: %s" % (who, path, rows, exc)) from exc
+        if width is None:
+            width = block.shape[1]
+        elif block.size and block.shape[1] != width:
+            raise ValueError("%s: %s changes from %d to %d columns below data row %d"
+                             % (who, path, width, block.shape[1], rows))
+        n = block.shape[0]
+        if n or not rows:
+            yield block
+        del block  # held by no name while the next block is parsed
+        rows += n
+        if n < _CSV_BLOCK:
+            return
+
+
+def _panel_blocks(fh, path):
+    """_csv_blocks of a panel CSV, each checked for five finite columns
+    and integer j and k."""
+    blocks, rows = _csv_blocks(fh, path, "panel_from_csv"), 0
+    for block in blocks:
+        if not block.size or block.shape[1] < 5 or not np.isfinite(block[:, :5]).all():
+            rows += block.shape[0] + sum(b.shape[0] for b in blocks)
+            raise ValueError(
+                "panel_from_csv: %s holds %d rows in %d column(s); a panel needs columns j, k, "
+                "a_j, b_jk and delta_jk, at least 1 row and finite values"
+                % (path, rows, block.shape[1]))
+        j, k = block[:, 0], block[:, 1]
+        if not ((j == np.round(j)).all() and (k == np.round(k)).all()):
+            raise ValueError("panel_from_csv: %s holds a non-integer j or k" % path)
+        rows += block.shape[0]
+        yield block
+
+
+def _panel_rows(path, n, blocks):
+    """Shifts and coefficients of blocks of panel rows, in arrays of at
+    most n, with (j, a_j, first row) of each level; None at the first row
+    out of (j, k) order.
+
+    Each block is checked against the row before it, so duplicate rows,
+    a level with two a_j, and shifts that do not increase are found
+    across block edges too; only the two stored columns outlive a block.
+    """
+    shifts, coeffs, starts, last, rows = np.empty(n), np.empty(n), [], None, 0
+    for block in blocks:
+        ext = block if last is None else np.concatenate([last, block])
+        j, k, a, b = ext[:, 0], ext[:, 1], ext[:, 2], ext[:, 3]
+        carried = ext.shape[0] - block.shape[0]  # 1 if ext starts with the last row
+        same = j[1:] == j[:-1]
+        if not ((j[1:] > j[:-1]) | same & (k[1:] >= k[:-1])).all():
+            return None
+        twice = same & (k[1:] == k[:-1])
+        if twice.any():
+            i = np.argmax(twice)
+            raise ValueError("panel_from_csv: %s gives level %d row k = %d more than once"
+                             % (path, j[i], k[i]))
+        for bad, what in ((same & (a[1:] != a[:-1]), "more than one a_j"),
+                          (same & ~(b[1:] > b[:-1]), "shifts b_jk that do not increase with k")):
+            if bad.any():
+                raise ValueError("panel_from_csv: %s gives level %d %s"
+                                 % (path, j[np.argmax(bad)], what))
+        first = np.flatnonzero(~same) + 1
+        for i in first if carried else np.r_[0, first]:
+            if not a[i] > 0:
+                raise ValueError(
+                    "panel_from_csv: %s gives level %d the scale a_j = %.17g; a scale must be "
+                    "positive" % (path, j[i], a[i]))
+            starts.append((int(j[i]), float(a[i]), rows + i - carried))
+        shifts[rows:rows + block.shape[0]] = block[:, 3]
+        coeffs[rows:rows + block.shape[0]] = block[:, 4]
+        rows += block.shape[0]
+        last = block[-1:]
+    shifts.resize(rows, refcheck=False)
+    coeffs.resize(rows, refcheck=False)
+    return shifts, coeffs, starts
 
 
 def panel_from_csv(path, provenance, seed):
     """Rebuild a panel from CSV plus the manifest-held provenance/seed.
 
-    The table is held once: a file in (j, k) order, as panel_to_csv
-    writes it, is split into levels where it lies, and only a file out of
-    that order is sorted into a copy.  Each level copies its own two
-    columns, so the panel does not keep the table alive.
+    A file in (j, k) order, as panel_to_csv writes it, is read and
+    checked in blocks of _CSV_BLOCK rows, and only its shifts and
+    coefficients are kept: one array each, sized from the file's line
+    count, which the levels share as views.  A file out of that order is
+    read again whole and sorted into a copy.  Blank lines are skipped, a
+    last line may lack its newline, and every malformed file raises
+    ValueError naming it; the file is closed either way.
     """
-    arr = _csv_rows(path)
-    if arr.shape[0] < 1 or arr.shape[1] < 5 or not np.isfinite(arr[:, :5]).all():
-        raise ValueError(
-            "panel_from_csv: %s holds %d rows in %d column(s); a panel needs columns j, k, "
-            "a_j, b_jk and delta_jk, at least 1 row and finite values" % ((path,) + arr.shape)
-        )
-    j, k = arr[:, 0], arr[:, 1]
-    if not ((j == np.round(j)).all() and (k == np.round(k)).all()):
-        raise ValueError("panel_from_csv: %s holds a non-integer j or k" % path)
-    if not ((j[1:] > j[:-1]) | (j[1:] == j[:-1]) & (k[1:] >= k[:-1])).all():
+    with open(path) as fh:
+        read = _panel_rows(path, _line_bound(fh), _panel_blocks(fh, path))
+    if read is None:
+        with open(path) as fh:
+            table = np.concatenate(list(_panel_blocks(fh, path)))
         # rows by (j, k); np.lexsort, unlike np.unique, leaves numpy.ma unloaded
-        arr = arr[np.lexsort((k, j))]
-        j, k = arr[:, 0], arr[:, 1]
-    twice = np.flatnonzero((j[1:] == j[:-1]) & (k[1:] == k[:-1]))
-    if twice.size:
-        raise ValueError(
-            "panel_from_csv: %s gives level %d row k = %d more than once"
-            % (path, j[twice[0]], k[twice[0]])
-        )
-    levels = []
-    for block in np.split(arr, np.flatnonzero(j[1:] != j[:-1]) + 1):
-        level, a_j, shifts = int(block[0, 0]), block[0, 2], block[:, 3]
-        if not (block[:, 2] == a_j).all():
-            raise ValueError(
-                "panel_from_csv: %s gives level %d more than one a_j" % (path, level)
-            )
-        if not a_j > 0:
-            raise ValueError(
-                "panel_from_csv: %s gives level %d the scale a_j = %.17g; a scale must be "
-                "positive" % (path, level, a_j)
-            )
-        if not (shifts[1:] > shifts[:-1]).all():
-            raise ValueError(
-                "panel_from_csv: %s gives level %d shifts b_jk that do not increase with k"
-                % (path, level)
-            )
-        levels.append(PanelLevel(j=level, a_j=float(a_j), shifts=shifts.copy(),
-                                 coeffs=block[:, 4].copy()))
+        table = table[np.lexsort((table[:, 1], table[:, 0]))]
+        read = _panel_rows(path, table.shape[0], [table])
+    shifts, coeffs, starts = read
+    ends = [lo for _, _, lo in starts[1:]] + [shifts.size]
+    levels = [PanelLevel(j=level, a_j=a_j, shifts=shifts[lo:hi], coeffs=coeffs[lo:hi])
+              for (level, a_j, lo), hi in zip(starts, ends)]
     levels.sort(key=lambda lv: lv.a_j)
     for lo, hi in zip(levels, levels[1:]):
         if lo.a_j == hi.a_j:
@@ -720,28 +815,53 @@ def path_to_csv(path_realization, path):
 
 
 def path_from_csv(path, seed):
-    """Read a path written by path_to_csv; the grid t must be uniform."""
-    arr = _csv_rows(path)
-    if arr.shape[0] < 2 or arr.shape[1] < 2 or not np.isfinite(arr[:, :2]).all():
+    """Read a path written by path_to_csv; the grid t must be uniform.
+
+    The rows are read in blocks of _CSV_BLOCK (see _csv_blocks) into one
+    array of x sized from the file's line count.  Each block's times are
+    checked against the grid of the first two, across block edges too,
+    and then dropped, so the reader holds the values and one block.
+    Blank lines are skipped, a last line may lack its newline, and every
+    malformed file raises ValueError naming it; the file is closed either
+    way.
+    """
+    with open(path) as fh:
+        values, rows, finite, uniform = np.empty(_line_bound(fh)), 0, True, True
+        t0 = dt = 0.0
+        blocks = _csv_blocks(fh, path, "path_from_csv")
+        for block in blocks:
+            n, cols = block.shape
+            if cols < 2 or not np.isfinite(block[:, :2]).all():
+                finite = False
+                rows += n + sum(b.shape[0] for b in blocks)
+                break
+            t = block[:, 0]
+            if not rows and n >= 2:
+                t0, dt = float(t[0]), float(t[1] - t[0])
+            elif rows:
+                t = np.concatenate([[last], t])
+            # np.allclose(steps, dt, rtol=1e-9, atol=0), on one scratch array
+            steps = np.diff(t)
+            steps -= dt
+            uniform = uniform and bool((np.abs(steps, out=steps) <= 1e-9 * abs(dt)).all())
+            values[rows:rows + n] = block[:, 1]
+            rows += n
+            last = t[-1]
+            del block, t, steps  # held by no name while the next block is parsed
+    if not finite or rows < 2:
         raise ValueError(
             "path_from_csv: %s holds %d samples in %d column(s); a path needs columns "
-            "t and x, at least 2 samples and finite values" % ((path,) + arr.shape)
+            "t and x, at least 2 samples and finite values" % (path, rows, cols)
         )
-    t = arr[:, 0]
-    dt = float(t[1] - t[0])
     if not dt > 0.0:
         raise ValueError(
             "path_from_csv: %s has t[1] - t[0] = %g; the times must increase"
             % (path, dt)
         )
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
+    if not uniform:
         raise ValueError(
             "path_from_csv: %s is not on a uniform time grid (steps differ "
             "from t[1] - t[0] = %g by more than 1e-9 relative)" % (path, dt)
         )
-    return PathRealization(
-        t0=float(t[0]),
-        dt=dt,
-        values=arr[:, 1].copy(),
-        seed=int(seed),
-    )
+    values.resize(rows, refcheck=False)
+    return PathRealization(t0=t0, dt=dt, values=values, seed=int(seed))

@@ -258,6 +258,11 @@ def _filon_column(f, upper, knots, pole, gamma, m, scale):
     and doubles until every lag meets _COLUMN_TOL * max(1, |entry|); a
     miss at _DCT_MAX_NODES raises QuadratureConvergenceError, and a node
     where g is not finite raises ValueError.
+
+    A column of lag 0 alone (gamma = 0, or m = 1) is the DCT-I's entry 0,
+    the plain sum g_0 + 2 sum g_i + g_n, taken without an FFT.  There f
+    may return several integrands as the rows of one array, each row a
+    column of its own from one evaluation per node.
     """
     lags = np.arange(m) if gamma else np.zeros(m, dtype=int)
     gamma = gamma or math.pi / upper
@@ -282,11 +287,11 @@ def _filon_column(f, upper, knots, pole, gamma, m, scale):
             return (f(lam) - g0 - g1 * x) * np.where(x == 0.0, 1.0, np.abs(x)) ** -power
 
     def values(lam):
-        inside = lam[lam <= upper]  # lam ascends; zero above the band
-        return np.pad(integrand(inside), (0, lam.size - inside.size))
+        inside = integrand(lam[lam <= upper])  # lam ascends; zero above the band
+        return np.pad(inside, [(0, 0)] * (inside.ndim - 1) + [(0, lam.size - inside.shape[-1])])
 
     def filon_sum(g, dct):  # the rule on the cells between the nodes g,
-        n = g.size - 1      # given their DCT-I at each lag
+        n = g.shape[-1] - 1  # given their DCT-I at each lag
         h = top / n
         total = 0.5 * h * np.sinc(halves / (2 * n)) ** 2 * dct
         if not knots.size:
@@ -297,21 +302,27 @@ def _filon_column(f, upper, knots, pole, gamma, m, scale):
         if np.any(np.diff(i) < 2):
             return total  # two jumps share a cell: the error estimate refines
         lo, mid, hi = (i - 1) * h, i * h, (i + 1) * h
-        cells = (np.concatenate(v)[:, None] for v in (
+        cells = (np.concatenate(v, axis=-1)[..., None] for v in (
             (lo, knots, lo, mid), (knots, hi, mid, hi),
-            (g[i - 1], right, g[i - 1], g[i]), (left, g[i + 1], g[i], g[i + 1])))
+            (g[..., i - 1], right, g[..., i - 1], g[..., i]),
+            (left, g[..., i + 1], g[..., i], g[..., i + 1])))
         return total + np.repeat([1.0, 1.0, -1.0, -1.0], i.size) @ _filon_cells(w, *cells)
 
     knots = np.array(sorted(knots))
     left, right = values(knots * (1 - 1e-13)), values(knots * (1 + 1e-13))
-    jumps = np.abs(left - right) > 1e-10 * np.abs(values(np.linspace(0.0, upper, 257))).max()
-    knots, left, right = knots[jumps], left[jumps], right[jumps]
+    peak = np.abs(values(np.linspace(0.0, upper, 257))).max(axis=-1, keepdims=True)
+    jumps = np.atleast_2d(np.abs(left - right) > 1e-10 * peak).any(axis=0)
+    knots, left, right = knots[jumps], left[..., jumps], right[..., jumps]
     while True:
         lam = np.linspace(0.0, top, n + 1)
         g = values(lam)
-        if not np.isfinite(g).all():
-            raise ValueError("integrand is not finite at lam = %r" % float(lam[~np.isfinite(g)][0]))
-        if direct:  # the nodes above n / 2 lie above the band
+        bad = ~np.atleast_2d(np.isfinite(g)).all(axis=0)
+        if bad.any():
+            raise ValueError("integrand is not finite at lam = %r" % float(lam[bad][0]))
+        if not halves.any():  # entry 0 of each rule's DCT-I
+            entries = [2.0 * g[..., ::1 << r].sum(axis=-1, keepdims=True) - g[..., :1] - g[..., -1:]
+                       for r in range(4)]
+        elif direct:  # the nodes above n / 2 lie above the band
             entries = _cosine_sums(g[:n // 2 + 1], math.pi / n * halves, 4)
         else:
             dct, entries = _dct1(g), []
@@ -321,16 +332,16 @@ def _filon_column(f, upper, knots, pole, gamma, m, scale):
                 # the DCT-I of g[::2] at j is (dct[j] + dct[-1 - j]) / 2
                 half = dct.size // 2
                 dct = 0.5 * (dct[:half + 1] + dct[half:][::-1])
-        sums = [filon_sum(g[::1 << r], entries[r]) for r in range(4)]
+        sums = [filon_sum(g[..., ::1 << r], entries[r]) for r in range(4)]
         r = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(sums, sums[1:])]
         col, error = r[0] + exact, np.maximum(np.abs(r[0] - r[1]), np.abs(r[1] - r[2]) / 4.0)
         missed = ~(error <= _COLUMN_TOL * np.maximum(1.0, np.abs(col)))
         if not missed.any():
             return scale * col
         if n >= _DCT_MAX_NODES:
-            k = int(np.flatnonzero(missed)[-1])
+            k = np.unravel_index(np.flatnonzero(missed)[-1], missed.shape)
             raise QuadratureConvergenceError(
                 "covariance entry at shift separation %r did not converge: Filon rules on "
-                "up to %d cells leave %.3g" % (float(lags[k] * gamma), n, scale * error[k]),
+                "up to %d cells leave %.3g" % (float(lags[k[-1]] * gamma), n, scale * error[k]),
                 scale * col[k], scale * error[k])
         n *= 2

@@ -25,6 +25,11 @@ def write_json(path, doc):
     return str(path)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def read_csv(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
@@ -450,7 +455,7 @@ class TestTransform:
             path_csv=os.path.join(sim_out, "path.csv"),
             seed=5,
         )
-        del_model = json.load(open(cfg))
+        del_model = read_json(cfg)
         del del_model["model"]
         cfg = write_json(tmp_path / "tra2.json", del_model)
         out = str(tmp_path / "out")
@@ -468,7 +473,7 @@ class TestTransform:
         sim_out = str(tmp_path / "sim_out")
         assert main(["simulate", "--config", sim_cfg, "--out", sim_out]) == 0
         cfg = transform_config(tmp_path, path_csv=os.path.join(sim_out, "path.csv"))
-        doc = json.load(open(cfg))
+        doc = read_json(cfg)
         del doc["model"]
         cfg = write_json(tmp_path / "tra2.json", doc)
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -488,7 +493,7 @@ class TestTransform:
     def test_non_uniform_path_csv_is_domain_error(self, tmp_path, capsys):
         path_csv = tmp_path / "gappy.csv"
         path_csv.write_text("t,x\n0,0.1\n1,0.2\n5,0.3\n6,0.4\n")
-        doc = json.load(open(transform_config(tmp_path, path_csv=str(path_csv))))
+        doc = read_json(transform_config(tmp_path, path_csv=str(path_csv)))
         del doc["model"]
         cfg = write_json(tmp_path / "tra2.json", doc)
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -498,7 +503,7 @@ class TestTransform:
     def test_single_column_path_csv_is_domain_error(self, tmp_path, capsys):
         path_csv = tmp_path / "times.csv"
         path_csv.write_text("t\n0\n1\n2\n")
-        doc = json.load(open(transform_config(tmp_path, path_csv=str(path_csv))))
+        doc = read_json(transform_config(tmp_path, path_csv=str(path_csv)))
         del doc["model"]
         cfg = write_json(tmp_path / "tra2.json", doc)
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -508,7 +513,7 @@ class TestTransform:
     def test_non_finite_path_csv_is_domain_error(self, tmp_path, capsys):
         path_csv = tmp_path / "holey.csv"
         path_csv.write_text("t,x\n0,0.1\n1,nan\n2,0.3\n")
-        doc = json.load(open(transform_config(tmp_path, path_csv=str(path_csv))))
+        doc = read_json(transform_config(tmp_path, path_csv=str(path_csv)))
         del doc["model"]
         cfg = write_json(tmp_path / "tra2.json", doc)
         out = tmp_path / "o"
@@ -520,7 +525,7 @@ class TestTransform:
     def test_header_only_path_csv_prints_one_error_line(self, tmp_path):
         path_csv = tmp_path / "empty_path.csv"
         path_csv.write_text("t,x\n")
-        doc = json.load(open(transform_config(tmp_path, path_csv=str(path_csv))))
+        doc = read_json(transform_config(tmp_path, path_csv=str(path_csv)))
         del doc["model"]
         cfg = write_json(tmp_path / "tra2.json", doc)
         result = run_cli("transform", "--config", cfg, "--out", str(tmp_path / "o"))
@@ -637,10 +642,10 @@ def path_csv_transform_config(tmp_path):
     sim_cfg = simulate_config(tmp_path, n_points=120, t0=-40, seed=5)
     sim_out = str(tmp_path / "sim")
     assert main(["simulate", "--config", sim_cfg, "--out", sim_out]) == 0
-    doc = json.load(open(transform_config(
+    doc = read_json(transform_config(
         tmp_path, path_csv=os.path.join(sim_out, "path.csv"), seed=5,
         schedule={"rule": "linear", "j_max": 4, "kappa": 2.0},
-    )))
+    ))
     del doc["model"]
     return write_json(tmp_path / "tra_csv.json", doc)
 
@@ -785,7 +790,7 @@ class TestMontecarlo:
 
     def test_missing_replications_reports_pointer(self, tmp_path, capsys):
         cfg = montecarlo_config(tmp_path)
-        doc = json.load(open(cfg))
+        doc = read_json(cfg)
         del doc["replications"]
         cfg = write_json(tmp_path / "mc2.json", doc)
         rc = main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -93,6 +93,38 @@ print(json.dumps({"codes": codes, "far_lag": far[0, 1]}))
 """
 
 
+# Filter constants sum their nodes directly, so building a filter, and
+# the transform and estimate commands, never load numpy.fft
+FFT_FREE_COMMANDS = """
+import json, os, sys
+import numpy as np
+from specpole import PathRealization, builtin_filter, lattice_window, linear_schedule, path_to_csv
+from specpole.cli import main
+
+filt = builtin_filter("mexican-hat")
+loaded = {"filter": "numpy.fft" in sys.modules}
+tmp = sys.argv[1]
+schedule = {"rule": "linear", "j_max": 3, "kappa": 3.0}
+t_lo, t_hi = lattice_window(filt, linear_schedule(3, kappa=3.0))
+x = np.sin(0.7 * np.arange(t_hi - t_lo + 1))
+path_to_csv(PathRealization(t0=float(t_lo), dt=1.0, values=x, seed=0), os.path.join(tmp, "path.csv"))
+configs = {
+    "transform": {"path_csv": os.path.join(tmp, "path.csv"),
+                  "filter": {"name": "mexican-hat"}, "schedule": schedule},
+    "estimate": {"panel_csv": os.path.join(tmp, "transform", "panel.csv"),
+                 "filter": {"name": "mexican-hat"}},
+}
+codes = {}
+for command, doc in configs.items():
+    config = os.path.join(tmp, command + ".json")
+    with open(config, "w") as fh:
+        json.dump(doc, fh)
+    codes[command] = main([command, "--config", config, "--out", os.path.join(tmp, command)])
+loaded["commands"] = "numpy.fft" in sys.modules
+print(json.dumps({"codes": codes, "fft": loaded}))
+"""
+
+
 def run_fresh(script, *args):
     """Last stdout line of script run in a fresh interpreter."""
     env = dict(os.environ)
@@ -121,6 +153,12 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     assert out["far_lag"] == far[0, 1]
     assert (tmp_path / "estimate" / "estimates.csv").stat().st_size > 0
     assert (tmp_path / "montecarlo" / "summary.json").stat().st_size > 0
+
+
+def test_filters_transform_and_estimate_load_no_fft(tmp_path):
+    out = run_fresh(FFT_FREE_COMMANDS, str(tmp_path))
+    assert out["codes"] == {"transform": 0, "estimate": 0}
+    assert out["fft"] == {"filter": False, "commands": False}
 
 
 def test_root_exports_each_module_name_once():
