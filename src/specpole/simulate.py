@@ -326,10 +326,7 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
     of them, so beside the path only one block's draws and sums are
     alive.  Each value is np.convolve's dot product of its
     innovations with the weights, bit for bit as one pass over the whole
-    lattice gives it.  On a step dt > 1 only the grid's own lattice points
-    are summed, by np.vecdot, which takes the same BLAS dot as
-    np.convolve for kernels of more than 11 taps; shorter kernels, which
-    np.convolve sums by its own loop, are convolved over the block's
+    lattice gives it.  On a step dt > 1 a block is convolved over its
     whole lattice and read at every dt-th point.
     """
     if isinstance(spec, SpectralModel):
@@ -350,7 +347,6 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
                              "moving average lives on" % (name, value))
     step, taps = int(dt), spec.truncation
     coeffs = spec.coefficients()
-    reverse = coeffs[::-1].copy()  # np.convolve's operand of the dot
     values = np.empty(n_points)
     # outputs per block whose innovations fill one block of gaussian_stream
     per_block = max(1, (_QUANTILE_BLOCK - taps) // step + 1)
@@ -361,11 +357,7 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
         k0 = int(t0) + step * lo
         eps = spec.sigma_eps * gaussian_stream(
             seed, _INNOVATION_TAG, np.arange(k0 - taps + 1, k0 + step * (hi - 1 - lo) + 1))
-        if step == 1 or taps <= 11:  # np.convolve's own loop for up to 11 taps
-            values[lo:hi] = np.convolve(eps, coeffs, mode="valid")[::step]
-        else:
-            windows = np.lib.stride_tricks.sliding_window_view(eps, taps)[::step]
-            values[lo:hi] = np.vecdot(windows, reverse)
+        values[lo:hi] = np.convolve(eps, coeffs, mode="valid")[::step]
     return PathRealization(t0=t0, dt=dt, values=values, seed=int(seed))
 
 

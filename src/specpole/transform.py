@@ -246,25 +246,20 @@ def _transform_level(path, filt, a, shifts):
     """Riemann sums at every shift of one scale, in bounded blocks.
 
     Each cell sums over its own window of samples.  The shifts are taken
-    in blocks of _CHUNK samples: as many cells as windows of the widest
-    width fit in _CHUNK, at least one.  Within a block, cells whose
+    _CHUNK // 16 cells at a time; within such a block, cells whose
     windows have the same grid offset and length share one evaluation of
-    the taper and psi, and so do the next block's cells at that offset
-    and length, while the window fits in _CHUNK.  Each product holds
-    about _CHUNK samples at most, so the block's indices, offsets,
-    widths and grouping order, like its products, stay block-sized:
-    beside the output, the kernel holds under 1 MB however many shifts it
-    is given.  Offsets are compared in units of _OFFSET_QUANTUM * dt, so
-    that float rounding of t0 + dt * i0 - b does not split one offset
-    into many.
+    the taper and psi, and each product holds about _CHUNK samples at
+    most.  The block's indices, offsets, widths and grouping order, like
+    its products, stay block-sized: beside the output, the kernel holds
+    under 1 MB however many shifts it is given.  Offsets are compared in
+    units of _OFFSET_QUANTUM * dt, so that float rounding of
+    t0 + dt * i0 - b does not split one offset into many.
     """
     radius = a * (filt.time_support + _TAPER_WIDTH)
-    step = max(1, _CHUNK // (int(2.0 * radius / path.dt) + 2))
-    views = {}  # the path's windows of each width met
-    kept = {}  # the last block's weights by (offset, width), for windows within _CHUNK
+    per_block = _CHUNK // 16
     out = np.zeros(shifts.size)
-    for first in range(0, shifts.size, step):
-        b = shifts[first : first + step]
+    for first in range(0, shifts.size, per_block):
+        b = shifts[first : first + per_block]
         i0 = np.ceil((b - radius - path.t0) / path.dt - 1e-12).astype(np.int64)
         i1 = np.floor((b + radius - path.t0) / path.dt + 1e-12).astype(np.int64)
         np.maximum(i0, 0, out=i0)
@@ -277,22 +272,17 @@ def _transform_level(path, filt, a, shifts):
         edges = _changes(offsets[order])
         edges |= _changes(widths[order])
         starts = np.flatnonzero(edges) + 1
-        reuse, kept = kept, {}
-        for cells in np.split(order, starts) if starts.size else (order,):
+        for cells in np.split(order, starts):
             k = cells[0]
             width = widths[k]
-            if width not in views:
-                views[width] = np.lib.stride_tricks.sliding_window_view(path.values, width)
+            windows = np.lib.stride_tricks.sliding_window_view(path.values, width)
             for c0 in range(0, width, _CHUNK):
-                weights = reuse.get((offsets[k], width))
-                if weights is None:
-                    i = np.arange(i0[k] + c0, min(i1[k] + 1, i0[k] + c0 + _CHUNK))
-                    u = (path.t0 + path.dt * i - b[k]) / a
-                    taper = np.clip(filt.time_support + _TAPER_WIDTH - np.abs(u), 0.0, _TAPER_WIDTH)
-                    weights = filt.psi(u) * (taper / _TAPER_WIDTH)
-                if width <= _CHUNK:
-                    kept[offsets[k], width] = weights
-                out[first + cells] += views[width][i0[cells], c0 : c0 + weights.size] @ weights
+                i = np.arange(i0[k] + c0, min(i1[k] + 1, i0[k] + c0 + _CHUNK))
+                u = (path.t0 + path.dt * i - b[k]) / a
+                taper = np.clip(filt.time_support + _TAPER_WIDTH - np.abs(u), 0.0, _TAPER_WIDTH)
+                weights = filt.psi(u) * (taper / _TAPER_WIDTH)
+                for rows in np.array_split(cells, math.ceil(cells.size * u.size / _CHUNK)):
+                    out[first + rows] += windows[i0[rows], c0 : c0 + u.size] @ weights
     out *= path.dt / math.sqrt(a)
     return out
 

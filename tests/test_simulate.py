@@ -249,7 +249,7 @@ class TestGegenbauerPath:
     @pytest.mark.parametrize("dt", [1.0, 3.0])
     def test_blocks_match_one_convolution(self, truncation, dt):
         # The path is summed in overlap-save blocks of about
-        # _QUANTILE_BLOCK lattice points, and on dt = 3 only at every
+        # _QUANTILE_BLOCK lattice points, and on dt = 3 read at every
         # third one: each value must equal one np.convolve over the whole
         # lattice bit for bit, on either side of the block edges too.
         spec = GegenbauerSpec(d=0.1, u=0.3, truncation=truncation)

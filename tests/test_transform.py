@@ -398,11 +398,10 @@ class TestPanelFromPath:
         assert peak <= 20e6
 
     def test_level_scratch_is_block_sized(self):
-        # A block takes as many cells as windows of the widest width fit
-        # in _CHUNK samples, so beside its output the kernel holds under
-        # 1 MB: on this 200,000-cell lattice level the traced peak
-        # measured the output plus 0.64 MB, against the output plus 3.8 MB
-        # when a block took up to 65,536 cells.
+        # A block takes _CHUNK // 16 = 4096 cells, so beside its output
+        # the kernel holds under 1 MB: on this 200,000-cell lattice level
+        # the traced peak measured the output plus 0.67 MB, against the
+        # output plus 3.8 MB when a block took up to 65,536 cells.
         filt = builtin_filter("mexican-hat")
         level = ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=200_000)
         lo, hi = lattice_window(filt, ScaleSchedule(levels=(level,)))
