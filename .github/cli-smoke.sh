@@ -4,13 +4,14 @@
 # -> estimate, on a path that covers the lattice window [-34, 51] of this
 # tiny schedule, and again on a 20,000-sample path and a 20,515-row panel,
 # each read in three blocks of the CSV readers.  Then a 2-replication
-# montecarlo run, and the density
-# and covariances written by spectrum: the indicator model's at 2049 lags
-# (one Filon column) and the Gegenbauer moving average's at 65.
+# montecarlo run, the density and covariances written by spectrum (the
+# indicator model's at 2049 lags, one Filon column, and the Gegenbauer
+# moving average's at 65), and a filter's constants.
 # Each run's manifest config is fed back through its subcommand into
 # another directory, which must hold the same outputs byte for byte.
-# Last, spectrum given model flags instead of a config, and simulate
-# given a directory as its config, must each exit 2.
+# Last, every subcommand takes only --config and --out: spectrum given
+# model flags or --n-grid, simulate given --seed or a directory as its
+# config, and an --out naming a file must each exit 2 and write nothing.
 #
 #     sh .github/cli-smoke.sh
 set -eu
@@ -56,11 +57,26 @@ specpole spectrum --config spec.json --out spec
 replay spec spectrum spectrum.csv covariance.csv
 specpole spectrum --config spec-ma.json --out spec-ma
 replay spec-ma spectrum spectrum.csv covariance.csv
-# the config is spectrum's one input: the former inline model is a usage error
-rc=0
-specpole spectrum --family indicator --s0 1.2661 --alpha 0.1 --M 3 --out spec-flag 2> /dev/null || rc=$?
-test "$rc" = 2 && test ! -e spec-flag
+echo '{"filter": {"name": "mexican-hat", "sigma": 2.0}}' > const.json
+specpole constants --config const.json --out const
+replay const constants constants.json
+# usage_error OUT ARG...: the command exits 2 and leaves nothing at OUT
+usage_error() {
+    out=$1
+    shift
+    rc=0
+    specpole "$@" 2> /dev/null || rc=$?
+    test "$rc" = 2 && test ! -e "$out"
+}
+# the config is each command's one input: a flag copy of a key is a usage error
+usage_error spec-flag spectrum --family indicator --s0 1.2661 --alpha 0.1 --M 3 --out spec-flag
+usage_error spec-grid spectrum --config spec.json --out spec-grid --n-grid 9
+usage_error sim-seed simulate --config simulate.json --out sim-seed --seed 1
+# an --out naming a file, or a path under one, is a usage error that
+# leaves the file as it was
+cp const/constants.json afile
+usage_error afile/path.csv simulate --config simulate.json --out afile
+usage_error afile/sim simulate --config simulate.json --out afile/sim
+cmp afile const/constants.json
 # a config that cannot be read as text, such as a directory, is a usage error
-rc=0
-specpole simulate --config sim --out sim-dir 2> /dev/null || rc=$?
-test "$rc" = 2 && test ! -e sim-dir
+usage_error sim-dir simulate --config sim --out sim-dir

@@ -2,27 +2,28 @@
 
 One executable with six subcommands:
 
-    constants    print a built-in filter's effective band limit and moments
+    constants    write a built-in filter's effective band limit and moments
     spectrum     tabulate the spectral density (and optionally covariances)
     simulate     draw a moving-average path and write it as CSV
     transform    filter a path into a per-scale coefficient panel
     estimate     turn a panel CSV into pole/exponent estimates
     montecarlo   run a replication experiment and aggregate MSE tables
 
+Each takes two flags, both required: it reads its one input, a JSON
+document, from ``--config`` and writes its files into the directory
+``--out``.  Every other setting is a key of the config.  Next to its
+files it writes ``manifest.json``, capturing the artifact version, the
+configuration the command read (defaults filled in; ``montecarlo``'s
+also records ``--out`` as its ``out_dir``) and the seed, so any output
+can be reproduced exactly from its manifest alone.
+
 Exit codes: 0 on success, 1 on domain errors (invalid parameter ranges,
 unknown filter names, quadrature failures), 2 on usage errors (bad
-flags, missing or malformed config files, schema violations).  Schema
-problems are reported with the JSON-pointer path of the offending key,
-so ``"config error at /schedule/j_max: missing required key"`` points
+flags, missing or malformed config files, schema violations, an
+``--out`` that cannot be a directory).  Schema problems are reported
+with the JSON-pointer path of the offending key, so
+``"config error at /schedule/j_max: missing required key"`` points
 into the document.
-
-Every command but ``constants`` reads its one input, a JSON document,
-from ``--config`` and writes its files under ``--out`` (``montecarlo``
-also takes the directory from the config's ``out_dir``).  Next to them it
-writes ``manifest.json``, capturing the artifact version, the
-configuration the command read (defaults filled in, flag overrides
-applied) and the seed, so any output can be reproduced exactly from its
-manifest alone.
 """
 
 import argparse
@@ -46,7 +47,6 @@ from .model import (
     _read_config,
     _write_csv,
     _write_json,
-    filter_from_json,
 )
 from .simulate import (
     PROVENANCES,
@@ -96,7 +96,13 @@ def _write_manifest(out_dir, command, config_doc, seed, outputs):
 
 
 def _ensure_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+    """out_dir, made if missing; a path that cannot be a directory, such
+    as a file or a path under one, is a ConfigError naming it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("", "cannot make output directory %r: %s"
+                              % (out_dir, exc.strerror or exc))
     return out_dir
 
 
@@ -106,14 +112,17 @@ def _ensure_out(out_dir):
 
 
 def cmd_constants(args):
-    filt = filter_from_json({"name": args.filter, "sigma": args.sigma})
-    doc = {
+    filt, config = _read_config(
+        _load_config(args.config), "", ("filter", _FILTER, _REQUIRED))
+    out_dir = _ensure_out(args.out)
+    _write_json(os.path.join(out_dir, "constants.json"), {
         "name": filt.name,
         "A_effective": filt.band_limit_A,
         "c2": filt.c2,
         "c3": filt.c3,
-    }
-    _write_json(sys.stdout, doc)
+    })
+    _write_manifest(out_dir, "constants", config, None, ["constants.json"])
+    print("wrote constants.json to %s" % out_dir)
     return 0
 
 
@@ -125,7 +134,6 @@ def cmd_constants(args):
 def cmd_spectrum(args):
     model, lam_max, n_grid, cov_lags, config = _read_config(
         _load_config(args.config), "",
-        {"lam_max": args.lam_max, "n_grid": args.n_grid, "cov_lags": args.cov_lags},
         ("model", _MODEL, _REQUIRED), ("lam_max", "number", None),
         ("n_grid", "integer", 401), ("cov_lags", "integer", 0),
     )
@@ -135,11 +143,11 @@ def cmd_spectrum(args):
     if lam_max is None:
         lam_max = config["lam_max"] = 1.5 * model.envelope if pole else math.pi
     if not (lam_max > 0.0 and math.isfinite(lam_max)):
-        raise ValueError("spectrum: lam-max must be a positive real")
+        raise ValueError("spectrum: lam_max must be a positive real")
     if n_grid < 2:
-        raise ValueError("spectrum: n-grid must be at least 2")
+        raise ValueError("spectrum: n_grid must be at least 2")
     if cov_lags < 0:
-        raise ValueError("spectrum: cov-lags must be non-negative")
+        raise ValueError("spectrum: cov_lags must be non-negative")
     lam = np.linspace(-lam_max, lam_max, n_grid)
     if pole and np.any(np.abs(np.abs(lam) - model.s0) == 0.0):
         warnings.warn(
@@ -170,7 +178,7 @@ def cmd_spectrum(args):
 
 def cmd_simulate(args):
     model, n_points, t0, dt, seed, config = _read_config(
-        _load_config(args.config), "", {"seed": args.seed},
+        _load_config(args.config), "",
         ("model", _MODEL, _REQUIRED), ("n_points", "integer", _REQUIRED),
         ("t0", "number", 0.0), ("dt", "number", 1.0), ("seed", "integer", _REQUIRED),
     )
@@ -199,7 +207,7 @@ def cmd_transform(args):
     else:
         source = ("model", _MODEL, _REQUIRED), ("seed", "integer", _REQUIRED)
     filt, schedule, src, seed, config = _read_config(
-        doc, "", {"seed": args.seed},
+        doc, "",
         ("filter", _FILTER, _REQUIRED), ("schedule", _SCHEDULE, _REQUIRED), *source,
     )
     if from_csv:
@@ -222,7 +230,7 @@ def cmd_transform(args):
 
 def cmd_estimate(args):
     panel_csv, filt, provenance, seed, config = _read_config(
-        _load_config(args.config), "", {},
+        _load_config(args.config), "",
         ("panel_csv", "string", _REQUIRED), ("filter", _FILTER, _REQUIRED),
         ("provenance", "string", "path-transform"), ("seed", "integer", 0),
     )
@@ -255,14 +263,11 @@ def cmd_estimate(args):
 
 
 def cmd_montecarlo(args):
+    # --out is the experiment's out_dir, so the manifest's config holds it
     config, read = _read_experiment(
-        _load_config(args.config), "", {"base_seed": args.seed, "out_dir": args.out}
-    )
-    if config.out_dir is None:
-        raise ConfigError(
-            "", "an output directory is required (set out_dir or pass --out)"
-        )
-    # run_experiment creates the directory once the config has passed
+        dict(_load_config(args.config), out_dir=args.out), "")
+    # a bad --out fails before the replications run, not after
+    _ensure_out(config.out_dir)
     table = run_experiment(config)
     _write_manifest(config.out_dir, "montecarlo", read, config.base_seed, _OUTPUTS)
     print(summarize(table))
@@ -284,74 +289,31 @@ def build_parser():
         "--version", action="version", version="specpole " + __version__
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser(
-        "constants",
-        help="print a filter's effective band limit and moment constants",
-    )
-    p.add_argument("--filter", required=True,
-                   help="built-in filter name (e.g. shannon-father)")
-    p.add_argument("--sigma", type=float, default=1.0,
-                   help="width parameter for the mexican-hat filter")
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser(
-        "spectrum",
-        help="tabulate the spectral density and optional covariances as CSV",
-    )
-    p.add_argument("--config", required=True,
-                   help="JSON config with a model, and optionally lam_max, "
-                        "n_grid and cov_lags")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--lam-max", type=float,
-                   help="grid half-width (default: past the band edge)")
-    p.add_argument("--n-grid", type=int,
-                   help="number of frequency grid points (default 401)")
-    p.add_argument("--cov-lags", type=int,
-                   help="also tabulate covariances at lags 0..N (default 0)")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser(
-        "simulate", help="draw a moving-average path and write path.csv"
-    )
-    p.add_argument("--config", required=True,
-                   help="JSON config with model, n_points, t0, dt, seed")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "transform",
-        help="filter a path into a coefficient panel and write panel.csv",
-    )
-    p.add_argument("--config", required=True,
-                   help="JSON config with filter, schedule and a model+seed "
-                        "or a path_csv to read")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser(
-        "estimate",
-        help="estimate the pole and exponent from a panel CSV",
-    )
-    p.add_argument("--config", required=True,
-                   help="JSON config with panel_csv, filter, and optionally "
-                        "provenance and seed")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser(
-        "montecarlo",
-        help="run a replication experiment and write MSE tables",
-    )
-    p.add_argument("--config", required=True,
-                   help="JSON experiment config (model, filter, schedule, "
-                        "backend, replications, base_seed)")
-    p.add_argument("--out", help="output directory (overrides config out_dir)")
-    p.add_argument("--seed", type=int, help="override the config base_seed")
-    p.set_defaults(func=cmd_montecarlo)
-
+    # Each subcommand's function, its help and what its config holds
+    for name, func, summary, keys in (
+        ("constants", cmd_constants,
+         "write a filter's effective band limit and moment constants",
+         "a filter (name, and sigma for the mexican hat)"),
+        ("spectrum", cmd_spectrum,
+         "tabulate the spectral density and optional covariances as CSV",
+         "a model, and optionally lam_max, n_grid and cov_lags"),
+        ("simulate", cmd_simulate,
+         "draw a moving-average path and write path.csv",
+         "model, n_points and seed, and optionally t0 and dt"),
+        ("transform", cmd_transform,
+         "filter a path into a coefficient panel and write panel.csv",
+         "filter, schedule and a model+seed or a path_csv to read"),
+        ("estimate", cmd_estimate,
+         "estimate the pole and exponent from a panel CSV",
+         "panel_csv, filter, and optionally provenance and seed"),
+        ("montecarlo", cmd_montecarlo,
+         "run a replication experiment and write MSE tables",
+         "model, filter, schedule, backend, replications and base_seed"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", required=True, help="JSON config with " + keys)
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -141,10 +141,9 @@ _KEYS = (
 )
 
 
-def _read_experiment(doc, pointer, flags):
-    """The config of doc, flags applied as model._read_config does, and
-    the manifest's form of what was read."""
-    *values, read = _read_config(doc, pointer, flags, *_KEYS)
+def _read_experiment(doc, pointer):
+    """The config of doc and the manifest's form of what was read."""
+    *values, read = _read_config(doc, pointer, *_KEYS)
     if read["backend"] not in PROVENANCES:
         raise ConfigError(
             pointer + "/backend", "must be one of %s" % (sorted(PROVENANCES),)
@@ -154,7 +153,7 @@ def _read_experiment(doc, pointer, flags):
 
 def experiment_from_json(doc, pointer=""):
     """Build a config from its JSON document form; other keys are ignored."""
-    return _read_experiment(doc, pointer, {})[0]
+    return _read_experiment(doc, pointer)[0]
 
 
 def experiment_to_json(config):
@@ -182,15 +181,15 @@ def experiment_to_json(config):
 _BATCH = 1 << 20
 
 
-def _batched_panel(config, filt, seeds):
+def _batched_panel(config, seeds):
     """One panel of the replications drawn from ``seeds``, a tuple."""
     if config.backend == "exact-gaussian":
-        return exact_coefficient_sample(config.model, filt, config.schedule, seeds)
-    t_lo, t_hi = lattice_window(filt, config.schedule)
+        return exact_coefficient_sample(config.model, config.filt, config.schedule, seeds)
+    t_lo, t_hi = lattice_window(config.filt, config.schedule)
     panels = [
         panel_from_path(
             gegenbauer_path(config.model, t_hi - t_lo + 1, float(t_lo), 1.0, seed),
-            filt,
+            config.filt,
             config.schedule,
         )
         for seed in seeds
@@ -203,7 +202,7 @@ def _batched_panel(config, filt, seeds):
     return CoefficientPanel(levels=levels, provenance=config.backend, seed=seeds)
 
 
-def _replicate(config, filt, reps):
+def _replicate(config, reps):
     """Sample and estimate the replications ``reps`` as one batch.
 
     Returns their indices and (levels, R) arrays of the statistics, the
@@ -211,8 +210,8 @@ def _replicate(config, filt, reps):
     so it has only its mean square.
     """
     reps = list(reps)
-    panel = _batched_panel(config, filt, tuple(config.base_seed + r for r in reps))
-    results = estimate(panel, filt)
+    panel = _batched_panel(config, tuple(config.base_seed + r for r in reps))
+    results = estimate(panel, config.filt)
     return {
         "rep": np.array(reps),
         "delta_bar": np.array([r.row.delta_bar for r in results]
@@ -300,20 +299,19 @@ def run_experiment(config):
     aborts the experiment.  With out_dir set, writes replications.csv,
     mse_table.csv and summary.json.
     """
-    filt = config.filt
     n_rep = config.replications
     size = max(1, _BATCH // sum(lv.m_j for lv in config.schedule.levels))
     batches, failures = [], []
     for first in range(0, n_rep, size):
         reps = range(first, min(first + size, n_rep))
         try:
-            batches.append(_replicate(config, filt, reps))
+            batches.append(_replicate(config, reps))
             continue
         except (ArithmeticError, ValueError):
             pass
         for rep in reps:
             try:
-                batches.append(_replicate(config, filt, [rep]))
+                batches.append(_replicate(config, [rep]))
             except (ArithmeticError, ValueError) as exc:
                 failures.append((rep, "%s: %s" % (type(exc).__name__, exc)))
     if len(failures) > 0.2 * n_rep:

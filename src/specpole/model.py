@@ -547,15 +547,13 @@ def _field(doc, pointer, key, kind, required=True, default=None):
 _REQUIRED = object()
 
 
-def _read_config(doc, pointer, flags, *keys):
+def _read_config(doc, pointer, *keys):
     """Read keys, each (name, kind, default or _REQUIRED), from doc in
     order; return their values, then the manifest's config of every key.
 
-    A flag in ``flags`` that is not None wins after the read, so a
-    required key stays required.  Numbers come out as floats.  The kind
-    of a key that holds a document is its (load, dump) pair, such as
-    _MODEL: the value is built by load at pointer/name, and the config
-    holds dump of it.
+    Numbers come out as floats.  The kind of a key that holds a document
+    is its (load, dump) pair, such as _MODEL: the value is built by load
+    at pointer/name, and the config holds dump of it.
     """
     doc = _document(doc, pointer)
     values, config = [], {}
@@ -563,8 +561,6 @@ def _read_config(doc, pointer, flags, *keys):
         codec = isinstance(kind, tuple)
         value = _field(doc, pointer, name, "object" if codec else kind,
                        default is _REQUIRED, default)
-        if flags.get(name) is not None:
-            value = flags[name]
         config[name] = value
         if codec:
             load, dump = kind

@@ -27,9 +27,8 @@ levels of equal m, against 0.50 under the process's joint law, so noise
 cancels in across-scale differences that a realization of the process
 would keep.  ROADMAP item 6 plans a sampler of the joint law.
 
-The normal quantile, the covariance column (by specfun's Filon rule),
-its Toeplitz matrix and its Schur factor are NumPy code; the package
-needs no SciPy.
+The normal quantile, the covariance column (by specfun's Filon rule)
+and its Schur factor are NumPy code; the package needs no SciPy.
 """
 
 import math
@@ -366,21 +365,22 @@ def gegenbauer_path(spec, n_points, t0, dt, seed):
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_toeplitz(col):
-    """The m x m matrix with entries col[|i - j|].
+def coefficient_covariance(model, filt, a_j, shifts):
+    """Exact covariance of the coefficients at one scale, as the first
+    column of its Toeplitz matrix: entry k is the covariance at lag
+    k gamma, k < m, of the m shifts.
 
-    Row i of the reversed length-m windows of [c_m-1 .. c_1, c_0 .. c_m-1]
-    is c_|i-j| over j, so the copy is the only m x m allocation.
+    The shifts must form an arithmetic grid b_k = b_1 + (k - 1) gamma (a
+    single shift counts as one), the only grid a ScaleSchedule admits;
+    any other grid raises ValueError.  The matrix has entries
+    col[|k1 - k2|], and the sampler factors it straight from this column
+    (see _schur_factor) without building it.  One Filon rule on
+    [0, min(A / a_j, envelope)], window |psi_hat(a_j lam)|^2 and factor
+    2 a_j gives every lag at one tolerance, a pole in the band
+    subtracted in closed form (see model._band_column).  The recommended
+    regime is a_j >= 2 * band limit; below that the across-scale
+    decorrelation bounds stop applying and a warning is emitted.
     """
-    ends = np.concatenate([col[:0:-1], col])
-    return np.lib.stride_tricks.sliding_window_view(ends, col.size)[::-1].copy()
-
-
-def _covariance_column(model, filt, a_j, shifts):
-    """Checked inputs, then the Toeplitz column of one level: its lags
-    k gamma, k < m, on an arithmetic grid (a single shift counts as one)
-    by one Filon rule on [0, min(A / a_j, envelope)], window
-    |psi_hat(a_j lam)|^2 and factor 2 a_j (see model._band_column)."""
     if not isinstance(model, SpectralModel):
         raise TypeError(
             "coefficient_covariance: need a SpectralModel with an explicit "
@@ -389,6 +389,7 @@ def _covariance_column(model, filt, a_j, shifts):
     a_j = float(a_j)
     if not (a_j > 0.0 and math.isfinite(a_j)):
         raise ValueError("coefficient_covariance: scale must be a positive real")
+    shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size < 1:
         raise ValueError("coefficient_covariance: shifts must be a non-empty vector")
     m = shifts.size
@@ -411,31 +412,13 @@ def _covariance_column(model, filt, a_j, shifts):
     return _band_column(model, upper, knots, abs(gamma), m, 2.0 * a_j, window)
 
 
-def coefficient_covariance(model, filt, a_j, shifts):
-    """Exact covariance matrix of the coefficients at one scale.
-
-    The shifts must form an arithmetic grid (a single shift counts as
-    one), the only grid a ScaleSchedule admits; any other grid raises
-    ValueError.  The matrix is then Toeplitz, the symmetric extension of
-    its first column, which one Filon rule gives for every lag at one
-    tolerance, a pole in the band subtracted in closed form (see
-    _covariance_column).  Sampling factors that same column directly (see
-    _schur_factor) and never builds this matrix, nor any other m x m array.
-    The recommended regime is a_j >= 2 * band limit; below that the
-    across-scale decorrelation bounds stop applying and a warning is
-    emitted.
-    """
-    shifts = np.asarray(shifts, dtype=float)
-    return _symmetric_toeplitz(_covariance_column(model, filt, a_j, shifts))
-
-
 def scale_second_moment(model, filt, a):
     """J(a): the common variance of coefficients at scale a.
 
     Entry 0 of the single-shift column, at the tolerance, with the checks
     and the warning of coefficient_covariance.
     """
-    return float(_covariance_column(model, filt, a, np.zeros(1))[0])
+    return float(coefficient_covariance(model, filt, a, [0.0])[0])
 
 
 # Columns per block of a packed Schur factor, and rows per staging band.
@@ -560,7 +543,7 @@ def _panel_factors(model, filt, schedule):
         if _FACTORS[0] != key:
             _FACTORS = (None, None)
             _FACTORS = (key, tuple(
-                _schur_factor(_covariance_column(model, filt, lv.a_j, lv.shifts()),
+                _schur_factor(coefficient_covariance(model, filt, lv.a_j, lv.shifts()),
                               lv.a_j)
                 for lv in schedule.levels))
         return _FACTORS[1]

@@ -97,10 +97,20 @@ class TestParser:
                 for opt in action.option_strings:
                     assert opt in text, "%s missing from %s --help" % (opt, name)
 
-    def test_unknown_flag_is_rejected(self):
+    def test_every_subcommand_takes_only_config_and_out(self):
+        _, subs = subcommand_parsers()
+        for name, sub in subs.items():
+            options = {opt: action for action in sub._actions
+                       for opt in action.option_strings}
+            assert set(options) == {"-h", "--help", "--config", "--out"}, name
+            assert options["--config"].required and options["--out"].required, name
+
+    def test_unknown_flag_is_rejected(self, tmp_path):
+        cfg = write_json(tmp_path / "const.json", {"filter": {"name": "shannon-father"}})
         with pytest.raises(SystemExit) as err:
-            main(["constants", "--filter", "shannon-father", "--bogus"])
+            main(["constants", "--config", cfg, "--out", str(tmp_path / "o"), "--bogus"])
         assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("spectrum", "--family", "indicator"), ("spectrum", "--s0", "2.0"),
@@ -109,6 +119,10 @@ class TestParser:
         ("spectrum", "--sigma-eps", "1.0"), ("spectrum", "--truncation", "30"),
         ("estimate", "--panel", "panel.csv"), ("estimate", "--filter", "mexican-hat"),
         ("estimate", "--sigma", "1.5"),
+        ("spectrum", "--lam-max", "6.0"), ("spectrum", "--n-grid", "9"),
+        ("spectrum", "--cov-lags", "2"), ("simulate", "--seed", "99"),
+        ("transform", "--seed", "12"), ("montecarlo", "--seed", "12345"),
+        ("constants", "--filter", "shannon-father"), ("constants", "--sigma", "2"),
     ])
     def test_model_and_panel_flags_are_gone(self, tmp_path, capsys, command,
                                             flag, value):
@@ -138,43 +152,48 @@ class TestParser:
 # ---------------------------------------------------------------------------
 
 
-class TestConstants:
-    def run_json(self, argv, capsys):
-        rc = main(argv)
-        assert rc == 0
-        return json.loads(capsys.readouterr().out)
+def run_constants(tmp_path, filt, name="out"):
+    """Run constants on a config holding filt, writing under tmp_path/name."""
+    cfg = write_json(tmp_path / (name + ".json"), {"filter": filt})
+    return main(["constants", "--config", cfg, "--out", str(tmp_path / name)])
 
-    def test_shannon_father_values(self, capsys):
-        doc = self.run_json(["constants", "--filter", "shannon-father"], capsys)
+
+class TestConstants:
+    def run_json(self, tmp_path, filt, name="out"):
+        assert run_constants(tmp_path, filt, name) == 0
+        return read_json(tmp_path / name / "constants.json")
+
+    def test_shannon_father_values(self, tmp_path):
+        doc = self.run_json(tmp_path, {"name": "shannon-father"})
         assert set(doc) == {"name", "A_effective", "c2", "c3"}
         assert doc["name"] == "shannon-father"
         np.testing.assert_allclose(doc["c2"], 2.0 * math.pi, rtol=1e-6)
         np.testing.assert_allclose(doc["c3"], (4.0 / 3.0) * math.pi**3, rtol=1e-6)
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        assert manifest["command"] == "constants"
+        assert manifest["config"]["filter"]["name"] == "shannon-father"
+        assert manifest["outputs"] == ["constants.json"]
 
-    def test_mexican_hat_moment_ratio(self, capsys):
-        doc = self.run_json(
-            ["constants", "--filter", "mexican-hat", "--sigma", "1"], capsys
-        )
+    def test_mexican_hat_moment_ratio(self, tmp_path):
+        doc = self.run_json(tmp_path, {"name": "mexican-hat", "sigma": 1})
         np.testing.assert_allclose(doc["c3"] / doc["c2"], 5.0, rtol=1e-6)
 
-    def test_sigma_rescales_band_limit(self, capsys):
-        one = self.run_json(["constants", "--filter", "mexican-hat"], capsys)
-        two = self.run_json(
-            ["constants", "--filter", "mexican-hat", "--sigma", "2"], capsys
-        )
+    def test_sigma_rescales_band_limit(self, tmp_path):
+        one = self.run_json(tmp_path, {"name": "mexican-hat"}, "one")
+        two = self.run_json(tmp_path, {"name": "mexican-hat", "sigma": 2}, "two")
         np.testing.assert_allclose(
             two["A_effective"], one["A_effective"] / 2.0, rtol=1e-12
         )
 
-    def test_sigma_of_a_filter_without_width_is_config_error(self, capsys):
-        rc = main(["constants", "--filter", "shannon-father", "--sigma", "3"])
-        assert rc == 2
-        assert "config error at /sigma" in capsys.readouterr().err
+    def test_sigma_of_a_filter_without_width_is_config_error(self, tmp_path, capsys):
+        assert run_constants(tmp_path, {"name": "shannon-father", "sigma": 3}) == 2
+        assert "config error at /filter/sigma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_unknown_filter_is_domain_error(self, capsys):
-        rc = main(["constants", "--filter", "haar"])
-        assert rc == 1
+    def test_unknown_filter_is_domain_error(self, tmp_path, capsys):
+        assert run_constants(tmp_path, {"name": "haar"}) == 1
         assert "unknown filter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +205,18 @@ def spectrum_config(tmp_path, model, **keys):
     return write_json(tmp_path / "spec.json", {"model": model, **keys})
 
 
-def run_spectrum(tmp_path, model, *flags):
-    """Run spectrum on a config holding model, and read back spectrum.csv."""
+def run_spectrum(tmp_path, model, **keys):
+    """Run spectrum on a config holding model and keys, and read back
+    spectrum.csv."""
     out = tmp_path / "out"
-    assert main(["spectrum", "--config", spectrum_config(tmp_path, model),
-                 *flags, "--out", str(out)]) == 0
+    assert main(["spectrum", "--config", spectrum_config(tmp_path, model, **keys),
+                 "--out", str(out)]) == 0
     return read_csv(out / "spectrum.csv")
 
 
 class TestSpectrum:
     def test_indicator_grid_even_and_zero_outside_band(self, tmp_path):
-        arr = run_spectrum(tmp_path, INDICATOR_MODEL, "--lam-max", "6.0", "--n-grid", "9")
+        arr = run_spectrum(tmp_path, INDICATOR_MODEL, lam_max=6.0, n_grid=9)
         with open(tmp_path / "out" / "spectrum.csv") as fh:
             assert fh.readline() == "lam,f\n"
         lam, f = arr[:, 0], arr[:, 1]
@@ -206,8 +226,7 @@ class TestSpectrum:
 
     def test_grid_hitting_pole_is_shifted_with_warning(self, tmp_path):
         with pytest.warns(UserWarning, match="singular"):
-            arr = run_spectrum(tmp_path, INDICATOR_MODEL,
-                               "--lam-max", "4.0", "--n-grid", "5")
+            arr = run_spectrum(tmp_path, INDICATOR_MODEL, lam_max=4.0, n_grid=5)
         assert not np.any(np.abs(arr[:, 0]) == 2.0)
         assert np.all(np.isfinite(arr[:, 1]))
 
@@ -225,8 +244,8 @@ class TestSpectrum:
     def test_ma_covariance_at_zero_is_coefficient_energy(self, tmp_path):
         out = str(tmp_path / "out")
         rc = main([
-            "spectrum", "--config", spectrum_config(tmp_path, MA_MODEL),
-            "--cov-lags", "1", "--out", out,
+            "spectrum", "--config", spectrum_config(tmp_path, MA_MODEL, cov_lags=1),
+            "--out", out,
         ])
         assert rc == 0
         cov = read_csv(os.path.join(out, "covariance.csv"))
@@ -234,7 +253,7 @@ class TestSpectrum:
         np.testing.assert_allclose(cov[0, 1], np.dot(coeffs, coeffs), rtol=1e-12)
 
     def test_ma_density_integrates_to_lag_zero_covariance(self, tmp_path):
-        arr = run_spectrum(tmp_path, MA_MODEL, "--n-grid", "8193")
+        arr = run_spectrum(tmp_path, MA_MODEL, n_grid=8193)
         coeffs = specpole.gegenbauer_coeffs(39, 0.1, 0.3)
         total = np.trapezoid(arr[:, 1], arr[:, 0])
         np.testing.assert_allclose(total, np.dot(coeffs, coeffs), rtol=1e-5)
@@ -242,8 +261,8 @@ class TestSpectrum:
     def test_manifest_lists_written_files(self, tmp_path):
         out = str(tmp_path / "out")
         rc = main([
-            "spectrum", "--config", spectrum_config(tmp_path, MA_MODEL),
-            "--cov-lags", "2", "--out", out,
+            "spectrum", "--config", spectrum_config(tmp_path, MA_MODEL, cov_lags=2),
+            "--out", out,
         ])
         assert rc == 0
         with open(os.path.join(out, "manifest.json")) as fh:
@@ -314,18 +333,6 @@ class TestSimulate:
         assert read_bytes(os.path.join(out_a, "path.csv")) == read_bytes(
             os.path.join(out_b, "path.csv")
         )
-
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = simulate_config(tmp_path)
-        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["simulate", "--config", cfg, "--out", out_a]) == 0
-        assert main(["simulate", "--config", cfg, "--out", out_b,
-                     "--seed", "99"]) == 0
-        path_a = read_csv(os.path.join(out_a, "path.csv"))
-        path_b = read_csv(os.path.join(out_b, "path.csv"))
-        assert not np.array_equal(path_a[:, 1], path_b[:, 1])
-        with open(os.path.join(out_b, "manifest.json")) as fh:
-            assert json.load(fh)["seed"] == 99
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -652,18 +659,24 @@ def path_csv_transform_config(tmp_path):
 
 # Each case's command line but --out, from (tmp_path, panel_dir)
 REPLAY_CASES = {
+    "constants-config": lambda tmp, panel: [
+        "constants", "--config",
+        write_json(tmp / "const.json", {"filter": {"name": "mexican-hat", "sigma": 2.0}}),
+    ],
     "spectrum-config": lambda tmp, panel: [
-        "spectrum", "--config",
-        write_json(tmp / "spec.json", {"model": INDICATOR_MODEL, "cov_lags": 2}),
-        "--n-grid", "11",
+        "spectrum", "--config", write_json(
+            tmp / "spec.json", {"model": INDICATOR_MODEL, "cov_lags": 2, "n_grid": 11}),
     ],
     "spectrum-family": lambda tmp, panel: [
         "spectrum", "--config", spectrum_config(
-            tmp, {"family": "gegenbauer", "d": 0.1, "u": 0.3, "truncation": 30}),
-        "--cov-lags", "3",
+            tmp, {"family": "gegenbauer", "d": 0.1, "u": 0.3, "truncation": 30},
+            cov_lags=3),
+    ],
+    "simulate-config": lambda tmp, panel: [
+        "simulate", "--config", simulate_config(tmp, n_points=60, seed=99),
     ],
     "transform-model": lambda tmp, panel: [
-        "transform", "--config", transform_config(tmp), "--seed", "12",
+        "transform", "--config", transform_config(tmp, seed=12),
     ],
     "transform-path-csv": lambda tmp, panel: [
         "transform", "--config", path_csv_transform_config(tmp),
@@ -688,9 +701,8 @@ REPLAY_CASES = {
             "schedule": {"rule": "linear", "j_max": 3, "kappa": 2.0},
             "backend": "path-transform",
             "replications": 2,
-            "base_seed": 3,
+            "base_seed": 41,
         }),
-        "--seed", "41",
     ],
 }
 
@@ -710,6 +722,23 @@ def test_manifest_config_replays_outputs(case, panel_dir, tmp_path):
     expected = read_bytes(out_a / "manifest.json").replace(
         json.dumps(str(out_a)).encode(), json.dumps(str(out_b)).encode())
     assert read_bytes(out_b / "manifest.json") == expected
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_is_usage_error(case, under, panel_dir,
+                                                       tmp_path, capsys):
+    # --out naming a file, or a path under one, writes nothing
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    (dest / "afile").write_text("kept\n")
+    out = str(dest / "afile" / "o" if under else dest / "afile")
+    argv = REPLAY_CASES[case](tmp_path, panel_dir)
+    assert main([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("config error: cannot make output directory %r" % out)
+    assert os.listdir(dest) == ["afile"]
+    assert (dest / "afile").read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +778,11 @@ class TestMontecarlo:
             summary = json.load(fh)
         assert summary["replications"] == 3
         assert len(summary["per_j"]) == 2
+        # replication i has seed base_seed + i
+        manifest = read_json(os.path.join(out, "manifest.json"))
+        assert manifest["seed"] == manifest["config"]["base_seed"] == 700
+        rows = read_table(os.path.join(out, "replications.csv"))
+        assert [int(r["seed"]) for r in rows[::2]] == [700, 701, 702]
 
     def test_manifest_config_reproduces_tables(self, tmp_path):
         cfg = montecarlo_config(tmp_path)
@@ -758,7 +792,7 @@ class TestMontecarlo:
         with open(os.path.join(out, "manifest.json")) as fh:
             manifest = json.load(fh)
         replay = write_json(tmp_path / "replay.json", manifest["config"])
-        assert main(["montecarlo", "--config", replay]) == 0
+        assert main(["montecarlo", "--config", replay, "--out", out]) == 0
         for name in MC_OUTPUTS:
             assert read_bytes(os.path.join(out, name)) == first[name], name
 
@@ -769,18 +803,6 @@ class TestMontecarlo:
                   "--workers", "2"])
         assert err.value.code == 2
         assert not (tmp_path / "o").exists()
-
-    def test_seed_flag_overrides_base_seed(self, tmp_path):
-        cfg = montecarlo_config(tmp_path)
-        out = str(tmp_path / "out")
-        assert main(["montecarlo", "--config", cfg, "--out", out,
-                     "--seed", "12345"]) == 0
-        with open(os.path.join(out, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        assert manifest["config"]["base_seed"] == 12345
-        assert manifest["seed"] == 12345
-        rows = read_table(os.path.join(out, "replications.csv"))
-        assert float(rows[0]["seed"]) == 12345.0
 
     def test_unknown_backend_reports_pointer(self, tmp_path, capsys):
         cfg = montecarlo_config(tmp_path, backend="bootstrap")
@@ -798,10 +820,17 @@ class TestMontecarlo:
         assert "/replications" in capsys.readouterr().err
 
     def test_output_directory_is_required_somewhere(self, tmp_path, capsys):
-        cfg = montecarlo_config(tmp_path)
-        rc = main(["montecarlo", "--config", cfg])
-        assert rc == 2
-        assert "output directory" in capsys.readouterr().err
+        # --out is required and names the directory; a config's out_dir
+        # is replaced by it
+        cfg = montecarlo_config(tmp_path, out_dir=str(tmp_path / "from_config"))
+        with pytest.raises(SystemExit) as err:
+            main(["montecarlo", "--config", cfg])
+        assert err.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["config"]["out_dir"] == str(out)
+        assert not (tmp_path / "from_config").exists()
 
     def test_out_of_range_parameter_is_domain_error(self, tmp_path, capsys):
         cfg = montecarlo_config(

@@ -243,10 +243,10 @@ class TestRunExact:
     def test_sparse_failures_recorded_and_skipped(self, monkeypatch):
         real = specpole.mc._replicate
 
-        def flaky(config, filt, reps):
+        def flaky(config, reps):
             if 0 in reps:
                 raise ValueError("synthetic failure")
-            return real(config, filt, reps)
+            return real(config, reps)
 
         monkeypatch.setattr(specpole.mc, "_replicate", flaky)
         with pytest.warns(UserWarning, match="skipped"):
@@ -261,11 +261,11 @@ class TestRunExact:
         real = specpole.mc._replicate
         calls = []
 
-        def flaky(config, filt, reps):
+        def flaky(config, reps):
             calls.append(list(reps))
             if 5 in reps:
                 raise ArithmeticError("synthetic failure")
-            return real(config, filt, reps)
+            return real(config, reps)
 
         monkeypatch.setattr(specpole.mc, "_replicate", flaky)
         with pytest.warns(UserWarning, match="1 of 10 replications failed"):
@@ -291,10 +291,10 @@ class TestRunExact:
         # replications succeeded; it is never recorded as a skip.
         real = specpole.mc._replicate
 
-        def broken(config, filt, reps):
+        def broken(config, reps):
             if bad_rep in reps:
                 raise TypeError("synthetic bug")
-            return real(config, filt, reps)
+            return real(config, reps)
 
         monkeypatch.setattr(specpole.mc, "_replicate", broken)
         with pytest.raises(TypeError, match="synthetic bug"):
@@ -306,12 +306,12 @@ class TestRunExact:
         # then hits a programming error: it still aborts the run.
         real = specpole.mc._replicate
 
-        def broken(config, filt, reps):
+        def broken(config, reps):
             if bad_rep in reps:
                 if len(reps) == 1:
                     raise TypeError("synthetic bug")
                 raise ValueError("synthetic failure")
-            return real(config, filt, reps)
+            return real(config, reps)
 
         monkeypatch.setattr(specpole.mc, "_replicate", broken)
         with pytest.raises(TypeError, match="synthetic bug"):
@@ -404,7 +404,7 @@ class TestExactMse:
         target = filt.c2 * model.zero_limits()[0]
         mse = []
         for lv in schedule.levels:
-            col = simulate._covariance_column(model, filt, lv.a_j, lv.shifts())
+            col = simulate.coefficient_covariance(model, filt, lv.a_j, lv.shifts())
             m = lv.m_j
             frobenius_sq = m * col[0] ** 2 + 2.0 * np.sum(
                 (m - np.arange(1, m)) * col[1:] ** 2

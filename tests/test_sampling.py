@@ -2,8 +2,9 @@
 
 The stream is checked bit for bit against the unblocked formula, kept
 here as the reference; a packed factor through its dense assembly,
-dense_factor, which tests/test_simulate.py also uses; the product
-against the full matrix product.
+dense_factor, against the Toeplitz matrix of its column,
+symmetric_toeplitz, both of which tests/test_simulate.py also uses; the
+product against the full matrix product.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 
 from specpole import simulate
 from specpole.model import builtin_filter, indicator_model
-from specpole.simulate import exact_coefficient_sample, gaussian_stream
+from specpole.simulate import coefficient_covariance, exact_coefficient_sample, gaussian_stream
 from specpole.transform import ScaleSchedule, ScheduleLevel, geometric_schedule
 
 
@@ -116,6 +117,17 @@ def one_level(m):
     return ScaleSchedule(levels=(ScheduleLevel(j=1, a_j=8.0, gamma_j=8.0, m_j=m),))
 
 
+def symmetric_toeplitz(col):
+    """The m x m matrix with entries col[|i - j|], whose first column
+    coefficient_covariance returns.
+
+    Row i of the reversed length-m windows of [c_m-1 .. c_1, c_0 .. c_m-1]
+    is c_|i-j| over j, so the copy is the only m x m allocation.
+    """
+    ends = np.concatenate([col[:0:-1], col])
+    return np.lib.stride_tricks.sliding_window_view(ends, col.size)[::-1].copy()
+
+
 def dense_factor(blocks):
     """The m x m upper factor whose column blocks _schur packed."""
     m = blocks[-1].shape[0]
@@ -138,7 +150,7 @@ FILT = builtin_filter("shannon-father")
 
 
 def level_column(a, m):
-    return simulate._covariance_column(MODEL, FILT, a, a * np.arange(1, m + 1))
+    return coefficient_covariance(MODEL, FILT, a, a * np.arange(1, m + 1))
 
 
 EXACT_C6_LEVELS = ((8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768))
@@ -164,7 +176,7 @@ class TestPackedFactor:
     def test_dense_assembly_reconstructs_the_covariance(self, a, m):
         col = level_column(a, m)
         factor = dense_factor(simulate._schur_factor(col, a))
-        toeplitz = simulate._symmetric_toeplitz(col)
+        toeplitz = symmetric_toeplitz(col)
         assert np.max(np.abs(factor.T @ factor - toeplitz)) <= 1e-13 * col[0]
 
 

@@ -47,7 +47,7 @@ from specpole.transform import (
 )
 from adaptive_quadrature import QuadratureSpec, integrate
 from test_model import pole_quadrature
-from test_sampling import dense_factor
+from test_sampling import dense_factor, symmetric_toeplitz
 
 # SciPy serves only as an oracle here; the tests that need it fetch it
 # with pytest.importorskip, so the rest run where it is not installed.
@@ -324,9 +324,9 @@ class TestCoefficientCovariance:
 
     def test_single_shift_equals_second_moment(self):
         # both are entry 0 of the single-shift column
-        cov = coefficient_covariance(self.model, self.filt, 8.0, [5.0])
+        col = coefficient_covariance(self.model, self.filt, 8.0, [5.0])
         np.testing.assert_array_equal(
-            cov, [[scale_second_moment(self.model, self.filt, 8.0)]]
+            col, [scale_second_moment(self.model, self.filt, 8.0)]
         )
 
     @pytest.mark.parametrize("a", [-8.0, 0.0])
@@ -345,11 +345,12 @@ class TestCoefficientCovariance:
             return np.cos(delta * lam) * np.abs(lam**2 - s0sq) ** -0.2
 
         oracle = 2.0 * a * midpoint_rule(g, 0.0, upper, 2_000_000)
-        cov = coefficient_covariance(self.model, self.filt, a, [8.0, 24.0])
-        np.testing.assert_allclose(cov[0, 1], oracle, rtol=1e-9)
+        col = coefficient_covariance(self.model, self.filt, a, [8.0, 24.0])
+        np.testing.assert_allclose(col[1], oracle, rtol=1e-9)
 
     def test_toeplitz_structure_and_symmetry(self):
-        cov = coefficient_covariance(self.model, self.filt, 8.0, 8.0 * np.arange(1, 9))
+        cov = symmetric_toeplitz(
+            coefficient_covariance(self.model, self.filt, 8.0, 8.0 * np.arange(1, 9)))
         np.testing.assert_array_equal(cov, cov.T)
         for k in range(1, 8):
             diag = np.diagonal(cov, offset=k)
@@ -371,7 +372,7 @@ class TestCoefficientCovariance:
     def test_strided_toeplitz_equals_scipy(self, m):
         toeplitz = pytest.importorskip("scipy.linalg").toeplitz
         col = np.random.default_rng(m).standard_normal(m)
-        np.testing.assert_array_equal(simulate._symmetric_toeplitz(col), toeplitz(col))
+        np.testing.assert_array_equal(symmetric_toeplitz(col), toeplitz(col))
 
     def test_non_arithmetic_shifts_consistent(self):
         # A non-arithmetic grid raises; the DCT columns of the two-shift
@@ -380,7 +381,7 @@ class TestCoefficientCovariance:
             coefficient_covariance(self.model, self.filt, 8.0, [8.0, 24.0, 56.0])
         for delta in (16.0, 48.0):
             pair = coefficient_covariance(self.model, self.filt, 8.0, [0.0, delta])
-            np.testing.assert_allclose(pair[0, 1], self.entry_oracle(8.0, delta),
+            np.testing.assert_allclose(pair[1], self.entry_oracle(8.0, delta),
                                        rtol=1e-12)
 
     def test_descending_and_repeated_shifts(self):
@@ -403,8 +404,8 @@ class TestCoefficientCovariance:
 
     def test_far_shifts_decorrelate(self):
         a = 8.0
-        cov = coefficient_covariance(self.model, self.filt, a, [0.0, 1e6 * a])
-        assert abs(cov[0, 1]) <= 1e-3 * cov[0, 0]
+        col = coefficient_covariance(self.model, self.filt, a, [0.0, 1e6 * a])
+        assert abs(col[1]) <= 1e-3 * col[0]
 
     def test_off_diagonal_decay_envelope(self):
         # |I(delta)| <= C * a / delta with one C fit on the small-delta
@@ -413,7 +414,7 @@ class TestCoefficientCovariance:
         seps = a * 2.0 ** np.arange(0, 11)
         vals = np.array(
             [
-                coefficient_covariance(self.model, self.filt, a, [0.0, d])[0, 1]
+                coefficient_covariance(self.model, self.filt, a, [0.0, d])[1]
                 for d in seps
             ]
         )
@@ -494,9 +495,9 @@ class TestExactSample:
             ]
         )
         sample = np.cov(draws.T, bias=True)
-        target = coefficient_covariance(
+        target = symmetric_toeplitz(coefficient_covariance(
             self.model, self.filt, 8.0, 8.0 * np.arange(1, 5)
-        )
+        ))
         se = np.sqrt(
             (np.outer(np.diag(target), np.diag(target)) + target**2) / n
         )
@@ -551,7 +552,7 @@ class TestDctColumn:
     def column(self, filt, a, gamma, m):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # levels below 2A
-            return simulate._covariance_column(self.model, filt, a, gamma * np.arange(m))
+            return coefficient_covariance(self.model, filt, a, gamma * np.arange(m))
 
     def assert_matches_per_lag(self, name, a, gamma, m, lags, tol=1e-12):
         filt = builtin_filter(name)
@@ -624,7 +625,7 @@ class TestDctColumn:
         lo, upper = (math.pi / a if name == "shannon-mother" else 0.0), band(model, filt, a)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a < 2A
-            col = simulate._covariance_column(model, filt, a, np.arange(256.0))
+            col = coefficient_covariance(model, filt, a, np.arange(256.0))
         for k in (0, 1, 31, 255):
             g = lambda lam: math.cos(k * lam) * abs(filt.psi_hat(a * lam)) ** 2 * (lam + 1.5) ** -0.9
             oracle = 2.0 * a * pole_quadrature(g, lo, upper, 1.5, 0.9)
@@ -780,7 +781,7 @@ class TestFarLags:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a = 8 < 2A
                 got = coefficient_covariance(self.model, filt, a, [0.0, delta])
-            assert abs(got[0, 1] - self.oracle(filt, a, delta)) <= 2 * a * specfun._COLUMN_TOL
+            assert abs(got[1] - self.oracle(filt, a, delta)) <= 2 * a * specfun._COLUMN_TOL
 
     def test_shannon_mother_reads_the_jump_from_inside_the_band(self):
         # psi_hat reads 0 at the band edge pi/a itself; a rule with a
@@ -791,7 +792,7 @@ class TestFarLags:
             cov = coefficient_covariance(self.model, filt, a, [0.0, delta])
         oracle = 2 * a * self.by_parts(math.pi / a, 2 * math.pi / a, delta)
         assert oracle == pytest.approx(3.0576727e-7, rel=1e-7)
-        assert abs(cov[0, 1] - oracle) <= 2 * a * specfun._COLUMN_TOL
+        assert abs(cov[1] - oracle) <= 2 * a * specfun._COLUMN_TOL
 
     def pole_terms(self, delta, terms=6):
         """The pole's share of int_0^U cos(delta lam) f(lam) dlam to 40
@@ -821,7 +822,7 @@ class TestFarLags:
         filt = builtin_filter("shannon-father")
         a, delta = 2.0, 1e5
         with pytest.warns(UserWarning, match="band limit"):  # a = 2 < 2A
-            got = coefficient_covariance(self.model, filt, a, [0.0, delta])[0, 1]
+            got = coefficient_covariance(self.model, filt, a, [0.0, delta])[1]
         oracle = 2 * a * (self.by_parts(0.0, math.pi / a, delta) + self.pole_terms(delta))
         assert abs(oracle) > 1e-4
         assert abs(got - oracle) <= 2 * a * tol + tol * abs(oracle)
@@ -873,20 +874,20 @@ class TestLevelFactor:
 
     def test_exact_c6_levels_need_no_jitter(self):
         for a, m in ((8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768)):
-            cov = coefficient_covariance(self.model, self.filt, a, a * np.arange(1, m + 1))
-            assert np.linalg.eigvalsh(cov).min() > 5.0, a
+            col = coefficient_covariance(self.model, self.filt, a, a * np.arange(1, m + 1))
+            assert np.linalg.eigvalsh(symmetric_toeplitz(col)).min() > 5.0, a
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                simulate._schur_factor(cov[:, 0].copy(), a)
+                simulate._schur_factor(col, a)
 
     @pytest.mark.parametrize("a, m", [(8.0, 512), (16.0, 768), (32.0, 768), (64.0, 768),
                                       (64.0, 4096)])
     def test_matches_dense_cholesky(self, a, m):
         # the exact-c6 levels (m capped at 768) and one criterion-6 level
         shifts = a * np.arange(1, m + 1)
-        cov = coefficient_covariance(self.model, self.filt, a, shifts)
-        factor = dense_factor(simulate._schur_factor(cov[:, 0].copy(), a))
-        dense = np.linalg.cholesky(cov)
+        col = coefficient_covariance(self.model, self.filt, a, shifts)
+        factor = dense_factor(simulate._schur_factor(col, a))
+        dense = np.linalg.cholesky(symmetric_toeplitz(col))
         assert factor.shape == (m, m)
         np.testing.assert_allclose(factor.T, dense, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(dense)))
@@ -896,11 +897,12 @@ class TestLevelFactor:
         model = indicator_model(1.5, 0.25, 4.0)
         filt = builtin_filter("mexican-hat")
         a, m = 16.0, 256
-        cov = coefficient_covariance(model, filt, a, a * np.arange(1, m + 1))
+        col = coefficient_covariance(model, filt, a, a * np.arange(1, m + 1))
+        cov = symmetric_toeplitz(col)
         assert np.linalg.eigvalsh(cov).min() < 1e-5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factor = dense_factor(simulate._schur_factor(cov[:, 0].copy(), a))
+            factor = dense_factor(simulate._schur_factor(col, a))
         assert np.max(np.abs(factor.T @ factor - cov)) <= 1e-13 * cov[0, 0]
 
     def test_indefinite_column_raises_once_the_ladder_runs_out(self, monkeypatch):
@@ -914,13 +916,13 @@ class TestLevelFactor:
             simulate._schur_factor(np.zeros(3), 8.0)
         # the sampling path names the level that failed
         monkeypatch.setattr(simulate, "_FACTORS", (None, None))
-        real = simulate._covariance_column
+        real = simulate.coefficient_covariance
 
         def column(model, filt, a_j, shifts):
             col = real(model, filt, a_j, shifts)
             return np.array([1.0, 2.0, 0.0]) if a_j == 16.0 else col
 
-        monkeypatch.setattr(simulate, "_covariance_column", column)
+        monkeypatch.setattr(simulate, "coefficient_covariance", column)
         with pytest.raises(ArithmeticError, match=r"a_j = 16 \(m_j = 3\)"):
             exact_coefficient_sample(self.model, self.filt, ladder((8.0, 16.0), m=3), 0)
 
@@ -950,7 +952,7 @@ def ladder(scales, m=8):
 
 
 class TestPanelFactors:
-    """Factor builds, counted as calls of _covariance_column."""
+    """Factor builds, counted as calls of coefficient_covariance."""
 
     model = indicator_model(1.2661036727794992, 0.1, 3.0)
     filt = builtin_filter("shannon-father")
@@ -959,7 +961,7 @@ class TestPanelFactors:
     def builds(self, monkeypatch):
         monkeypatch.setattr(simulate, "_FACTORS", (None, None))
         calls = []
-        real = simulate._covariance_column
+        real = simulate.coefficient_covariance
 
         def counted(*args, **kwargs):
             calls.append(args[2])
@@ -967,7 +969,7 @@ class TestPanelFactors:
             time.sleep(0.02)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_covariance_column", counted)
+        monkeypatch.setattr(simulate, "coefficient_covariance", counted)
         return calls
 
     def test_workers_share_one_build_per_level(self, builds):
