@@ -7,10 +7,12 @@
 # and one transformed from a model and seed, are written block by block
 # as they are computed; each must hold the bytes that panel_to_csv writes
 # of panel_from_path's panel (the big one's level 5, m_5 = 15,625, spans
-# four blocks of the transform kernel).  Then a 2-replication
-# montecarlo run, the density and covariances written by spectrum (the
-# indicator model's at 2049 lags, one Filon column, and the Gegenbauer
-# moving average's at 65), and a filter's constants.
+# four blocks of the transform kernel).  Then 2-replication montecarlo
+# runs on the exact backend and on the path backend (whose level 5 on
+# that schedule again spans four blocks, summed block by block), the
+# density and covariances written by spectrum (the indicator model's at
+# 2049 lags, one Filon column, and the Gegenbauer moving average's at
+# 65), and a filter's constants.
 # Each run's manifest config is fed back through its subcommand into
 # another directory, which must hold the same outputs byte for byte.
 # Last, every subcommand takes only --config and --out: spectrum given
@@ -76,6 +78,9 @@ library_panel tr-big
 echo '{"model": {"family": "indicator", "s0": 1.2661, "alpha": 0.1, "M": 3.0}, "filter": {"name": "shannon-father"}, "schedule": {"rule": "geometric", "j_max": 2, "a0": 4.0, "rho": 2.0, "kappa": 2.0, "m_cap": 32}, "backend": "exact-gaussian", "replications": 2, "base_seed": 1}' > mc.json
 specpole montecarlo --config mc.json --out mc
 replay mc montecarlo replications.csv mse_table.csv summary.json
+echo '{"model": {"family": "gegenbauer", "d": 0.1, "u": 0.3}, "filter": {"name": "mexican-hat"}, "schedule": {"rule": "linear", "j_max": 5, "kappa": 6.0}, "backend": "path-transform", "replications": 2, "base_seed": 7}' > mc-path.json
+specpole montecarlo --config mc-path.json --out mc-path
+replay mc-path montecarlo replications.csv mse_table.csv summary.json
 echo '{"model": {"family": "indicator", "s0": 1.2661, "alpha": 0.1, "M": 3.0}, "cov_lags": 2048}' > spec.json
 echo '{"model": {"family": "gegenbauer", "d": 0.1, "u": 0.3}, "cov_lags": 64}' > spec-ma.json
 specpole spectrum --config spec.json --out spec

@@ -49,7 +49,6 @@ from .model import (
     _write_json,
 )
 from .simulate import (
-    _ROW_BLOCK,
     PROVENANCES,
     _write_panel,
     gegenbauer_path,
@@ -57,7 +56,7 @@ from .simulate import (
     path_from_csv,
     path_to_csv,
 )
-from .transform import _SCHEDULE, _check_coverage, _transform_level, lattice_window
+from .transform import _SCHEDULE, _check_coverage, _level_blocks, lattice_window
 
 __all__ = ["ConfigError", "build_parser", "main"]
 
@@ -220,15 +219,9 @@ def cmd_transform(args):
     out_dir = _ensure_out(args.out)
 
     # The bytes of panel_to_csv(panel_from_path(...)), one kernel block at
-    # a time: a block's shifts and coefficients are computed only once the
-    # block before is written, so beside the path one block lives.
-    def blocks():
-        for lv in schedule.levels:
-            for k0 in range(0, lv.m_j, _ROW_BLOCK):
-                shifts = lv.shifts(k0, min(k0 + _ROW_BLOCK, lv.m_j))
-                yield lv.j, lv.a_j, k0, shifts, _transform_level(path, filt, lv.a_j, shifts)
-
-    _write_panel(os.path.join(out_dir, "panel.csv"), blocks())
+    # a time: a block is computed only once the block before is written,
+    # so beside the path one block lives.
+    _write_panel(os.path.join(out_dir, "panel.csv"), _level_blocks(path, filt, schedule))
     _write_manifest(out_dir, "transform", config, seed, ["panel.csv"])
     print("wrote panel.csv (%d levels) to %s" % (len(schedule.levels), out_dir))
     return 0

@@ -15,9 +15,10 @@ and are total: any real pair comes out strictly inside the region, with
 exact-boundary hits nudged inward by a relative 1e-9 (absolute floor
 1e-12).  All operations are pure functions.
 
-Every step works on arrays as well as on scalars: a panel of R
-replications gives each statistic and estimate as an array over them,
-and a scalar is the one-element case of the same code.
+Every step works on arrays as well as on scalars: a batch of R
+replications, whose levels hold R mean squares each, gives each
+statistic and estimate as an array over them, and a scalar is the
+one-element case of the same code.
 """
 
 import math
@@ -34,7 +35,6 @@ __all__ = [
     "FeasiblePoint",
     "EstimateResult",
     "ADJUSTMENT_CASES",
-    "first_statistic",
     "second_statistic",
     "forward_map",
     "in_feasible_region",
@@ -42,7 +42,6 @@ __all__ = [
     "solve",
     "estimate",
     "results_to_csv",
-    "results_to_json",
 ]
 
 ADJUSTMENT_CASES = ("none", "case1", "case2", "case3", "case4", "case5")
@@ -119,12 +118,6 @@ def _value(x):
     """A Python scalar for a 0-d result, the array itself otherwise."""
     x = np.asarray(x)
     return x.item() if x.ndim == 0 else x
-
-
-def first_statistic(panel, j):
-    """Mean of squared coefficients at level j (per replication row)."""
-    level = panel.level_for(j)
-    return _value(np.mean(level.coeffs**2, axis=-1))
 
 
 def second_statistic(delta_j, delta_j1, a_j, a_j1):
@@ -248,21 +241,23 @@ def estimate(panel, filt):
 
     Returns one result per consecutive level pair, in panel order.  The
     trajectory over j is informative in itself; the final estimate is
-    conventionally the largest-j row.  Levels whose mean square is
-    exactly zero cannot be normalized and are skipped with a warning.
-    On a panel of R replications every field but j is an array over
-    them, and a zero mean square raises ValueError instead, since a
-    level cannot be skipped for some rows only.
+    conventionally the largest-j row.  A level enters only through its
+    mean square delta_bar_j, ``mean_square``.  Levels whose mean square
+    is exactly zero cannot be normalized and are skipped with a warning.
+    On a batch of R replications, whose levels each hold R mean squares,
+    every field but j is an array over them, and a zero mean square
+    raises ValueError instead, since a level cannot be skipped for some
+    rows only.
     """
     levels = panel.levels
     if len(levels) < 2:
         raise ValueError("estimate: panel needs at least two levels")
-    delta = [np.mean(lv.coeffs**2, axis=-1) for lv in levels]
+    delta = [lv.mean_square for lv in levels]
     pairs = []
     for i, level in enumerate(levels[:-1]):
         if not np.any(delta[i] == 0.0):
             pairs.append(i)
-        elif isinstance(panel.seed, tuple):
+        elif np.ndim(delta[i]):
             raise ValueError(
                 "estimate: level %d has zero mean square in some replication"
                 % level.j
@@ -308,46 +303,14 @@ def estimate(panel, filt):
 # Serialization
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "j",
-    "a_j",
-    "delta_bar",
-    "ddelta",
-    "y1_raw",
-    "y2_raw",
-    "y1_adj",
-    "y2_adj",
-    "case",
-    "s0_hat",
-    "alpha_hat",
-)
-
-
-def _result_record(res):
-    return {
-        "j": res.j,
-        "a_j": res.row.a_j,
-        "delta_bar": res.row.delta_bar,
-        "delta_bar_next": res.row.delta_bar_next,
-        "ddelta": res.row.ddelta,
-        "y1_raw": res.row.y1_raw,
-        "y2_raw": res.row.y2_raw,
-        "y1_adj": res.point.y1,
-        "y2_adj": res.point.y2,
-        "case": res.point.case_applied,
-        "adjusted": res.point.adjusted,
-        "q_j": res.q_j,
-        "s0_hat": res.s0_hat,
-        "alpha_hat": res.alpha_hat,
-    }
-
-
-def results_to_json(results):
-    """Plain-dict form of the results, ready for json.dump."""
-    return [_result_record(r) for r in results]
+# The columns of estimates.csv, in the order results_to_csv writes them
+_CSV_COLUMNS = ("j", "a_j", "delta_bar", "ddelta", "y1_raw", "y2_raw",
+                "y1_adj", "y2_adj", "case", "s0_hat", "alpha_hat")
 
 
 def results_to_csv(results, path):
     """Write one CSV row per estimate, floats at full precision."""
-    _write_csv(path, _CSV_COLUMNS, ([record[name] for name in _CSV_COLUMNS]
-                                    for record in map(_result_record, results)))
+    _write_csv(path, _CSV_COLUMNS, (
+        (r.j, r.row.a_j, r.row.delta_bar, r.row.ddelta, r.row.y1_raw, r.row.y2_raw,
+         r.point.y1, r.point.y2, r.point.case_applied, r.s0_hat, r.alpha_hat)
+        for r in results))

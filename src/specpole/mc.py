@@ -7,12 +7,15 @@ Both generation back-ends plug in here: the exact Gaussian sampler
 moving-average recipe pushed through the time-domain filter).
 
 Replication i has seed base_seed + i.  Replications run in batches of
-up to _BATCH stacked coefficients, in the calling thread: a batch is one
-panel of (R, m_j) blocks, sampled with one triangular product per level
-on the exact backend (or stacked from per-seed path panels), and estimated
-as arrays.  A batch that fails numerically is rerun one replication at
-a time, so failures are still recorded per replication.  Every heavy
-step is BLAS or numpy, which already uses the cores.
+up to _BATCH coefficients, in the calling thread.  A batch keeps, at
+each level, only the R mean squares that the estimator reads (a
+LevelMeans), and is estimated as arrays.  The exact backend reduces
+each level's one triangular product of R rows; the path backend sums
+each seed's squared coefficients as the transform computes them, block
+by block, so no batch holds a coefficient panel.  A batch that fails
+numerically is rerun one replication at a time, so failures are still
+recorded per replication.  Every heavy step is BLAS or numpy, which
+already uses the cores.
 """
 
 import numbers
@@ -41,11 +44,11 @@ from .model import (
 from .simulate import (
     PROVENANCES,
     CoefficientPanel,
-    PanelLevel,
+    LevelMeans,
     exact_coefficient_sample,
     gegenbauer_path,
 )
-from .transform import _SCHEDULE, lattice_window, panel_from_path, schedule_to_json
+from .transform import _SCHEDULE, _level_blocks, lattice_window, schedule_to_json
 
 __all__ = [
     "ExperimentConfig",
@@ -176,29 +179,28 @@ def experiment_to_json(config):
 # ---------------------------------------------------------------------------
 
 
-# Most coefficients one batch of replications holds (8 MB of float64):
-# a batch takes as many replications as fit, and at least one.
+# Most coefficients one batch of replications samples at once (8 MB of
+# float64): a batch takes as many replications as fit, and at least one.
+# The exact backend holds one level's (R, m_j) product at a time; the
+# path backend holds one seed's path and one transform block.  Either
+# keeps only R mean squares per level.
 _BATCH = 1 << 20
 
 
 def _batched_panel(config, seeds):
-    """One panel of the replications drawn from ``seeds``, a tuple."""
+    """One panel of the replications drawn from ``seeds``, a tuple: at
+    each level, a LevelMeans of their mean squares."""
     if config.backend == "exact-gaussian":
         return exact_coefficient_sample(config.model, config.filt, config.schedule, seeds)
+    # each seed's path, its squared coefficients summed block by block
     t_lo, t_hi = lattice_window(config.filt, config.schedule)
-    panels = [
-        panel_from_path(
-            gegenbauer_path(config.model, t_hi - t_lo + 1, float(t_lo), 1.0, seed),
-            config.filt,
-            config.schedule,
-        )
-        for seed in seeds
-    ]
-    levels = tuple(
-        PanelLevel(j=lvs[0].j, a_j=lvs[0].a_j, shifts=lvs[0].shifts,
-                   coeffs=np.stack([lv.coeffs for lv in lvs]))
-        for lvs in zip(*(p.levels for p in panels))
-    )
+    sums = {lv.j: np.zeros(len(seeds)) for lv in config.schedule.levels}
+    for r, seed in enumerate(seeds):
+        path = gegenbauer_path(config.model, t_hi - t_lo + 1, float(t_lo), 1.0, seed)
+        for lv, _, _, coeffs in _level_blocks(path, config.filt, config.schedule):
+            sums[lv.j][r] += np.sum(coeffs**2)
+    levels = tuple(LevelMeans(lv.j, lv.a_j, sums[lv.j] / lv.m_j)
+                   for lv in config.schedule.levels)
     return CoefficientPanel(levels=levels, provenance=config.backend, seed=seeds)
 
 
@@ -292,11 +294,11 @@ def _aggregate(config, batches, failures):
 def run_experiment(config):
     """Run all replications, aggregate, and write outputs if configured.
 
-    Replications run in batches of as many as hold about _BATCH
-    coefficients, each sampled and estimated as arrays.  A batch that
-    fails numerically is rerun one replication at a time, so each
-    failure is recorded and skipped on its own; more than 20% of them
-    aborts the experiment.  With out_dir set, writes replications.csv,
+    Replications run in batches of as many as sample about _BATCH
+    coefficients, each reduced to mean squares and estimated as arrays.
+    A batch that fails numerically is rerun one replication at a time,
+    so each failure is recorded and skipped on its own; more than 20% of
+    them aborts the experiment.  With out_dir set, writes replications.csv,
     mse_table.csv and summary.json.
     """
     n_rep = config.replications

@@ -45,6 +45,7 @@ __all__ = [
     "PROVENANCES",
     "PathRealization",
     "PanelLevel",
+    "LevelMeans",
     "CoefficientPanel",
     "gaussian_stream",
     "gegenbauer_path",
@@ -242,11 +243,7 @@ class PathRealization:
 
 @dataclass(frozen=True, eq=False)
 class PanelLevel:
-    """Coefficients delta_jk and their shifts at one scale.
-
-    ``coeffs`` is a vector over the shifts, or an (R, m) block holding R
-    replications in its rows.
-    """
+    """Coefficients delta_jk and their shifts at one scale."""
 
     j: int
     a_j: float
@@ -256,12 +253,8 @@ class PanelLevel:
     def __post_init__(self):
         object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=float))
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if (self.shifts.ndim != 1 or self.coeffs.ndim not in (1, 2)
-                or self.coeffs.shape[-1] != self.shifts.size):
-            raise ValueError(
-                "PanelLevel: shifts and coeffs must be equal-length vectors, "
-                "or coeffs a block of rows of that length"
-            )
+        if self.shifts.ndim != 1 or self.coeffs.shape != self.shifts.shape:
+            raise ValueError("PanelLevel: shifts and coeffs must be equal-length vectors")
         if self.shifts.size < 1:
             raise ValueError("PanelLevel: need at least one shift")
         if not np.all(self.shifts[1:] > self.shifts[:-1]):
@@ -269,13 +262,33 @@ class PanelLevel:
         if not (self.a_j > 0):
             raise ValueError("PanelLevel: scale must be positive")
 
+    @property
+    def mean_square(self):
+        """delta_bar_j, the mean of the squared coefficients."""
+        return np.mean(self.coeffs**2)
+
+
+@dataclass(frozen=True, eq=False)
+class LevelMeans:
+    """delta_bar_j of R replications at one scale, one per replication:
+    all that the estimator reads of a level's coefficients."""
+
+    j: int
+    a_j: float
+    mean_square: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean_square", np.asarray(self.mean_square, dtype=float))
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientPanel:
-    """Per-scale coefficient vectors with their provenance and seed.
+    """Per-scale coefficient vectors, or a batch's mean squares, with
+    their provenance and seed.
 
-    A panel of R replications has a tuple of R seeds and (R, m_j)
-    coefficient blocks whose row r was drawn from seed r.
+    A batch of R replications has a tuple of R seeds, and at every level
+    a LevelMeans whose entry r is the mean square of seed r's
+    coefficients.
     """
 
     levels: tuple
@@ -293,18 +306,15 @@ class CoefficientPanel:
         scales = [lv.a_j for lv in self.levels]
         if not np.all(np.diff(scales) > 0):
             raise ValueError("CoefficientPanel: scales must be strictly increasing")
-        rows = (len(self.seed),) if isinstance(self.seed, tuple) else ()
-        if rows == (0,) or any(lv.coeffs.shape[:-1] != rows for lv in self.levels):
+        rows = (len(self.seed),) if isinstance(self.seed, tuple) else None
+        shapes = {lv.mean_square.shape if isinstance(lv, LevelMeans) else None
+                  for lv in self.levels}
+        if rows == (0,) or shapes != {rows}:
             raise ValueError(
-                "CoefficientPanel: an int seed needs coefficient vectors, and "
-                "a tuple of R >= 1 seeds (R, m_j) blocks at every level"
+                "CoefficientPanel: an int seed needs PanelLevel coefficient "
+                "vectors, and a tuple of R >= 1 seeds LevelMeans of R mean "
+                "squares at every level"
             )
-
-    def level_for(self, j):
-        for lv in self.levels:
-            if lv.j == j:
-                return lv
-        raise KeyError("CoefficientPanel: no level with index %r" % j)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +591,10 @@ def exact_coefficient_sample(model, filt, schedule, seed):
     above the diagonal, about half of m_j x m_j (see _schur), and the
     product multiplies z by each block (see _upper_product).
     Deterministic in the seed.  ``seed`` may also be a tuple of R ints:
-    each level is then one (R, m_j) block, the transposed normals of all
-    seeds times U, whose row r matches the panel of seed r to rounding.
+    each level's product is then one (R, m_j) block, the transposed
+    normals of all seeds times U, whose row r matches the panel of seed
+    r to rounding; the block is reduced to its R mean squares (a
+    LevelMeans) before the next level's product is taken.
     """
     for lv in schedule.levels:
         if lv.m_j > 8192:
@@ -598,11 +610,13 @@ def exact_coefficient_sample(model, filt, schedule, seed):
     else:
         seed = int(seed)
     z = gaussian_stream(seed, _PANEL_TAG, idx).T
-    levels = tuple(
-        PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(),
-                   coeffs=_upper_product(z[..., :lv.m_j], factor))
-        for lv, factor in zip(schedule.levels, factors)
-    )
+    levels = []
+    for lv, factor in zip(schedule.levels, factors):
+        coeffs = _upper_product(z[..., :lv.m_j], factor)
+        if isinstance(seed, tuple):
+            levels.append(LevelMeans(lv.j, lv.a_j, np.mean(coeffs**2, axis=-1)))
+        else:
+            levels.append(PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts(), coeffs=coeffs))
     return CoefficientPanel(levels=levels, provenance="exact-gaussian", seed=seed)
 
 
@@ -634,17 +648,17 @@ def _write_rows(fh, row, n, columns):
 
 
 def _write_panel(path, blocks):
-    """Write panel CSV rows from blocks (j, a_j, k0, shifts, coeffs), whose
-    rows are k = k0 + 1, k0 + 2, ... of level j, each block taken only
-    when the one before is written.  A block that raises removes the
-    partial file."""
+    """Write panel CSV rows from blocks (level, k0, shifts, coeffs), whose
+    rows are k = k0 + 1, k0 + 2, ... of the level (anything with j and
+    a_j), each block taken only when the one before is written.  A block
+    that raises removes the partial file."""
     fh = open(path, "w")
     try:
         with fh:
             fh.write("j,k,a_j,b_jk,delta_jk\n")
-            for j, a_j, k0, shifts, coeffs in blocks:
+            for lv, k0, shifts, coeffs in blocks:
                 # j and a_j are formatted once per block, into the row format
-                row = "%d,%%d,%.17g,%%.17g,%%.17g\n" % (j, a_j)
+                row = "%d,%%d,%.17g,%%.17g,%%.17g\n" % (lv.j, lv.a_j)
                 _write_rows(fh, row, shifts.size, lambda lo, hi: (
                     np.arange(k0 + lo + 1, k0 + hi + 1), shifts[lo:hi], coeffs[lo:hi]))
     except BaseException:
@@ -656,7 +670,7 @@ def panel_to_csv(panel, path):
     """Write a panel as CSV with columns j, k, a_j, b_jk, delta_jk."""
     if isinstance(panel.seed, tuple):
         raise ValueError("panel_to_csv: a panel of several replications has no CSV form")
-    _write_panel(path, ((lv.j, lv.a_j, 0, lv.shifts, lv.coeffs) for lv in panel.levels))
+    _write_panel(path, ((lv, 0, lv.shifts, lv.coeffs) for lv in panel.levels))
 
 
 def _line_bound(fh):

@@ -323,6 +323,16 @@ def _check_coverage(path, filt, schedule):
             )
 
 
+def _level_blocks(path, filt, schedule):
+    """(level, k0, shifts, coeffs) of every level's cells k0 + 1 .. k0 +
+    _ROW_BLOCK, level by level, on a path that covers the schedule: a
+    block is computed only once the one before has been taken."""
+    for lv in schedule.levels:
+        for k0 in range(0, lv.m_j, _ROW_BLOCK):
+            shifts = lv.shifts(k0, min(k0 + _ROW_BLOCK, lv.m_j))
+            yield lv, k0, shifts, _transform_level(path, filt, lv.a_j, shifts)
+
+
 def panel_from_path(path, filt, schedule):
     """Transform a path into a coefficient panel along a schedule.
 

@@ -599,7 +599,7 @@ class TestTransform:
     def test_failing_block_leaves_no_panel_or_manifest(self, tmp_path, monkeypatch, capsys):
         # level 3's second block raises after the rows before it went to
         # panel.csv: the partial file is removed and no manifest written
-        kernel = specpole.cli._transform_level
+        kernel = specpole.transform._transform_level
         out = tmp_path / "o"
         written = []
 
@@ -609,7 +609,7 @@ class TestTransform:
                 raise RuntimeError("kernel failed")
             return kernel(path, filt, a, shifts)
 
-        monkeypatch.setattr(specpole.cli, "_transform_level", failing)
+        monkeypatch.setattr(specpole.transform, "_transform_level", failing)
         cfg = transform_config(tmp_path, schedule={"rule": "linear", "j_max": 3, "kappa": 8.5})
         assert main(["transform", "--config", cfg, "--out", str(out)]) == 1
         assert "kernel failed" in capsys.readouterr().err

@@ -14,11 +14,9 @@ from specpole.estimator import (
     StatisticsRow,
     adjust,
     estimate,
-    first_statistic,
     forward_map,
     in_feasible_region,
     results_to_csv,
-    results_to_json,
     second_statistic,
     solve,
 )
@@ -26,6 +24,7 @@ from specpole.model import builtin_filter, indicator_model
 from specpole.specfun import lambert_w0
 from specpole.simulate import (
     CoefficientPanel,
+    LevelMeans,
     PanelLevel,
     exact_coefficient_sample,
     scale_second_moment,
@@ -47,17 +46,11 @@ def panel_of(levels_spec, provenance="exact-gaussian", seed=0):
 
 
 class TestStatistics:
-    def test_first_statistic_examples(self):
+    def test_mean_square_examples(self):
         panel = panel_of([(1.0, [1.0, -1.0, 1.0, -1.0]), (2.0, [3.0, 4.0])])
-        assert first_statistic(panel, 1) == 1.0
-        assert first_statistic(panel, 2) == 12.5
+        assert [lv.mean_square for lv in panel.levels] == [1.0, 12.5]
         zeros = panel_of([(1.0, [0.0, 0.0])])
-        assert first_statistic(zeros, 1) == 0.0
-
-    def test_first_statistic_missing_level(self):
-        panel = panel_of([(1.0, [1.0])])
-        with pytest.raises(KeyError):
-            first_statistic(panel, 7)
+        assert zeros.levels[0].mean_square == 0.0
 
     def test_second_statistic_examples(self):
         assert second_statistic(2.0, 1.0, 1.0, 2.0) == pytest.approx(4.0 / 3.0)
@@ -421,8 +414,7 @@ class TestEstimate:
                 for s in seeds]
         batch = CoefficientPanel(
             levels=tuple(
-                PanelLevel(j=lv.j, a_j=lv.a_j, shifts=lv.shifts,
-                           coeffs=np.stack([p.levels[i].coeffs for p in rows]))
+                LevelMeans(lv.j, lv.a_j, [p.levels[i].mean_square for p in rows])
                 for i, lv in enumerate(rows[0].levels)
             ),
             provenance="exact-gaussian",
@@ -444,9 +436,8 @@ class TestEstimate:
                 )
 
     def test_zero_level_in_a_batch_raises(self):
-        level = PanelLevel(j=1, a_j=1.0, shifts=[1.0, 2.0],
-                           coeffs=[[1.0, 2.0], [0.0, 0.0]])
-        nxt = PanelLevel(j=2, a_j=2.0, shifts=[2.0], coeffs=[[1.0], [1.5]])
+        level = LevelMeans(1, 1.0, [2.5, 0.0])
+        nxt = LevelMeans(2, 2.0, [1.0, 2.25])
         panel = CoefficientPanel(levels=(level, nxt), provenance="exact-gaussian",
                                  seed=(1, 2))
         with pytest.raises(ValueError, match="level 1 has zero mean square"):
@@ -488,7 +479,7 @@ class TestEstimate:
             errs_alpha.append(abs(res[-1].alpha_hat - 0.1))
             y1_first.append(abs(res[0].row.y1_raw - y1_true))
             y1_last.append(
-                abs(first_statistic(panel, 3) / self.filt.c2 - y1_true)
+                abs(panel.levels[2].mean_square / self.filt.c2 - y1_true)
             )
         assert np.mean(errs_s0) <= 0.12
         assert np.mean(errs_alpha) <= 0.03
@@ -515,14 +506,6 @@ class TestSerialization:
         )
         panel = exact_coefficient_sample(model, filt, sched, 6)
         return estimate(panel, filt)
-
-    def test_json_records(self):
-        records = results_to_json(self.make_results())
-        assert len(records) == 1
-        rec = records[0]
-        assert rec["j"] == 1 and rec["a_j"] == 8.0
-        assert rec["case"] in ("none", "case1", "case2", "case3", "case4", "case5")
-        assert rec["s0_hat"] > 1.0 and 0.0 < rec["alpha_hat"] < 0.5
 
     def test_csv_round_trip_of_values(self, tmp_path):
         results = self.make_results()

@@ -379,6 +379,23 @@ class TestRunPath:
         assert one.rows == two.rows
         assert one.mse_delta_bar == two.mse_delta_bar
 
+    def test_batch_holds_a_path_and_one_block(self):
+        # linear_schedule(6, kappa=7) has 376,761 coefficients a
+        # replication (3.0 MB) on a 2.24 MB path; a batch keeps only
+        # their mean squares, summed block by block as the transform
+        # computes them (traced 5.7 MB), where two whole panels and
+        # their stack would trace 18.4 MB.
+        cfg = path_config(schedule=linear_schedule(6, kappa=7), replications=2)
+        run_experiment(dataclasses.replace(cfg, replications=1))  # warm-up
+        tracemalloc.start()
+        try:
+            table = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.counts == (2,) * 6
+        assert peak < 8e6, peak / 1e6
+
     def test_mean_square_errors_decay_on_exact_backend(self):
         # Qualitative decay of the mean-square MSE across scales, with
         # one inversion allowed.

@@ -188,15 +188,22 @@ class TestTriangularProduct:
                              ids=["exact-c6", "m=1", "m=300"])
     @pytest.mark.parametrize("seed", [tuple(range(40, 80)), 11], ids=["seeds", "int"])
     def test_panel_matches_the_full_product(self, schedule, seed):
+        # an int seed's panel holds the product; a batch of seeds holds
+        # the mean squares of the (R, m_j) product of all their normals
         panel = exact_coefficient_sample(self.model, self.filt, schedule, seed)
         factors = simulate._panel_factors(self.model, self.filt, schedule)
         idx = np.arange(max(lv.m_j for lv in schedule.levels))
         z = gaussian_stream(seed, simulate._PANEL_TAG,
                             idx[:, None] if isinstance(seed, tuple) else idx)
-        for lv, factor in zip(panel.levels, factors):
-            want = z[: lv.shifts.size].T @ dense_factor(factor)
-            assert lv.coeffs.shape == want.shape
-            assert np.max(np.abs(lv.coeffs - want)) <= 1e-15 * np.max(np.abs(want)), lv.j
+        for lv, sched_lv, factor in zip(panel.levels, schedule.levels, factors):
+            got = simulate._upper_product(z[: sched_lv.m_j].T, factor)
+            if isinstance(seed, tuple):
+                np.testing.assert_array_equal(lv.mean_square, np.mean(got**2, axis=-1))
+            else:
+                np.testing.assert_array_equal(lv.coeffs, got)
+            want = z[: sched_lv.m_j].T @ dense_factor(factor)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), lv.j
 
     # a single column, one whole block, a ragged last block, four blocks, nine
     @pytest.mark.parametrize("m", [1, simulate._PRODUCT_BLOCK, 2 * simulate._PRODUCT_BLOCK + 1,

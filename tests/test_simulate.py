@@ -26,6 +26,7 @@ from specpole.model import (
 )
 from specpole.simulate import (
     CoefficientPanel,
+    LevelMeans,
     PanelLevel,
     PathRealization,
     coefficient_covariance,
@@ -1041,31 +1042,44 @@ class TestBatchedSample:
 
     @pytest.mark.parametrize("seeds", [(7,), (7, 8), (3, 900, -1, 2**63, 12)])
     def test_rows_match_single_seed_panels(self, seeds):
-        # gemm and gemv round differently, so rows agree to rounding only
+        # A batch's (R, m_j) product of the normals of all seeds, row r
+        # against seed r's panel: gemm and gemv round differently, so the
+        # rows agree to rounding only.  The batch keeps each level's mean
+        # squares of those rows, bit for bit.
         sched = ladder((8.0, 16.0, 32.0), m=48)
         batch = exact_coefficient_sample(self.model, self.filt, sched, seeds)
         assert batch.seed == seeds
+        factors = simulate._panel_factors(self.model, self.filt, sched)
+        z = gaussian_stream(seeds, simulate._PANEL_TAG, np.arange(48)[:, None]).T
+        blocks = [simulate._upper_product(z, factor) for factor in factors]
+        for lv, block in zip(batch.levels, blocks):
+            assert isinstance(lv, LevelMeans) and block.shape == (len(seeds), 48)
+            np.testing.assert_array_equal(lv.mean_square, np.mean(block**2, axis=-1))
         for r, seed in enumerate(seeds):
             single = exact_coefficient_sample(self.model, self.filt, sched, seed)
-            for lv, ref in zip(batch.levels, single.levels):
-                assert lv.coeffs.shape == (len(seeds), 48)
-                np.testing.assert_array_equal(lv.shifts, ref.shifts)
+            for block, ref in zip(blocks, single.levels):
                 scale = np.max(np.abs(ref.coeffs))
-                np.testing.assert_allclose(lv.coeffs[r], ref.coeffs, rtol=0.0,
+                np.testing.assert_allclose(block[r], ref.coeffs, rtol=0.0,
                                            atol=1e-14 * scale)
 
     def test_panel_rows_must_match_the_seeds(self):
-        block = PanelLevel(j=1, a_j=2.0, shifts=[1.0, 2.0], coeffs=np.ones((3, 2)))
-        CoefficientPanel(levels=(block,), provenance="exact-gaussian", seed=(1, 2, 3))
-        with pytest.raises(ValueError, match="tuple of R"):
-            CoefficientPanel(levels=(block,), provenance="exact-gaussian", seed=(1, 2))
+        # a tuple of R seeds pairs with LevelMeans of R mean squares, an
+        # int seed with PanelLevel vectors
+        means = LevelMeans(j=1, a_j=2.0, mean_square=[1.0, 2.0, 3.0])
+        vector = PanelLevel(j=2, a_j=4.0, shifts=[1.0, 2.0], coeffs=[1.0, 1.0])
+        CoefficientPanel(levels=(means,), provenance="exact-gaussian", seed=(1, 2, 3))
+        CoefficientPanel(levels=(vector,), provenance="exact-gaussian", seed=1)
+        for levels, seed in (((means,), (1, 2)), ((vector,), (1,)),
+                             ((means, vector), (1, 2, 3))):
+            with pytest.raises(ValueError, match="tuple of R"):
+                CoefficientPanel(levels=levels, provenance="exact-gaussian", seed=seed)
         with pytest.raises(ValueError, match="int seed"):
-            CoefficientPanel(levels=(block,), provenance="exact-gaussian", seed=1)
-        empty = PanelLevel(j=1, a_j=2.0, shifts=[1.0], coeffs=np.ones((0, 1)))
+            CoefficientPanel(levels=(means,), provenance="exact-gaussian", seed=1)
+        empty = LevelMeans(j=1, a_j=2.0, mean_square=np.ones(0))
         with pytest.raises(ValueError, match="tuple of R"):
             CoefficientPanel(levels=(empty,), provenance="exact-gaussian", seed=())
         with pytest.raises(ValueError, match="several replications"):
-            panel_to_csv(CoefficientPanel(levels=(block,), provenance="exact-gaussian",
+            panel_to_csv(CoefficientPanel(levels=(means,), provenance="exact-gaussian",
                                           seed=(1, 2, 3)), "unused.csv")
 
 
@@ -1073,6 +1087,8 @@ class TestPanelTypes:
     def test_level_validation(self):
         with pytest.raises(ValueError, match="equal-length"):
             PanelLevel(j=1, a_j=2.0, shifts=[1.0, 2.0], coeffs=[0.5])
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            PanelLevel(j=1, a_j=2.0, shifts=[1.0, 2.0], coeffs=np.ones((3, 2)))
         with pytest.raises(ValueError, match="strictly increasing"):
             PanelLevel(j=1, a_j=2.0, shifts=[2.0, 1.0], coeffs=[0.5, 0.6])
         with pytest.raises(ValueError, match="scale"):
@@ -1088,9 +1104,7 @@ class TestPanelTypes:
                 levels=(lv2, lv1), provenance="exact-gaussian", seed=0
             )
         panel = CoefficientPanel(levels=(lv1, lv2), provenance="exact-gaussian", seed=0)
-        assert panel.level_for(2) is lv2
-        with pytest.raises(KeyError):
-            panel.level_for(9)
+        assert panel.levels == (lv1, lv2)
 
     def test_path_validation(self):
         with pytest.raises(ValueError, match="2 samples"):
